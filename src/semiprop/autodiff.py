@@ -32,9 +32,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.ndim != 0:
             raise ValueError("backward() requires a scalar tensor")
@@ -205,18 +202,6 @@ def tmean(a, axis=None):
     return mul(tsum(a, axis=axis), 1.0 / n)
 
 
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data @ b.data, _parents=(a, b))
-
-    def bwd():
-        _accum(a, out.grad @ b.data.T)
-        _accum(b, a.data.T @ out.grad)
-
-    out._backward = bwd if out.requires_grad else None
-    return out
-
-
 def dot_vm(x, w):
     """(H,) vector times (H, M) matrix -> (M,)."""
     x, w = as_tensor(x), as_tensor(w)
@@ -253,14 +238,14 @@ def reshape(a, shape):
     return out
 
 
-def take_column(a, col):
-    """Select one column of a 2-D tensor."""
+def take_last(a, idx):
+    """Select index `idx` of the trailing axis (a column of a 2-D tensor)."""
     a = as_tensor(a)
-    out = Tensor(np.ascontiguousarray(a.data[:, col]), _parents=(a,))
+    out = Tensor(np.ascontiguousarray(a.data[..., idx]), _parents=(a,))
 
     def bwd():
         g = np.zeros_like(a.data)
-        g[:, col] = out.grad
+        g[..., idx] = out.grad
         _accum(a, g)
 
     out._backward = bwd if out.requires_grad else None

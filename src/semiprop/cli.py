@@ -19,8 +19,9 @@ from . import metrics as metrics_mod
 from . import postprocess
 from .data import (AnnotationSet, DatasetManifest, FormatError,
                    gen_synthetic_dataset, load_video, read_manifest)
-from .model import HyperShape, ParamStore, ProposalNetwork, grad_check, load_checkpoint
-from .trainer import TrainConfig, Trainer, train_run
+from .model import (HyperShape, ParamStore, ProposalNetwork, grad_check,
+                    load_checkpoint, unprefixed)
+from .trainer import TrainConfig, train_run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,9 +97,7 @@ def evaluate_model(net, params, manifest, manifest_path, out_dir,
 def params_from_checkpoint(path, which: str = "student"):
     header, tensors = load_checkpoint(path)
     hyper = HyperShape(**header["hyper"])
-    prefix = which + "."
-    params = ParamStore({k[len(prefix):]: v.copy() for k, v in tensors.items()
-                         if k.startswith(prefix)})
+    params = unprefixed(tensors, which)
     if not params:
         raise FormatError(f"{path}: no '{which}' tensors in checkpoint")
     return hyper, params
@@ -116,11 +115,8 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
-    overrides = {k: getattr(args, k) for k in (
-        "alpha", "lambda1", "lambda2", "lambda3", "lambda4", "mu", "omega",
-        "p_drop", "batch_labeled", "batch_unlabeled", "lr", "epochs", "seed",
-        "precision", "recon_support", "hidden", "pem_hidden", "n_samples",
-        "max_duration") if getattr(args, k, None) is not None}
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     if args.config:
         cfg = TrainConfig.from_file(args.config, **overrides)
     else:
@@ -193,6 +189,7 @@ def cmd_grad_check(args) -> int:
     return 0 if report["passed"] else 3
 
 
+ABLATION_METRICS = ("AUC", "AR@10", "AR@50", "AR@100")
 GRIDS = {
     "default": ["sstap", "supervised"],
     "components": ["sstap", "no_shift", "no_flip", "no_recon", "no_order",
@@ -218,19 +215,16 @@ def cmd_ablate(args) -> int:
                                     os.path.join(run_dir, "proposals"),
                                     thresholds_name=args.thresholds)
             row = {"config": mode, "seed": seed,
-                   "AUC": result.get("AUC", float("nan")),
-                   "AR@10": result.get("AR@10", float("nan")),
-                   "AR@50": result.get("AR@50", float("nan")),
-                   "AR@100": result.get("AR@100", float("nan"))}
+                   **{k: result.get(k, float("nan")) for k in ABLATION_METRICS}}
             rows.append(row)
             print(f"{mode} seed={seed}: AUC={row['AUC']:.3f} "
                   f"AR@10={row['AR@10']:.3f}")
     csv_path = os.path.join(args.out, "ablation.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("config,seed,AUC,AR@10,AR@50,AR@100\n")
+        fh.write(",".join(("config", "seed") + ABLATION_METRICS) + "\n")
         for r in rows:
-            fh.write(f"{r['config']},{r['seed']},{r['AUC']:.4f},"
-                     f"{r['AR@10']:.4f},{r['AR@50']:.4f},{r['AR@100']:.4f}\n")
+            cells = [r["config"], str(r["seed"])] + [f"{r[k]:.4f}" for k in ABLATION_METRICS]
+            fh.write(",".join(cells) + "\n")
     print(f"wrote {csv_path}")
     return 0
 

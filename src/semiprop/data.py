@@ -1,10 +1,13 @@
 """Data model, synthetic dataset generation, label maps, and feature file I/O.
 
-Feature files are binary: a 16-byte magic/version header, a length-prefixed
-UTF-8 JSON metadata block, then T*C little-endian float32 values in time-major
-order. The dataset manifest is a JSON file listing every video with its
-annotations (annotations are always written, the ``labeled`` flag decides
-whether training may look at them).
+Both binary formats (feature files here, checkpoints in `model`) share one
+framing, written by `write_framed` and read by `read_framed`: an 8-byte
+magic, a fixed prefix, a little-endian uint32 header length, a UTF-8 JSON
+header, then a raw little-endian payload whose size the header declares.
+Feature files use the prefix for a `<II` version block and hold T*C float32
+values in time-major order. The dataset manifest is a JSON file listing
+every video with its annotations (annotations are always written, the
+``labeled`` flag decides whether training may look at them).
 """
 
 from __future__ import annotations
@@ -21,8 +24,45 @@ MAGIC = b"SEQFEAT1"
 FORMAT_VERSION = 1
 
 
-class FormatError(Exception):
-    """Malformed feature file or manifest."""
+class FormatError(ValueError):
+    """Malformed feature file, checkpoint or manifest."""
+
+
+def write_framed(path, magic: bytes, prefix: bytes, header: dict, payload) -> None:
+    """Write magic, prefix, header length, JSON header, then each payload array."""
+    hbytes = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic + prefix + struct.pack("<I", len(hbytes)))
+        fh.write(hbytes)
+        for arr in payload:
+            fh.write(arr.tobytes())
+
+
+def read_framed(path, magic: bytes, prefix: bytes, kind: str, payload_layout):
+    """Read a framed file back as (header, payload memoryview).
+
+    `payload_layout(header)` gives the (count, dtype) of the payload the
+    header declares. The header must fit, and the payload must hold exactly
+    what the header declares, with no bytes after it.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    start = len(magic) + len(prefix) + 4
+    if len(blob) < start or blob[:start - 4] != magic + prefix:
+        raise FormatError(f"{path}: bad magic or version block, not a {kind} file")
+    end = start + struct.unpack_from("<I", blob, start - 4)[0]
+    if len(blob) < end:
+        raise FormatError(f"{path}: header runs {end - len(blob)} bytes past the end")
+    try:
+        header = json.loads(blob[start:end].decode("utf-8"))
+        count, dtype = payload_layout(header)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: bad header block: {exc}") from exc
+    payload = memoryview(blob)[end:]
+    if len(payload) != count * dtype.itemsize:
+        raise FormatError(f"{path}: expected {count} {dtype.name} values, "
+                          f"got {len(payload) / dtype.itemsize:g}")
+    return header, payload
 
 
 @dataclass
@@ -87,12 +127,6 @@ class DatasetManifest:
     seed: int
     generator_params: dict
 
-    def labeled_ids(self) -> list[str]:
-        return [v.video_id for v in self.videos if v.labeled]
-
-    def unlabeled_ids(self) -> list[str]:
-        return [v.video_id for v in self.videos if not v.labeled]
-
 
 def iou_1d(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Temporal IoU of two (start, end) segments; 0 when disjoint."""
@@ -144,42 +178,24 @@ def build_label_maps(ann: AnnotationSet, T: int, D: int) -> LabelMaps:
     return LabelMaps(g_start=g_start, g_end=g_end, g_iou=g_iou, valid_mask=valid)
 
 
+FEATURE_PREFIX = struct.pack("<II", FORMAT_VERSION, 0)
+
+
 def write_features(seq: FeatureSequence, path: str | os.PathLike) -> None:
     seq.validate()
-    meta = json.dumps({"video_id": seq.video_id, "T": seq.T, "C": seq.C}).encode("utf-8")
-    payload = np.ascontiguousarray(seq.values, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, 0))
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
-        fh.write(payload.tobytes())
+    meta = {"video_id": seq.video_id, "T": seq.T, "C": seq.C}
+    write_framed(path, MAGIC, FEATURE_PREFIX, meta,
+                 [np.ascontiguousarray(seq.values, dtype="<f4")])
 
 
 def read_features(path: str | os.PathLike) -> FeatureSequence:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 20 or blob[:8] != MAGIC:
-        raise FormatError(f"{path}: bad magic")
-    version, _ = struct.unpack_from("<II", blob, 8)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    (meta_len,) = struct.unpack_from("<I", blob, 16)
-    try:
-        meta = json.loads(blob[20:20 + meta_len].decode("utf-8"))
-        T, C = int(meta["T"]), int(meta["C"])
-        video_id = str(meta["video_id"])
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: bad metadata block: {exc}") from exc
-    payload = blob[20 + meta_len:]
-    if len(payload) != 4 * T * C:
-        raise FormatError(
-            f"{path}: expected {T * C} float32 values, got {len(payload) / 4:g}"
-        )
+    meta, payload = read_framed(path, MAGIC, FEATURE_PREFIX, "feature",
+                                lambda m: (int(m["T"]) * int(m["C"]), np.dtype("<f4")))
+    T, C = int(meta["T"]), int(meta["C"])
     values = np.frombuffer(payload, dtype="<f4").reshape(T, C).copy()
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: non-finite payload value")
-    return FeatureSequence(video_id=video_id, values=values)
+    return FeatureSequence(video_id=str(meta["video_id"]), values=values)
 
 
 def _plant_instances(rng: np.random.Generator, T: int) -> list[tuple[float, float]]:
@@ -222,7 +238,6 @@ def gen_synthetic_dataset(
     C: int,
     label_fraction: float,
     seed: int,
-    sigma_frames: int = 16,
 ) -> DatasetManifest:
     """Generate a deterministic synthetic dataset with planted action segments.
 
@@ -253,7 +268,6 @@ def gen_synthetic_dataset(
         videos=entries, seed=seed,
         generator_params={"n_videos": n_videos, "T": T, "C": C,
                           "label_fraction": label_fraction,
-                          "sigma_frames": sigma_frames,
                           "noise_std": 0.1, "signature_scale": 1.0},
     )
     write_manifest(manifest, os.path.join(out_dir, "manifest.json"))
@@ -289,18 +303,25 @@ def read_manifest(path: str | os.PathLike) -> DatasetManifest:
             )
             for v in doc["videos"]
         ]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        seed = doc["seed"]
+        if type(seed) is not int:
+            raise TypeError(f"seed must be an integer, got {seed!r}")
+        generator_params = doc.get("generator_params", {})
+    except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: bad manifest: {exc}") from exc
     ids = [v.video_id for v in videos]
     if len(set(ids)) != len(ids):
         raise FormatError(f"{path}: duplicate video ids")
-    return DatasetManifest(videos=videos, seed=int(doc["seed"]),
-                           generator_params=doc.get("generator_params", {}))
+    return DatasetManifest(videos=videos, seed=seed, generator_params=generator_params)
 
 
 def load_video(manifest_path: str | os.PathLike, entry: VideoEntry) -> FeatureSequence:
     base = os.path.dirname(os.fspath(manifest_path))
-    seq = read_features(os.path.join(base, entry.feature_file))
+    path = os.path.join(base, entry.feature_file)
+    seq = read_features(path)
+    if (seq.T, seq.C) != (entry.T, entry.C):
+        raise FormatError(f"{path}: holds T={seq.T}, C={seq.C}; "
+                          f"the manifest says T={entry.T}, C={entry.C}")
     seq.labeled = entry.labeled
     seq.annotations = AnnotationSet([tuple(a) for a in entry.annotations])
     return seq

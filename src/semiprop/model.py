@@ -13,15 +13,14 @@ training speed (same code, parameterized by dtype).
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from . import autodiff as ad
+from .data import FormatError, read_framed, write_framed
 from .perturb import Predictions
 
 CHECKPOINT_MAGIC = b"SPCHKPT1"
@@ -58,11 +57,6 @@ class ParamStore(dict):
         out.update({k: v.copy() for k, v in self.items()})
         return out
 
-    def astype(self, dtype) -> "ParamStore":
-        out = ParamStore()
-        out.update({k: v.astype(dtype) for k, v in self.items()})
-        return out
-
 
 @dataclass
 class BMSamplingMask:
@@ -83,15 +77,6 @@ class BMSamplingMask:
     @property
     def n_valid(self) -> int:
         return self.d_idx.shape[0]
-
-    def column_weights(self, n: int, d: int, i: int) -> np.ndarray:
-        """Dense weight column for sample n of candidate (d, i); zeros for
-        invalid candidates (the conceptual T x N*D*T layout)."""
-        col = np.zeros(self.T)
-        j = np.flatnonzero((self.d_idx == d) & (self.i_idx == i))
-        if j.size:
-            col[:] = self.W[:, n * self.n_valid + int(j[0])].toarray().ravel()
-        return col
 
 
 def build_bm_mask(T: int, D: int, N: int) -> BMSamplingMask:
@@ -202,12 +187,14 @@ class GateTape:
 
 @dataclass
 class ModelOutputs:
-    p_s: ad.Tensor
-    p_e: ad.Tensor
-    m_cc: ad.Tensor
-    m_cr: ad.Tensor
+    """Head outputs of one pass; heads that were not requested stay None."""
+
     base_feat: ad.Tensor
     valid_mask: np.ndarray
+    p_s: ad.Tensor | None = None
+    p_e: ad.Tensor | None = None
+    m_cc: ad.Tensor | None = None
+    m_cr: ad.Tensor | None = None
     recon: ad.Tensor | None = None
     order_logits: ad.Tensor | None = None
     dropout_mask: np.ndarray | None = None
@@ -288,17 +275,13 @@ class ProposalNetwork:
             dmask = dropout_mask
             z = ad.dropout(z, dmask)
         base_feat = z
-
-        out = ModelOutputs(
-            p_s=None, p_e=None, m_cc=None, m_cr=None,  # type: ignore[arg-type]
-            base_feat=base_feat, valid_mask=self.valid_mask, dropout_mask=dmask,
-        )
+        out = ModelOutputs(base_feat=base_feat, valid_mask=self.valid_mask, dropout_mask=dmask)
 
         if "proposal" in heads:
             t = act(ad.conv1d(base_feat, P("tem.conv1.w"), P("tem.conv1.b"), pad=1))
             t = ad.sigmoid(ad.conv1d(t, P("tem.conv2.w"), P("tem.conv2.b"), pad=0))
-            out.p_s = ad.take_column(t, 0)
-            out.p_e = ad.take_column(t, 1)
+            out.p_s = ad.take_last(t, 0)
+            out.p_e = ad.take_last(t, 1)
 
             q = act(ad.conv1d(base_feat, P("pem.conv1.w"), P("pem.conv1.b"), pad=1))
             samp = ad.sparse_sample(q, self._W(dtype))
@@ -309,13 +292,9 @@ class ProposalNetwork:
             g = act(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), pad=1))
             g = ad.sigmoid(ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), pad=1))
             g = ad.mul(g, self.valid_mask.astype(dtype)[:, :, None])
-            out.m_cc = take_last(g, 0)
-            out.m_cr = take_last(g, 1)
+            out.m_cc = ad.take_last(g, 0)
+            out.m_cr = ad.take_last(g, 1)
             _check_finite(out.m_cc.data, "pem")
-        else:
-            zero = ad.Tensor(np.zeros((h.T,), dtype=dtype))
-            zmap = ad.Tensor(np.zeros((h.D, h.T), dtype=dtype))
-            out.p_s, out.p_e, out.m_cc, out.m_cr = zero, zero, zmap, zmap
 
         if "recon" in heads:
             out.recon = ad.conv1d(base_feat, P("recon.conv.w"), P("recon.conv.b"), pad=1)
@@ -335,19 +314,6 @@ class ProposalNetwork:
         fpad = np.zeros((h.T, h.C), dtype=f.dtype)
         fpad[: f.shape[0]] = f
         return fpad
-
-
-def take_last(a: ad.Tensor, idx: int) -> ad.Tensor:
-    """Select index `idx` of the trailing axis."""
-    out = ad.Tensor(np.ascontiguousarray(a.data[..., idx]), _parents=(a,))
-
-    def bwd():
-        g = np.zeros_like(a.data)
-        g[..., idx] = out.grad
-        ad._accum(a, g)
-
-    out._backward = bwd if out.requires_grad else None
-    return out
 
 
 def _check_finite(arr: np.ndarray, layer: str) -> None:
@@ -456,6 +422,24 @@ def grad_check(hyper: HyperShape, seed: int, h_step: float = 1e-3,
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 
+# Checkpoint tensors are named "<store>.<param>"; a training checkpoint holds
+# these stores in this order.
+CHECKPOINT_STORES = ("student", "teacher", "adam.m", "adam.v")
+
+
+def prefixed(*stores: ParamStore) -> dict[str, np.ndarray]:
+    """Name the tensors of stores given in CHECKPOINT_STORES order."""
+    return {f"{name}.{k}": v for name, params in zip(CHECKPOINT_STORES, stores, strict=True)
+            for k, v in params.items()}
+
+
+def unprefixed(tensors: dict[str, np.ndarray], store: str) -> ParamStore:
+    """Copy the tensors of one store out of a checkpoint, names unprefixed."""
+    prefix = store + "."
+    return ParamStore({k[len(prefix):]: v.copy() for k, v in tensors.items()
+                       if k.startswith(prefix)})
+
+
 def save_checkpoint(path, hyper: HyperShape, seed: int, step: int,
                     precision: str, tensors: dict[str, np.ndarray],
                     extra: dict | None = None) -> None:
@@ -465,38 +449,40 @@ def save_checkpoint(path, hyper: HyperShape, seed: int, step: int,
         "hyper": hyper.__dict__, "seed": seed, "step": step,
         "precision": precision, "tensors": directory, "extra": extra or {},
     }
-    hbytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(hbytes)))
-        fh.write(hbytes)
-        for v in tensors.values():
-            fh.write(np.ascontiguousarray(v, dtype=v.dtype.newbyteorder("<")).tobytes())
+    write_framed(path, CHECKPOINT_MAGIC, b"", header,
+                 [np.ascontiguousarray(v, dtype=v.dtype.newbyteorder("<"))
+                  for v in tensors.values()])
+
+
+def _payload_bytes(header: dict):
+    """Payload size a checkpoint header declares, checking each entry."""
+    n = 0
+    for entry in header["tensors"]:
+        name, shape = str(entry["name"]), [int(s) for s in entry["shape"]]
+        if min(shape, default=0) < 0:
+            raise ValueError(f"tensor {name} has a negative dimension")
+        n += math.prod(shape) * np.dtype(entry["dtype"]).itemsize
+    return n, np.dtype(np.uint8)
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            dt = np.dtype(entry["dtype"]).newbyteorder("<")
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n * dt.itemsize)
-            arr = np.frombuffer(buf, dtype=dt).reshape(shape).astype(entry["dtype"])
-            tensors[entry["name"]] = arr
-    hyper = HyperShape(**header["hyper"])
-    expected = param_shapes(hyper)
-    for name, shape in expected.items():
-        key = f"student.{name}"
-        if key in tensors and tensors[key].shape != shape:
-            raise ValueError(f"{path}: tensor {key} has shape "
-                             f"{tensors[key].shape}, expected {shape}")
-        if name in tensors and tensors[name].shape != shape:
-            raise ValueError(f"{path}: tensor {name} has shape "
-                             f"{tensors[name].shape}, expected {shape}")
+    header, payload = read_framed(path, CHECKPOINT_MAGIC, b"", "checkpoint",
+                                  _payload_bytes)
+    tensors, offset = {}, 0
+    for entry in header["tensors"]:
+        dt = np.dtype(entry["dtype"]).newbyteorder("<")
+        shape = tuple(int(s) for s in entry["shape"])
+        n = math.prod(shape) * dt.itemsize
+        arr = np.frombuffer(payload[offset:offset + n], dtype=dt)
+        tensors[entry["name"]] = arr.reshape(shape).astype(entry["dtype"])
+        offset += n
+    try:
+        hyper = HyperShape(**header["hyper"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: bad hyper shape: {exc}") from exc
+    for name, shape in param_shapes(hyper).items():
+        for key in [name] + [f"{store}.{name}" for store in CHECKPOINT_STORES]:
+            if key in tensors and tensors[key].shape != shape:
+                raise FormatError(f"{path}: tensor {key} has shape "
+                                  f"{tensors[key].shape}, expected {shape}")
     return header, tensors

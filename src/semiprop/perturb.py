@@ -30,18 +30,13 @@ class Predictions:
 def temporal_shift(f: np.ndarray, mu: float, rng: np.random.Generator):
     """Shift k = 2*floor(C*mu/2) random channels by one time step, half
     forward (zero-fill row 0) and half backward (zero-fill row T-1)."""
-    T, C = f.shape
+    _, C = f.shape
     k = 2 * int(C * mu / 2)
     if k == 0:
         raise ValueError(f"mu={mu} selects zero channels for C={C}")
     chans = rng.choice(C, size=k, replace=False)
-    fwd, bwd = chans[: k // 2], chans[k // 2:]
-    out = f.copy()
-    out[1:, fwd] = f[:-1, fwd]
-    out[0, fwd] = 0.0
-    out[:-1, bwd] = f[1:, bwd]
-    out[-1, bwd] = 0.0
-    return out, ShiftPlan(forward_channels=fwd, backward_channels=bwd)
+    plan = ShiftPlan(forward_channels=chans[: k // 2], backward_channels=chans[k // 2:])
+    return apply_shift_plan(f, plan), plan
 
 
 def apply_shift_plan(f: np.ndarray, plan: ShiftPlan) -> np.ndarray:

@@ -33,25 +33,21 @@ def mask_features(f1: np.ndarray, omega: float, rng: np.random.Generator):
     return f2, mask
 
 
-def recon_loss(pred, f1, mask: np.ndarray | None = None):
+def recon_loss(pred, f1, mask: np.ndarray | None = None) -> ad.Tensor:
     """Mean squared error between reconstruction and original features.
 
     With a mask (masked_only support), only masked rows enter the mean.
-    Accepts plain arrays or autodiff tensors; returns the same kind.
     """
-    pred_data = pred.data if isinstance(pred, ad.Tensor) else np.asarray(pred)
+    pred = ad.as_tensor(pred)
     f1 = np.asarray(f1)
-    if pred_data.shape != f1.shape:
-        raise ValueError(f"shape mismatch: {pred_data.shape} vs {f1.shape}")
-    diff = ad.as_tensor(pred) - f1
-    sq = ad.square(diff)
+    if pred.shape != f1.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {f1.shape}")
+    sq = ad.square(pred - f1)
     if mask is None:
-        loss = ad.tmean(sq)
-    else:
-        w = mask.astype(f1.dtype)[:, None]
-        denom = max(float(w.sum()) * f1.shape[1], 1.0)
-        loss = ad.tsum(ad.mul(sq, w)) / denom
-    return loss if isinstance(pred, ad.Tensor) else loss.item()
+        return ad.tmean(sq)
+    w = mask.astype(f1.dtype)[:, None]
+    denom = max(float(w.sum()) * f1.shape[1], 1.0)
+    return ad.tsum(ad.mul(sq, w)) / denom
 
 
 def permutations_of(K: int) -> list[tuple[int, ...]]:
@@ -72,11 +68,10 @@ def make_order_sample(f1: np.ndarray, K: int, rng: np.random.Generator) -> Order
     return OrderSample(shuffled=np.concatenate(clips, axis=0), label=label, K=K)
 
 
-def order_loss(logits, label: int):
+def order_loss(logits, label: int) -> ad.Tensor:
     """Cross entropy of permutation-class logits against the true order."""
-    n = logits.data.shape[0] if isinstance(logits, ad.Tensor) else np.asarray(logits).shape[0]
+    logits = ad.as_tensor(logits)
+    n = logits.shape[0]
     if not (0 <= label < n):
         raise ValueError(f"label {label} out of range for {n} classes")
-    loss = ad.cross_entropy_logits(ad.as_tensor(np.asarray(logits, dtype=np.float64))
-                                   if not isinstance(logits, ad.Tensor) else logits, label)
-    return loss if isinstance(logits, ad.Tensor) else loss.item()
+    return ad.cross_entropy_logits(logits, label)

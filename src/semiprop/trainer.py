@@ -17,20 +17,23 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import pretext
 from .data import DatasetManifest, LabelMaps, build_label_maps, load_video
-from .model import (HyperShape, ModelOutputs, ParamStore, ProposalNetwork,
-                    backward, load_checkpoint, save_checkpoint, wrap_params)
+from .model import (CHECKPOINT_STORES, HyperShape, ModelOutputs, ParamStore,
+                    ProposalNetwork, backward, load_checkpoint, prefixed,
+                    save_checkpoint, unprefixed, wrap_params)
 from .perturb import Predictions, align_flip_outputs, temporal_flip, temporal_shift
 
 log = logging.getLogger(__name__)
 
 LOG_EPS = 1e-12
+# the trainer's random streams: batch order of each pool, and everything else
+RNG_STREAMS = ("labeled", "unlabeled", "aux")
 
 
 @dataclass
@@ -243,7 +246,7 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
         raise ValueError("batch has no labeled videos and all loss weights are zero")
 
     wrapped = wrap_params(student)
-    sup_terms, shift_terms, flip_terms, recon_terms, order_terms = [], [], [], [], []
+    terms = {name: [] for name in ("supervised", "shift", "flip", "recon", "order")}
     need_teacher = l1 > 0.0 or l2 > 0.0
 
     for bv in batch:
@@ -256,52 +259,34 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
         if bv.labeled:
             s_out = net.forward(wrapped, f1, heads={"proposal"}, train_mode=True,
                                 rng=rng, p_drop=cfg.p_drop)
-            sup_terms.append(supervised_loss(s_out, bv.label_maps, rng=rng))
+            terms["supervised"].append(supervised_loss(s_out, bv.label_maps, rng=rng))
         if l1 > 0.0:
             f_shift, _plan = temporal_shift(f1, cfg.mu, rng)
             s_out = net.forward(wrapped, f_shift, heads={"proposal"}, train_mode=True,
                                 rng=rng, p_drop=cfg.p_drop)
-            shift_terms.append(consistency_loss(s_out, teacher_pred))
+            terms["shift"].append(consistency_loss(s_out, teacher_pred))
         if l2 > 0.0:
             s_out = net.forward(wrapped, temporal_flip(f1), heads={"proposal"},
                                 train_mode=True, rng=rng, p_drop=cfg.p_drop)
-            flip_terms.append(consistency_loss(s_out, align_flip_outputs(teacher_pred)))
+            terms["flip"].append(consistency_loss(s_out, align_flip_outputs(teacher_pred)))
         if l3 > 0.0:
             f2, m = pretext.mask_features(f1, cfg.omega, rng)
             s_out = net.forward(wrapped, f2, heads={"recon"}, train_mode=True,
                                 rng=rng, p_drop=cfg.p_drop)
-            recon_terms.append(pretext.recon_loss(
+            terms["recon"].append(pretext.recon_loss(
                 s_out.recon, f1, m if cfg.recon_support == "masked_only" else None))
         if l4 > 0.0:
             sample = pretext.make_order_sample(f1, cfg.K, rng)
             s_out = net.forward(wrapped, net.pad_to_length(sample.shuffled),
                                 heads={"order"}, train_mode=True, rng=rng,
                                 p_drop=cfg.p_drop)
-            order_terms.append(pretext.order_loss(s_out.order_logits, sample.label))
+            terms["order"].append(pretext.order_loss(s_out.order_logits, sample.label))
 
-    def mean_term(terms):
-        if not terms:
-            return None
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = acc + t
-        return acc * (1.0 / len(terms))
-
-    parts = {
-        "supervised": mean_term(sup_terms),
-        "shift": mean_term(shift_terms),
-        "flip": mean_term(flip_terms),
-        "recon": mean_term(recon_terms),
-        "order": mean_term(order_terms),
-    }
+    parts = {name: sum(ts[1:], ts[0]) * (1.0 / len(ts)) if ts else None
+             for name, ts in terms.items()}
     weights = {"supervised": 1.0, "shift": l1, "flip": l2, "recon": l3, "order": l4}
-    total = None
-    for name, term in parts.items():
-        if term is None:
-            continue
-        piece = term * weights[name]
-        total = piece if total is None else total + piece
-
+    pieces = [term * weights[name] for name, term in parts.items() if term is not None]
+    total = sum(pieces[1:], pieces[0])
     grads = backward(total, wrapped)
     adam_step(student, grads, opt, cfg)
     ema_update(teacher, student, cfg.alpha)
@@ -330,12 +315,11 @@ class Trainer:
         net = ProposalNetwork(hyper)
         student = net.init_params(cfg.seed, dtype=cfg.dtype)
         teacher = TeacherState(params=student.copy_store())
-        seqs = np.random.SeedSequence(cfg.seed).spawn(3)
+        seqs = np.random.SeedSequence(cfg.seed).spawn(len(RNG_STREAMS))
+        rngs = {f"rng_{name}": np.random.Generator(np.random.PCG64(seq))
+                for name, seq in zip(RNG_STREAMS, seqs)}
         return cls(net=net, cfg=cfg, student=student, teacher=teacher,
-                   opt=AdamState.like(student),
-                   rng_labeled=np.random.Generator(np.random.PCG64(seqs[0])),
-                   rng_unlabeled=np.random.Generator(np.random.PCG64(seqs[1])),
-                   rng_aux=np.random.Generator(np.random.PCG64(seqs[2])))
+                   opt=AdamState.like(student), **rngs)
 
     def epoch_batches(self, labeled: list[BatchVideo], unlabeled: list[BatchVideo]):
         cfg = self.cfg
@@ -382,25 +366,14 @@ class Trainer:
         return records
 
     def save(self, path) -> None:
-        tensors = {}
-        for k, v in self.student.items():
-            tensors[f"student.{k}"] = v
-        for k, v in self.teacher.params.items():
-            tensors[f"teacher.{k}"] = v
-        for k, v in self.opt.m.items():
-            tensors[f"adam.m.{k}"] = v
-        for k, v in self.opt.v.items():
-            tensors[f"adam.v.{k}"] = v
+        tensors = prefixed(self.student, self.teacher.params, self.opt.m, self.opt.v)
         extra = {
             "epoch": self.epoch,
             "adam_t": self.opt.t,
             "teacher_step": self.teacher.step,
             "config": dataclasses.asdict(self.cfg),
-            "rng": {
-                "labeled": self.rng_labeled.bit_generator.state,
-                "unlabeled": self.rng_unlabeled.bit_generator.state,
-                "aux": self.rng_aux.bit_generator.state,
-            },
+            "rng": {name: getattr(self, f"rng_{name}").bit_generator.state
+                    for name in RNG_STREAMS},
         }
         save_checkpoint(path, self.net.hyper, self.cfg.seed, self.opt.t,
                         self.cfg.precision, tensors, extra=extra)
@@ -412,21 +385,19 @@ class Trainer:
         extra = header["extra"]
         if cfg is None:
             cfg = TrainConfig(**extra["config"])
+        elif cfg.precision != header["precision"]:
+            raise ValueError(f"{path}: checkpoint precision {header['precision']!r} "
+                             f"differs from the configured precision {cfg.precision!r}")
         net = ProposalNetwork(hyper)
-        pick = lambda prefix: ParamStore(
-            {k[len(prefix):]: v.copy() for k, v in tensors.items() if k.startswith(prefix)})
-        student = pick("student.")
-        teacher = TeacherState(params=pick("teacher."), step=extra["teacher_step"])
-        opt = AdamState(m=pick("adam.m."), v=pick("adam.v."), t=extra["adam_t"])
-        trainer = cls(net=net, cfg=cfg, student=student, teacher=teacher, opt=opt,
-                      rng_labeled=np.random.Generator(np.random.PCG64()),
-                      rng_unlabeled=np.random.Generator(np.random.PCG64()),
-                      rng_aux=np.random.Generator(np.random.PCG64()),
-                      epoch=extra["epoch"])
-        trainer.rng_labeled.bit_generator.state = extra["rng"]["labeled"]
-        trainer.rng_unlabeled.bit_generator.state = extra["rng"]["unlabeled"]
-        trainer.rng_aux.bit_generator.state = extra["rng"]["aux"]
-        return trainer
+        student, teacher, m, v = (unprefixed(tensors, name) for name in CHECKPOINT_STORES)
+        teacher = TeacherState(params=teacher, step=extra["teacher_step"])
+        opt = AdamState(m=m, v=v, t=extra["adam_t"])
+        rngs = {}
+        for name in RNG_STREAMS:
+            rngs[f"rng_{name}"] = np.random.Generator(np.random.PCG64())
+            rngs[f"rng_{name}"].bit_generator.state = extra["rng"][name]
+        return cls(net=net, cfg=cfg, student=student, teacher=teacher, opt=opt,
+                   epoch=extra["epoch"], **rngs)
 
 
 def hyper_from(cfg: TrainConfig, T: int, C: int) -> HyperShape:

@@ -307,7 +307,7 @@ def test_pretext_learnability(tmp_path):
         for params, acc_list in ((init_r, before), (tr_r.student, after)):
             out = tr_r.net.forward(params, f2, heads={"recon"},
                                    requires_grad=False)
-            acc_list.append(pretext.recon_loss(out.recon.data, bv.features))
+            acc_list.append(pretext.recon_loss(out.recon.data, bv.features).item())
     ratio = float(np.mean(before) / np.mean(after))
     report("pretext learnability", acc >= 0.95 and ratio >= 5.0,
            f"order_acc={acc:.3f}, recon_ratio={ratio:.2f}")

@@ -68,7 +68,55 @@ class TestExitCodes:
         rc = run_cli(["infer", "--checkpoint", str(bad),
                       "--manifest", str(dataset / "manifest.json"),
                       "--out", str(tmp_path / "props")])
-        assert rc in (1, 2)
+        assert rc == 2
+
+    @pytest.fixture
+    def checkpoint(self, dataset, tmp_path):
+        run_dir = tmp_path / "run"
+        assert run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                        "--out", str(run_dir), "--mode", "supervised"]
+                       + TRAIN_FLAGS) == 0
+        return run_dir / "checkpoint.bin"
+
+    @pytest.mark.parametrize("damage", ["truncate", "extend"])
+    def test_damaged_checkpoint_is_data_error(self, dataset, checkpoint, tmp_path,
+                                              damage):
+        blob = checkpoint.read_bytes()
+        checkpoint.write_bytes(blob[:-3] if damage == "truncate" else blob + b"\0\0\0")
+        rc = run_cli(["infer", "--checkpoint", str(checkpoint),
+                      "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(tmp_path / "props")])
+        assert rc == 2
+
+    def test_manifest_without_seed_is_data_error(self, dataset, tmp_path):
+        path = dataset / "manifest.json"
+        doc = json.loads(path.read_text())
+        del doc["seed"]
+        path.write_text(json.dumps(doc))
+        rc = run_cli(["train", "--manifest", str(path), "--out", str(tmp_path / "run")]
+                     + TRAIN_FLAGS)
+        assert rc == 2
+
+    def test_manifest_length_mismatch_is_data_error(self, dataset, checkpoint,
+                                                    tmp_path, capsys):
+        path = dataset / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["videos"][0]["T"] += 4
+        path.write_text(json.dumps(doc))
+        rc = run_cli(["infer", "--checkpoint", str(checkpoint),
+                      "--manifest", str(path), "--out", str(tmp_path / "props")])
+        assert rc == 2
+        assert "T=20" in capsys.readouterr().err
+
+    def test_resume_with_other_precision_is_usage_error(self, dataset, checkpoint,
+                                                        capsys):
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(checkpoint.parent), "--mode", "supervised",
+                      "--resume", str(checkpoint), "--precision", "float32"]
+                     + TRAIN_FLAGS)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'float64'" in err and "'float32'" in err
 
 
 class TestPipeline:

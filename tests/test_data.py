@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from semiprop.data import (AnnotationSet, FeatureSequence, FormatError,
                            build_label_maps, gen_synthetic_dataset, iou_1d,
-                           read_features, read_manifest, write_features)
+                           load_video, read_features, read_manifest,
+                           write_features)
 
 
 class TestIou:
@@ -127,6 +130,26 @@ class TestFeatureIO:
         with pytest.raises(FormatError, match="magic"):
             read_features(path)
 
+    def test_every_truncation_rejected(self, tmp_path):
+        seq = FeatureSequence("vid", np.ones((4, 2), dtype=np.float32))
+        path = tmp_path / "a.feat"
+        write_features(seq, path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.feat"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(FormatError):
+                read_features(cut)
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\0" * 4, b"junk" * 8])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        seq = FeatureSequence("vid", np.ones((4, 2), dtype=np.float32))
+        path = tmp_path / "a.feat"
+        write_features(seq, path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(FormatError, match="float32 values"):
+            read_features(path)
+
     def test_write_nonfinite_rejected(self, tmp_path):
         vals = np.zeros((4, 4), dtype=np.float32)
         vals[0, 0] = np.nan
@@ -176,3 +199,28 @@ class TestGenerator:
         assert back.seed == 2
         assert [v.video_id for v in back.videos] == [v.video_id for v in m.videos]
         assert all((tmp_path / v.feature_file).exists() for v in back.videos)
+
+
+class TestManifest:
+    @pytest.mark.parametrize("seed", [None, "2", 2.0, True])
+    def test_manifest_seed_must_be_integer(self, tmp_path, seed):
+        gen_synthetic_dataset(tmp_path, n_videos=1, T=16, C=4,
+                              label_fraction=1.0, seed=2)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        if seed is None:
+            del doc["seed"]
+        else:
+            doc["seed"] = seed
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="seed"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("field", ["T", "C"])
+    def test_load_video_checks_header_against_manifest(self, tmp_path, field):
+        m = gen_synthetic_dataset(tmp_path, n_videos=1, T=20, C=4,
+                                  label_fraction=1.0, seed=2)
+        entry = m.videos[0]
+        setattr(entry, field, getattr(entry, field) + 10)
+        with pytest.raises(FormatError, match="manifest says"):
+            load_video(tmp_path / "manifest.json", entry)

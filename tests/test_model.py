@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semiprop import autodiff as ad
+from semiprop.data import FormatError
 from semiprop.model import (HyperShape, ProposalNetwork, backward,
                             build_bm_mask, grad_check, init_params,
                             load_checkpoint, param_shapes, save_checkpoint,
@@ -12,6 +13,16 @@ from semiprop.perturb import temporal_flip
 from semiprop.pretext import recon_loss
 
 TINY = HyperShape(T=12, C=3, H=4, Hp=4, D=6, N=4, K=2)
+
+
+def column_weights(bm, n: int, d: int, i: int) -> np.ndarray:
+    """Dense weight column for sample n of candidate (d, i); zeros for
+    invalid candidates (the conceptual T x N*D*T layout)."""
+    col = np.zeros(bm.T)
+    j = np.flatnonzero((bm.d_idx == d) & (bm.i_idx == i))
+    if j.size:
+        col[:] = bm.W[:, n * bm.n_valid + int(j[0])].toarray().ravel()
+    return col
 
 
 class TestInitParams:
@@ -53,14 +64,14 @@ class TestBMSamplingMask:
         # candidate (d=3, i=0): region [-1, 5] clips to start at 0, an
         # exact integer, so sample 0 is a single unit weight on snippet 0
         bm = build_bm_mask(T=8, D=4, N=4)
-        col = bm.column_weights(n=0, d=3, i=0)
+        col = column_weights(bm, n=0, d=3, i=0)
         assert col[0] == 1.0 and col[1:].sum() == 0.0
 
     def test_fractional_location_splits_weights(self):
         # candidate (d=0, i=1): region [0.75, 2.25], N=4 -> second sample
         # at 1.25, interpolating 0.75/0.25 between snippets 1 and 2
         bm = build_bm_mask(T=8, D=4, N=4)
-        col = bm.column_weights(n=1, d=0, i=1)
+        col = column_weights(bm, n=1, d=0, i=1)
         assert col[1] == pytest.approx(0.75)
         assert col[2] == pytest.approx(0.25)
         assert col.sum() == pytest.approx(1.0)
@@ -232,4 +243,34 @@ class TestCheckpoint:
         save_checkpoint(path, TINY, seed=12, step=0, precision="float64",
                         tensors=tensors)
         with pytest.raises(ValueError, match="shape"):
+            load_checkpoint(path)
+
+    def _tiny_checkpoint(self, path):
+        tensors = {"student.base.conv1.b": np.arange(TINY.H, dtype=np.float64),
+                   "adam.t": np.array([3], dtype=np.int32)}
+        save_checkpoint(path, TINY, seed=1, step=0, precision="float64",
+                        tensors=tensors)
+        return tensors
+
+    def test_tiny_roundtrip_bitwise(self, tmp_path):
+        tensors = self._tiny_checkpoint(tmp_path / "ck.bin")
+        _, back = load_checkpoint(tmp_path / "ck.bin")
+        for k, v in tensors.items():
+            assert back[k].dtype == v.dtype and np.array_equal(back[k], v)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        self._tiny_checkpoint(path)
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\0" * 8, b"junk" * 8])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        path = tmp_path / "ck.bin"
+        self._tiny_checkpoint(path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(FormatError):
             load_checkpoint(path)

@@ -42,11 +42,11 @@ class TestMaskFeatures:
 class TestReconLoss:
     def test_identity_is_zero(self):
         f = np.random.default_rng(0).normal(size=(6, 3))
-        assert recon_loss(f, f) == 0.0
+        assert recon_loss(f, f).item() == 0.0
 
     def test_constant_offset(self):
         f = np.random.default_rng(1).normal(size=(6, 3))
-        assert recon_loss(f + 1.0, f) == pytest.approx(1.0)
+        assert recon_loss(f + 1.0, f).item() == pytest.approx(1.0)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -55,7 +55,7 @@ class TestReconLoss:
         for t in range(7):
             for c in range(4):
                 total += (pred[t, c] - f[t, c]) ** 2
-        assert abs(recon_loss(pred, f) - total / 28) <= 1e-12
+        assert abs(recon_loss(pred, f).item() - total / 28) <= 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -66,14 +66,14 @@ class TestReconLoss:
         pred, f = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
         mask = np.array([1, 0, 0, 1, 0, 0])
         expect = ((pred[[0, 3]] - f[[0, 3]]) ** 2).mean()
-        assert recon_loss(pred, f, mask=mask) == pytest.approx(expect)
+        assert recon_loss(pred, f, mask=mask).item() == pytest.approx(expect)
 
     def test_nonnegative_zero_iff_equal(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=(5, 3))
         pred = f.copy()
         pred[2, 1] += 1e-6
-        assert recon_loss(pred, f) > 0.0
+        assert recon_loss(pred, f).item() > 0.0
 
 
 class TestOrderSample:
@@ -110,10 +110,10 @@ class TestOrderSample:
 
 class TestOrderLoss:
     def test_uniform_logits(self):
-        assert order_loss(np.zeros(2), 0) == pytest.approx(math.log(2))
+        assert order_loss(np.zeros(2), 0).item() == pytest.approx(math.log(2))
 
     def test_saturated_correct(self):
-        assert order_loss(np.array([20.0, -20.0]), 0) < 1e-8
+        assert order_loss(np.array([20.0, -20.0]), 0).item() < 1e-8
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError):
@@ -136,5 +136,5 @@ class TestOrderLoss:
             zp, zm = z.copy(), z.copy()
             zp[j] += h
             zm[j] -= h
-            fd[j] = (order_loss(zp, 2) - order_loss(zm, 2)) / (2 * h)
+            fd[j] = (order_loss(zp, 2).item() - order_loss(zm, 2).item()) / (2 * h)
         assert np.abs(t.grad - fd).max() < 1e-8
