@@ -57,8 +57,13 @@ def apply_mode(cfg: TrainConfig, mode: str) -> TrainConfig:
 def run_inference(net: ProposalNetwork, params: ParamStore,
                   manifest: DatasetManifest, manifest_path, out_dir,
                   sigma: float = 0.4, score_floor: float = 0.001,
-                  max_out: int = 100) -> dict[str, list]:
+                  max_out: int = 100) -> dict[str, postprocess.Proposals]:
     """Decode + Soft-NMS proposals for every video; write one file each."""
+    for entry in manifest.videos:
+        if (entry.T, entry.C) != (net.hyper.T, net.hyper.C):
+            raise FormatError(f"{manifest_path}: video {entry.video_id} has "
+                              f"T={entry.T}, C={entry.C}; the checkpoint expects "
+                              f"T={net.hyper.T}, C={net.hyper.C}")
     os.makedirs(out_dir, exist_ok=True)
     all_props = {}
     for entry in manifest.videos:

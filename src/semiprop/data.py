@@ -29,13 +29,24 @@ class FormatError(ValueError):
 
 
 def write_framed(path, magic: bytes, prefix: bytes, header: dict, payload) -> None:
-    """Write magic, prefix, header length, JSON header, then each payload array."""
+    """Write magic, prefix, header length, JSON header, then each payload array.
+
+    The bytes go to `<path>.tmp` first, which then replaces `path`, so a
+    write that fails or is killed part way leaves any earlier file intact.
+    """
     hbytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic + prefix + struct.pack("<I", len(hbytes)))
-        fh.write(hbytes)
-        for arr in payload:
-            fh.write(arr.tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic + prefix + struct.pack("<I", len(hbytes)))
+            fh.write(hbytes)
+            for arr in payload:
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_framed(path, magic: bytes, prefix: bytes, kind: str, payload_layout):
@@ -137,6 +148,14 @@ def iou_1d(a: tuple[float, float], b: tuple[float, float]) -> float:
         return 0.0
     union = (a[1] - a[0]) + (b[1] - b[0]) - inter
     return inter / union
+
+
+def segment_iou(a_start, a_end, b_start, b_end) -> np.ndarray:
+    """`iou_1d` over broadcast arrays of non-degenerate segments, with the
+    same operations in the same order, so each entry equals `iou_1d`'s."""
+    inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
+    union = (a_end - a_start) + (b_end - b_start) - inter
+    return np.where(inter > 0.0, inter / union, 0.0)
 
 
 def _region_overlap(lo: float, hi: float, rlo: float, rhi: float) -> float:

@@ -6,8 +6,8 @@ import os
 
 import numpy as np
 
-from .data import AnnotationSet, iou_1d
-from .postprocess import Proposal
+from .data import AnnotationSet, segment_iou
+from .postprocess import Proposals
 
 THUMOS_THRESHOLDS = tuple(np.arange(0.5, 1.0 + 1e-9, 0.05).round(2))
 ANET_THRESHOLDS = tuple(np.arange(0.5, 0.95 + 1e-9, 0.05).round(2))
@@ -21,29 +21,26 @@ def threshold_set(name: str) -> tuple[float, ...]:
     raise ValueError(f"unknown threshold convention {name!r}")
 
 
-def recall_matrix(props: list[Proposal], gt: AnnotationSet,
-                  thresholds, an_values) -> np.ndarray:
+def recall_matrix(props, gt: AnnotationSet, thresholds, an_values) -> np.ndarray:
     """Entry (i, j): fraction of gt instances matched at IoU >= thresholds[i]
-    by some proposal among the top an_values[j]. Proposals must arrive sorted
-    by descending score; gt must be non-empty."""
-    scores = [p.score for p in props]
-    if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
+    by some proposal among the top an_values[j]. `props` is a `Proposals` or
+    a sequence of `Proposal` rows, sorted by descending score; gt must be
+    non-empty."""
+    props = Proposals.of(props)
+    if np.any(props.score[:-1] < props.score[1:]):
         raise ValueError("proposals must be sorted by descending score")
     if not gt.instances:
         raise ValueError("recall is undefined for a video without ground truth")
-    n_gt = len(gt.instances)
-    # best IoU achieved per gt within each ranked prefix
-    ious = np.zeros((len(props), n_gt))
-    for r, p in enumerate(props):
-        for g, inst in enumerate(gt.instances):
-            ious[r, g] = iou_1d((p.start, p.end), tuple(inst))
-    out = np.zeros((len(thresholds), len(an_values)))
-    for j, an in enumerate(an_values):
-        top = ious[:an] if an > 0 else ious[:0]
-        best = top.max(axis=0) if top.shape[0] else np.zeros(n_gt)
-        for i, th in enumerate(thresholds):
-            out[i, j] = float((best >= th).sum()) / n_gt
-    return out
+    g_start, g_end = np.array(gt.instances, dtype=np.float64).T
+    if np.any(g_start >= g_end):
+        raise ValueError("degenerate ground-truth segment")
+    ious = segment_iou(props.start[:, None], props.end[:, None], g_start, g_end)
+    # row k: best IoU per gt among the top k proposals (row 0: none)
+    best = np.zeros((len(props) + 1, len(g_start)))
+    np.maximum.accumulate(ious, axis=0, out=best[1:])
+    top = best[np.clip(np.asarray(an_values, dtype=np.intp), 0, len(props))]
+    hits = (top[None, :, :] >= np.asarray(thresholds, dtype=np.float64)[:, None, None]).sum(axis=2)
+    return hits / len(g_start)
 
 
 def ar_at_an(recalls: list[np.ndarray], an_index: int) -> float:
@@ -63,7 +60,7 @@ def auc(recalls: list[np.ndarray], an_values) -> float:
     return 100.0 * float(np.mean([ar_at_an(recalls, j) for j in idx]))
 
 
-def evaluate_dataset(per_video: dict[str, tuple[list[Proposal], AnnotationSet]],
+def evaluate_dataset(per_video: dict[str, tuple[Proposals, AnnotationSet]],
                      thresholds, an_max: int = 100) -> dict:
     """Aggregate metrics for a mapping video_id -> (ranked proposals, gt).
     Videos with empty gt are excluded from averaging."""

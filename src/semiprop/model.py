@@ -461,7 +461,10 @@ def _payload_bytes(header: dict):
         name, shape = str(entry["name"]), [int(s) for s in entry["shape"]]
         if min(shape, default=0) < 0:
             raise ValueError(f"tensor {name} has a negative dimension")
-        n += math.prod(shape) * np.dtype(entry["dtype"]).itemsize
+        dt = np.dtype(entry["dtype"])
+        if dt.kind not in "fiu":
+            raise ValueError(f"tensor {name} has non-numeric dtype {dt}")
+        n += math.prod(shape) * dt.itemsize
     return n, np.dtype(np.uint8)
 
 
@@ -478,7 +481,8 @@ def load_checkpoint(path):
         offset += n
     try:
         hyper = HyperShape(**header["hyper"])
-    except (KeyError, TypeError) as exc:
+        hyper.validate()
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad hyper shape: {exc}") from exc
     for name, shape in param_shapes(hyper).items():
         for key in [name] + [f"{store}.{name}" for store in CHECKPOINT_STORES]:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import iou_1d
+from .data import FormatError, segment_iou
 from .perturb import Predictions
 
 
@@ -18,66 +19,117 @@ class Proposal:
     score: float
 
 
+@dataclass(eq=False)
+class Proposals:
+    """Proposals as three equal-length float64 arrays. Every value is
+    finite and every segment has start < end.
+
+    Iterating yields `Proposal` rows; `len()` and integer indexing work, and
+    a `Proposals` equals any sequence of the same rows.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self):
+        self.start, self.end, self.score = (
+            np.asarray(a, dtype=np.float64) for a in (self.start, self.end, self.score))
+        if not (self.start.ndim == 1 and self.start.shape == self.end.shape == self.score.shape):
+            raise ValueError("start, end and score must be 1-D arrays of one length")
+        if not all(np.isfinite(a).all() for a in (self.start, self.end, self.score)):
+            raise ValueError("proposal values must be finite")
+        if np.any(self.start >= self.end):
+            raise ValueError("degenerate proposal segment: start >= end")
+
+    @classmethod
+    def of(cls, props) -> Proposals:
+        """`props` itself if it is a `Proposals`, else its rows collected."""
+        if isinstance(props, cls):
+            return props
+        rows = list(props)
+        return cls(*(np.array([getattr(p, f) for p in rows], dtype=np.float64)
+                     for f in ("start", "end", "score")))
+
+    def __len__(self) -> int:
+        return self.score.shape[0]
+
+    def __iter__(self):
+        return map(Proposal, self.start.tolist(), self.end.tolist(), self.score.tolist())
+
+    def __getitem__(self, i: int) -> Proposal:
+        return Proposal(float(self.start[i]), float(self.end[i]), float(self.score[i]))
+
+    def __eq__(self, other):
+        if isinstance(other, (Proposals, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def _boundary_set(p: np.ndarray) -> np.ndarray:
     """Indices that are strict local maxima or exceed half the global max."""
-    T = p.shape[0]
-    keep = p > 0.5 * p.max()
-    for t in range(T):
-        left = p[t - 1] if t > 0 else -np.inf
-        right = p[t + 1] if t < T - 1 else -np.inf
-        if p[t] > left and p[t] > right:
-            keep[t] = True
+    padded = np.pad(p, 1, constant_values=-np.inf)
+    keep = (p > 0.5 * p.max()) | ((p > padded[:-2]) & (p > padded[2:]))
     return np.flatnonzero(keep)
 
 
-def decode_candidates(out: Predictions, max_duration: int | None = None) -> list[Proposal]:
+def decode_candidates(out: Predictions, max_duration: int | None = None) -> Proposals:
     """All (start, end) combinations of boundary candidates, scored by
     p_s(s) * p_e(e-1) * m_cc(d, s) * m_cr(d, s) with d = e - s - 1.
 
     A start index s opens the segment at coordinate s; an end index t closes
     it at coordinate t + 1, so the pair decodes to segment [s, t+1] matching
-    the (d, i) -> [i, i+d+1] map convention. Sorted by descending score.
+    the (d, i) -> [i, i+d+1] map convention. Sorted by descending score, ties
+    by (start, end). Scores are computed in the predictions' dtype, in that
+    factor order, then widened to float64.
     """
-    T = out.p_s.shape[0]
     D = out.m_cc.shape[0] if max_duration is None else min(max_duration, out.m_cc.shape[0])
     starts = _boundary_set(out.p_s)
     end_snippets = _boundary_set(out.p_e)
-    props: list[Proposal] = []
-    for s in starts:
-        for t in end_snippets:
-            e = t + 1
-            d = e - s - 1
-            if d < 0 or d >= D:
-                continue
-            score = float(out.p_s[s] * out.p_e[t] * out.m_cc[d, s] * out.m_cr[d, s])
-            props.append(Proposal(start=float(s), end=float(e), score=score))
-    props.sort(key=lambda p: (-p.score, p.start, p.end))
-    return props
+    d = end_snippets[None, :] - starts[:, None]
+    si, ti = np.nonzero((d >= 0) & (d < D))
+    s, t, d = starts[si], end_snippets[ti], d[si, ti]
+    score = (out.p_s[s] * out.p_e[t] * out.m_cc[d, s] * out.m_cr[d, s]).astype(np.float64)
+    start, end = s.astype(np.float64), (t + 1).astype(np.float64)
+    order = np.lexsort((end, start, -score))
+    return Proposals(start[order], end[order], score[order])
 
 
-def soft_nms(props: list[Proposal], sigma: float = 0.4, score_floor: float = 0.001,
-             max_out: int = 100) -> list[Proposal]:
+def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
+             max_out: int = 100) -> Proposals:
     """Gaussian Soft-NMS: keep the best proposal, decay the rest by
-    exp(-iou^2 / sigma), repeat. Ties break on (start, end)."""
+    exp(-iou^2 / sigma), repeat. Ties break on (start, end).
+
+    `props` is a `Proposals` or a sequence of `Proposal` rows; it is not
+    modified.
+    """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    pool = [Proposal(p.start, p.end, p.score) for p in props]
-    out: list[Proposal] = []
-    while pool and len(out) < max_out:
-        best_idx = min(range(len(pool)),
-                       key=lambda j: (-pool[j].score, pool[j].start, pool[j].end))
-        best = pool.pop(best_idx)
-        if best.score < score_floor:
+    props = Proposals.of(props)
+    # in (start, end) order, argmax's first maximum is the tie-break winner
+    order = np.lexsort((props.end, props.start))
+    start, end, score = props.start[order], props.end[order], props.score[order]
+    # picked entries read -inf; the mask keeps them out of the decay, where
+    # -inf times an exp that underflowed to 0 would give NaN
+    alive = np.ones(len(score), dtype=bool)
+    picks, kept = [], []
+    for _ in range(min(max_out, len(score))):
+        best = int(np.argmax(score))
+        if score[best] < score_floor:
             break
-        out.append(best)
-        for p in pool:
-            ov = iou_1d((best.start, best.end), (p.start, p.end))
-            if ov > 0.0:
-                p.score *= float(np.exp(-(ov * ov) / sigma))
-    return out
+        picks.append(best)
+        kept.append(score[best])
+        alive[best] = False
+        score[best] = -np.inf
+        ov = segment_iou(start[best], end[best], start, end)
+        hit = alive & (ov > 0.0)
+        ov = ov[hit]
+        score[hit] *= np.exp(-(ov * ov) / sigma)
+    picks = np.array(picks, dtype=np.intp)
+    return Proposals(start[picks], end[picks], np.array(kept, dtype=np.float64))
 
 
-def write_proposals(props: list[Proposal], T: int, path: str | os.PathLike) -> None:
+def write_proposals(props, T: int, path: str | os.PathLike) -> None:
     """One line per proposal: start, end, score in snippet coordinates, then
     the segment normalized to [0, 1] by the video length."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -87,14 +139,27 @@ def write_proposals(props: list[Proposal], T: int, path: str | os.PathLike) -> N
                      f"{p.start / T:.6f} {p.end / T:.6f}\n")
 
 
-def read_proposals(path: str | os.PathLike) -> list[Proposal]:
-    props = []
+def read_proposals(path: str | os.PathLike) -> Proposals:
+    """Read a file written by `write_proposals`. A line with fewer than three
+    fields, a field that is not a finite number, or start >= end raises
+    `FormatError` naming the path and the line."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            props.append(Proposal(start=float(parts[0]), end=float(parts[1]),
-                                  score=float(parts[2])))
-    return props
+            if len(parts) < 3:
+                raise FormatError(f"{path}:{lineno}: expected start, end and score, "
+                                  f"got {len(parts)} fields")
+            try:
+                row = [float(x) for x in parts[:3]]
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise FormatError(f"{path}:{lineno}: non-finite value")
+            if row[0] >= row[1]:
+                raise FormatError(f"{path}:{lineno}: start {row[0]} >= end {row[1]}")
+            rows.append(row)
+    return Proposals(*np.array(rows, dtype=np.float64).reshape(-1, 3).T.copy())

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from semiprop.cli import apply_mode, config_hash, main
+from semiprop.data import write_framed
+from semiprop.model import (CHECKPOINT_MAGIC, HyperShape, init_params,
+                            save_checkpoint)
 from semiprop.trainer import TrainConfig
 
 
@@ -107,6 +110,51 @@ class TestExitCodes:
                       "--manifest", str(path), "--out", str(tmp_path / "props")])
         assert rc == 2
         assert "T=20" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["1.0 2.0", "abc 2.0 0.5", "3.0 2.0 0.5",
+                                      "1.0 2.0 nan"],
+                             ids=["two_fields", "not_numeric", "start_after_end",
+                                  "nan_score"])
+    def test_malformed_proposal_file_is_data_error(self, dataset, tmp_path, capsys,
+                                                   line):
+        props_dir = tmp_path / "props"
+        props_dir.mkdir()
+        path = props_dir / "v00000.props.tsv"
+        path.write_text(f"# start end score\n{line}\n")
+        rc = run_cli(["eval", "--proposals", str(props_dir),
+                      "--manifest", str(dataset / "manifest.json")])
+        assert rc == 2
+        assert f"{path}:2" in capsys.readouterr().err
+
+    @staticmethod
+    def _infer(checkpoint, dataset, tmp_path):
+        return run_cli(["infer", "--checkpoint", str(checkpoint),
+                        "--manifest", str(dataset / "manifest.json"),
+                        "--out", str(tmp_path / "props")])
+
+    def test_checkpoint_for_other_length_is_data_error(self, dataset, tmp_path, capsys):
+        hyper = HyperShape(T=20, C=4, H=4, Hp=4, D=8, N=4)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, hyper, 0, 0, "float64",
+                        {f"student.{k}": v for k, v in init_params(hyper, 0).items()})
+        assert self._infer(path, dataset, tmp_path) == 2
+        assert "T=20" in capsys.readouterr().err
+
+    def test_checkpoint_with_d_above_t_is_data_error(self, dataset, tmp_path):
+        params = init_params(HyperShape(T=16, C=4, H=4, Hp=4, D=8, N=4), 0)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, HyperShape(T=16, C=4, H=4, Hp=4, D=20, N=4), 0, 0,
+                        "float64", {f"student.{k}": v for k, v in params.items()})
+        assert self._infer(path, dataset, tmp_path) == 2
+
+    def test_checkpoint_with_object_dtype_is_data_error(self, dataset, tmp_path):
+        header = {"hyper": HyperShape(T=16, C=4, H=4, Hp=4, D=8, N=4).__dict__,
+                  "seed": 0, "step": 0, "precision": "float64", "extra": {},
+                  "tensors": [{"name": "student.base.conv1.w", "shape": [1],
+                               "dtype": "object"}]}
+        path = tmp_path / "ck.bin"
+        write_framed(path, CHECKPOINT_MAGIC, b"", header, [np.zeros(1)])
+        assert self._infer(path, dataset, tmp_path) == 2
 
     def test_resume_with_other_precision_is_usage_error(self, dataset, checkpoint,
                                                         capsys):

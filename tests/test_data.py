@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from semiprop.data import (AnnotationSet, FeatureSequence, FormatError,
                            build_label_maps, gen_synthetic_dataset, iou_1d,
                            load_video, read_features, read_manifest,
-                           write_features)
+                           write_features, write_framed)
 
 
 class TestIou:
@@ -155,6 +156,30 @@ class TestFeatureIO:
         vals[0, 0] = np.nan
         with pytest.raises(ValueError):
             write_features(FeatureSequence("v", vals), tmp_path / "x")
+
+
+class TestFramedWrite:
+    def test_layout(self, tmp_path):
+        path = tmp_path / "f.bin"
+        payload = np.arange(3, dtype="<f4")
+        write_framed(path, b"MAGICxyz", b"pre", {"n": 3}, [payload])
+        hbytes = json.dumps({"n": 3}).encode()
+        assert path.read_bytes() == (b"MAGICxyz" + b"pre" + len(hbytes).to_bytes(4, "little")
+                                     + hbytes + payload.tobytes())
+        assert os.listdir(tmp_path) == ["f.bin"]
+
+    def test_failed_write_leaves_old_file(self, tmp_path):
+        class Boom:
+            def tobytes(self):
+                raise RuntimeError("disk went away")
+
+        path = tmp_path / "checkpoint.bin"
+        write_framed(path, b"MAGICxyz", b"", {"n": 1}, [np.ones(1)])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="disk went away"):
+            write_framed(path, b"MAGICxyz", b"", {"n": 2}, [np.ones(1), Boom()])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["checkpoint.bin"]
 
 
 class TestGenerator:

@@ -1,11 +1,39 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiprop.data import AnnotationSet, iou_1d
 from semiprop.metrics import (ANET_THRESHOLDS, THUMOS_THRESHOLDS, ar_at_an,
                               auc, evaluate_dataset, recall_matrix,
                               threshold_set, write_ar_curve_csv, write_report)
-from semiprop.postprocess import Proposal
+from semiprop.postprocess import Proposal, Proposals
+
+
+def list_recall_matrix(props, gt, thresholds, an_values):
+    """Reference: one iou_1d call per (proposal, instance) pair, one max per
+    AN column. The array code must match it to the bit."""
+    n_gt = len(gt.instances)
+    ious = np.zeros((len(props), n_gt))
+    for r, p in enumerate(props):
+        for g, inst in enumerate(gt.instances):
+            ious[r, g] = iou_1d((p.start, p.end), tuple(inst))
+    out = np.zeros((len(thresholds), len(an_values)))
+    for j, an in enumerate(an_values):
+        top = ious[:an] if an > 0 else ious[:0]
+        best = top.max(axis=0) if top.shape[0] else np.zeros(n_gt)
+        for i, th in enumerate(thresholds):
+            out[i, j] = float((best >= th).sum()) / n_gt
+    return out
+
+
+def segments(max_n, min_n=0):
+    """Segments mixing a coarse grid (exact IoU ties at the thresholds) and
+    arbitrary floats."""
+    bound = st.one_of(st.integers(0, 20).map(float), st.floats(0.0, 20.0))
+    length = st.one_of(st.integers(1, 10).map(float), st.floats(0.01, 10.0))
+    return st.lists(st.tuples(bound, length).map(lambda t: (t[0], t[0] + t[1])),
+                    min_size=min_n, max_size=max_n)
 
 
 class TestThresholdSets:
@@ -44,6 +72,27 @@ class TestRecallMatrix:
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError):
             recall_matrix([], AnnotationSet([]), [0.5], [1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_list_implementation(self, data):
+        segs = data.draw(segments(30))
+        scores = sorted(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                           min_size=len(segs), max_size=len(segs))),
+                        reverse=True)
+        props = [Proposal(s, e, c) for (s, e), c in zip(segs, scores)]
+        # some instances copy a proposal, so that matches at every threshold occur
+        copies = st.lists(st.sampled_from(segs), max_size=2) if segs else st.just([])
+        gt = AnnotationSet(data.draw(segments(3)) + data.draw(copies)
+                           or [(0.0, 1.0)])
+        thresholds = data.draw(st.lists(
+            st.sampled_from([0.0, 0.1, 0.5, 0.55, 0.75, 1.0]), max_size=6))
+        an_values = data.draw(st.lists(
+            st.one_of(st.integers(-1, 2), st.integers(3, 35)), max_size=8))
+        got = recall_matrix(props, gt, thresholds, an_values)
+        assert np.array_equal(got, list_recall_matrix(props, gt, thresholds, an_values))
+        assert np.array_equal(recall_matrix(Proposals.of(props), gt, thresholds, an_values),
+                              got)
 
     def test_monotonicity(self):
         rng = np.random.default_rng(0)

@@ -2,11 +2,93 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semiprop.data import iou_1d
 from semiprop.perturb import Predictions
-from semiprop.postprocess import (Proposal, decode_candidates, read_proposals,
-                                  soft_nms, write_proposals)
+from semiprop.postprocess import (Proposal, Proposals, decode_candidates,
+                                  read_proposals, soft_nms, write_proposals)
+
+
+# List-based reference implementations: one Python loop per candidate pair
+# and one rescan of the pool per pick. The array code must match them to
+# the bit.
+
+def list_boundary_set(p):
+    T = p.shape[0]
+    keep = p > 0.5 * p.max()
+    for t in range(T):
+        left = p[t - 1] if t > 0 else -np.inf
+        right = p[t + 1] if t < T - 1 else -np.inf
+        if p[t] > left and p[t] > right:
+            keep[t] = True
+    return np.flatnonzero(keep)
+
+
+def list_decode_candidates(out, max_duration=None):
+    D = out.m_cc.shape[0] if max_duration is None else min(max_duration, out.m_cc.shape[0])
+    props = []
+    for s in list_boundary_set(out.p_s):
+        for t in list_boundary_set(out.p_e):
+            e = t + 1
+            d = e - s - 1
+            if d < 0 or d >= D:
+                continue
+            score = float(out.p_s[s] * out.p_e[t] * out.m_cc[d, s] * out.m_cr[d, s])
+            props.append(Proposal(start=float(s), end=float(e), score=score))
+    props.sort(key=lambda p: (-p.score, p.start, p.end))
+    return props
+
+
+def list_soft_nms(props, sigma, score_floor, max_out):
+    pool = [Proposal(p.start, p.end, p.score) for p in props]
+    out = []
+    while pool and len(out) < max_out:
+        best_idx = min(range(len(pool)),
+                       key=lambda j: (-pool[j].score, pool[j].start, pool[j].end))
+        best = pool.pop(best_idx)
+        if best.score < score_floor:
+            break
+        out.append(best)
+        for p in pool:
+            ov = iou_1d((best.start, best.end), (p.start, p.end))
+            if ov > 0.0:
+                p.score *= float(np.exp(-(ov * ov) / sigma))
+    return out
+
+
+def rows(props):
+    return [(p.start, p.end, p.score) for p in props]
+
+
+# few distinct values, so that exact ties and duplicate scores are common
+TIED = st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def dense_predictions(draw):
+    T = draw(st.integers(1, 10))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    elements = st.one_of(TIED, st.floats(0.0, 1.0, width=32))
+    vec, mat = arrays(dtype, T, elements=elements), arrays(dtype, (T, T), elements=elements)
+    return Predictions(p_s=draw(vec), p_e=draw(vec), m_cc=draw(mat), m_cr=draw(mat),
+                       valid_mask=np.ones((T, T)))
+
+
+@st.composite
+def proposal_pools(draw):
+    """Segments on a coarse grid (many overlaps and duplicates) with scores
+    that often tie."""
+    n = draw(st.integers(0, 25))
+    pool = []
+    for _ in range(n):
+        s = draw(st.integers(0, 16)) / 2
+        length = draw(st.integers(1, 12)) / 2
+        score = draw(st.one_of(TIED.filter(lambda v: v > 0), st.floats(1e-9, 1.0)))
+        pool.append(Proposal(s, s + length, score))
+    return pool
 
 
 def predictions(p_s, p_e, m_cc=None, m_cr=None):
@@ -77,6 +159,27 @@ class TestDecodeCandidates:
                     assert (float(s), float(e)) not in got
         scores = [p.score for p in props]
         assert scores == sorted(scores, reverse=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_predictions(), st.data())
+    def test_matches_list_implementation(self, pred, data):
+        max_duration = data.draw(st.one_of(st.none(), st.integers(0, pred.p_s.shape[0] + 1)))
+        got = decode_candidates(pred, max_duration=max_duration)
+        assert isinstance(got, Proposals)
+        assert rows(got) == rows(list_decode_candidates(pred, max_duration))
+
+    def test_float32_scores_in_input_dtype(self):
+        rng = np.random.default_rng(5)
+        T = 8
+        pred = predictions(rng.uniform(0.1, 1, T), rng.uniform(0.1, 1, T),
+                           m_cc=rng.uniform(0.1, 1, (T, T)), m_cr=rng.uniform(0.1, 1, (T, T)))
+        pred = Predictions(*(a.astype(np.float32) for a in (
+            pred.p_s, pred.p_e, pred.m_cc, pred.m_cr, pred.valid_mask)))
+        got = decode_candidates(pred)
+        assert got.score.dtype == np.float64
+        assert rows(got) == rows(list_decode_candidates(pred))
+        # the product is rounded to float32 before it is widened
+        assert np.array_equal(got.score, got.score.astype(np.float32).astype(np.float64))
 
     def test_bounds_respected(self):
         rng = np.random.default_rng(1)
@@ -156,6 +259,37 @@ class TestSoftNms:
         props = [Proposal(10 * j, 10 * j + 5, 0.5) for j in range(10)]
         assert len(soft_nms(props, max_out=3)) == 3
         assert soft_nms([Proposal(0, 1, 1e-5)], score_floor=0.001) == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(proposal_pools(), st.sampled_from([1e-6, 0.1, 0.4, 1.0]),
+           st.sampled_from([0.0, 0.001, 0.3]), st.integers(0, 30))
+    def test_matches_list_implementation(self, pool, sigma, score_floor, max_out):
+        got = soft_nms(pool, sigma=sigma, score_floor=score_floor, max_out=max_out)
+        assert rows(got) == rows(list_soft_nms(pool, sigma, score_floor, max_out))
+
+    def test_input_not_modified(self):
+        props = Proposals.of([Proposal(0, 9, 1.0), Proposal(1, 10, 0.9)])
+        before = props.score.copy()
+        soft_nms(props, score_floor=0.0)
+        assert np.array_equal(props.score, before)
+
+    def test_exp_underflow_keeps_picked_entries_out_of_the_decay(self):
+        # exp(-iou^2 / 1e-6) underflows to 0 for these overlaps; a picked
+        # entry's -inf times 0 would be NaN and win every later argmax
+        pool = [Proposal(0, 10, 1.0), Proposal(1, 10, 0.9), Proposal(2, 10, 0.8)]
+        got = soft_nms(pool, sigma=1e-6, score_floor=0.0)
+        assert rows(got) == [(0.0, 10.0, 1.0), (1.0, 10.0, 0.0), (2.0, 10.0, 0.0)]
+        assert rows(got) == rows(list_soft_nms(pool, 1e-6, 0.0, 100))
+
+    def test_exact_ties_break_on_start_then_end(self):
+        pool = [Proposal(1, 3, 0.5), Proposal(0, 5, 0.5), Proposal(0, 4, 0.5)]
+        got = soft_nms(pool, score_floor=0.0)
+        assert [(p.start, p.end) for p in got][0] == (0.0, 4.0)
+        assert rows(got) == rows(list_soft_nms(pool, 0.4, 0.0, 100))
+
+    def test_empty_pool(self):
+        assert len(soft_nms([])) == 0
+        assert soft_nms(Proposals.of([])) == []
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
