@@ -9,6 +9,7 @@ parents) carry no closure, so e.g. a teacher forward pass builds no graph.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 
 class Tensor:
@@ -215,29 +216,6 @@ def dot_vm(x, w):
     return out
 
 
-def transpose(a, axes):
-    a = as_tensor(a)
-    out = Tensor(np.transpose(a.data, axes), _parents=(a,))
-    inv = np.argsort(axes)
-
-    def bwd():
-        _accum(a, np.transpose(out.grad, inv))
-
-    out._backward = bwd if out.requires_grad else None
-    return out
-
-
-def reshape(a, shape):
-    a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), _parents=(a,))
-
-    def bwd():
-        _accum(a, out.grad.reshape(a.data.shape))
-
-    out._backward = bwd if out.requires_grad else None
-    return out
-
-
 def take_last(a, idx):
     """Select index `idx` of the trailing axis (a column of a 2-D tensor)."""
     a = as_tensor(a)
@@ -290,33 +268,55 @@ def conv1d(x, w, b, pad):
     return out
 
 
+def _pad2d(x, pad):
+    """Zero-pad the two leading axes of a (D, T, C) array by `pad` each side."""
+    D, T, C = x.shape
+    xp = np.zeros((D + 2 * pad, T + 2 * pad, C), dtype=x.dtype)
+    xp[pad:pad + D, pad:pad + T] = x
+    return xp
+
+
+def _conv2d_taps(xp, w, d_out, t_out):
+    """Sum over the k x k taps of shifted slices of a padded (D', T', Cin)
+    grid times the tap's (Cin, Cout) matrix, giving (d_out, t_out, Cout)."""
+    k = w.shape[0]
+    y = np.zeros((d_out, t_out, w.shape[3]), dtype=xp.dtype)
+    for a in range(k):
+        for c in range(k):
+            y += xp[a:a + d_out, c:c + t_out] @ w[a, c]
+    return y
+
+
 def conv2d(x, w, b, pad):
-    """2-D convolution over a (D, T, Cin) grid with a (k, k, Cin, Cout) kernel."""
+    """2-D convolution over a (D, T, Cin) grid with a (k, k, Cin, Cout) kernel.
+
+    Stride 1 and 0 <= pad <= k-1. The input gradient is the same tap loop
+    over the output gradient, padded by k-1-pad, with the kernel flipped in
+    both spatial axes and its in/out axes swapped.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     D, T, cin = x.data.shape
     k = w.data.shape[0]
     cout = w.data.shape[3]
-    xp = np.zeros((D + 2 * pad, T + 2 * pad, cin), dtype=x.data.dtype)
-    xp[pad:pad + D, pad:pad + T] = x.data
+    if not 0 <= pad <= k - 1:
+        raise ValueError(f"conv2d needs 0 <= pad <= k-1, got pad={pad}, k={k}")
+    xp = _pad2d(x.data, pad)
     d_out = D + 2 * pad - k + 1
     t_out = T + 2 * pad - k + 1
-    y = np.zeros((d_out, t_out, cout), dtype=x.data.dtype)
-    for a in range(k):
-        for c in range(k):
-            y += xp[a:a + d_out, c:c + t_out] @ w.data[a, c]
+    y = _conv2d_taps(xp, w.data, d_out, t_out)
     y += b.data
     out = Tensor(y, _parents=(x, w, b))
 
     def bwd():
         gy = out.grad
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
+        w_flip = np.ascontiguousarray(w.data[::-1, ::-1].transpose(0, 1, 3, 2))
+        _accum(x, _conv2d_taps(_pad2d(gy, k - 1 - pad), w_flip, D, T))
+        gy_rows = gy.reshape(-1, cout)
+        gw = np.empty_like(w.data)
         for a in range(k):
             for c in range(k):
-                patch = xp[a:a + d_out, c:c + t_out]
-                gw[a, c] = np.tensordot(patch, gy, axes=([0, 1], [0, 1]))
-                gxp[a:a + d_out, c:c + t_out] += gy @ w.data[a, c].T
-        _accum(x, gxp[pad:pad + D, pad:pad + T])
+                patch = np.ascontiguousarray(xp[a:a + d_out, c:c + t_out])
+                gw[a, c] = patch.reshape(-1, cin).T @ gy_rows
         _accum(w, gw)
         _accum(b, gy.sum(axis=(0, 1)))
 
@@ -324,48 +324,50 @@ def conv2d(x, w, b, pad):
     return out
 
 
-def sparse_sample(x, W):
-    """Sample a (T, C) sequence through a scipy CSR matrix W of shape (T, M),
-    giving a (C, M) tensor of interpolated features."""
-    x = as_tensor(x)
-    y = np.asarray((x.data.T @ W))
-    out = Tensor(y, _parents=(x,))
+def sparse_sample(x, W, w, b, entries):
+    """Boundary-matching sampling fused with its weighted N-reduction.
 
-    def bwd():
-        _accum(x, np.asarray(W @ out.grad.T))
+    `W` is a scipy CSR matrix of shape (T, N*J) whose column n*J + j holds
+    the interpolation weights of sample point n of candidate j; `entries` is
+    the (n, j, row*J + j) index triple of each stored entry of W, in storage
+    order (`model.sample_entries`). For a (T, C) sequence x the result is
 
-    out._backward = bwd if out.requires_grad else None
-    return out
+        y[j, c] = sum_n w[n] * (x.T @ W)[c, n*J + j] + b[c],  shape (J, C),
 
-
-def reduce_axis1(x, w, b):
-    """Weighted reduction y[c, j] = sum_n w[n] * x[c, n, j] + b[c]."""
+    computed as W_comb.T @ x + b with W_comb = sum_n w[n] * W_n, a (T, J) CSR
+    matrix that reuses W's row pointers; its duplicate entries are summed by
+    the sparse product, so the (C, N*J) samples are never formed.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    y = np.tensordot(x.data, w.data, axes=([1], [0])) + b.data[:, None]
+    n, j, flat = entries
+    T, NJ = W.shape
+    N = w.data.shape[0]
+    Wc = sparse.csr_matrix((W.data * w.data[n], j, W.indptr), shape=(T, NJ // N))
+    y = np.asarray(Wc.T @ x.data) + b.data
     out = Tensor(y, _parents=(x, w, b))
 
     def bwd():
         gy = out.grad
-        _accum(x, gy[:, None, :] * w.data[None, :, None])
-        _accum(w, np.tensordot(x.data, gy, axes=([0, 2], [0, 1])))
-        _accum(b, gy.sum(axis=1))
+        _accum(x, np.asarray(Wc @ gy))
+        per_entry = W.data * (x.data @ gy.T).ravel().take(flat)
+        _accum(w, np.bincount(n, per_entry, minlength=N).astype(w.data.dtype))
+        _accum(b, gy.sum(axis=0))
 
     out._backward = bwd if out.requires_grad else None
     return out
 
 
 def scatter_grid(x, d_idx, i_idx, grid_shape):
-    """Scatter per-candidate features (C, J) into a dense (C, D, T) grid,
+    """Scatter per-candidate features (J, C) into a dense (D, T, C) grid,
     zero outside the candidate index lists."""
     x = as_tensor(x)
-    C = x.data.shape[0]
     D, T = grid_shape
-    y = np.zeros((C, D, T), dtype=x.data.dtype)
-    y[:, d_idx, i_idx] = x.data
+    y = np.zeros((D, T, x.data.shape[1]), dtype=x.data.dtype)
+    y[d_idx, i_idx] = x.data
     out = Tensor(y, _parents=(x,))
 
     def bwd():
-        _accum(x, out.grad[:, d_idx, i_idx])
+        _accum(x, out.grad[d_idx, i_idx])
 
     out._backward = bwd if out.requires_grad else None
     return out

@@ -64,6 +64,8 @@ def evaluate_dataset(per_video: dict[str, tuple[Proposals, AnnotationSet]],
                      thresholds, an_max: int = 100) -> dict:
     """Aggregate metrics for a mapping video_id -> (ranked proposals, gt).
     Videos with empty gt are excluded from averaging."""
+    if an_max < 1:
+        raise ValueError(f"an_max must be at least 1, got {an_max}")
     an_values = list(range(1, an_max + 1))
     recalls = {}
     for vid, (props, gt) in per_video.items():

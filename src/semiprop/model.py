@@ -3,7 +3,8 @@
 Three heads share a two-layer temporal-conv base:
   * boundary head: per-snippet start/end probabilities,
   * confidence head: dense D x T candidate maps produced through a
-    precomputed sparse boundary-matching sampler (one sparse matmul),
+    precomputed sparse boundary-matching sampler (one sparse matmul, with
+    the weighted reduction over sample points folded into the matrix),
   * auxiliary heads: feature reconstruction and clip-order logits.
 
 Forward passes build an autodiff graph; `backward` extracts parameter
@@ -113,6 +114,15 @@ def build_bm_mask(T: int, D: int, N: int) -> BMSamplingMask:
     return BMSamplingMask(W=W, d_idx=d_idx, i_idx=i_idx, T=T, D=D, N=N)
 
 
+def sample_entries(W: sparse.csr_matrix, n_valid: int):
+    """(n, j, row * n_valid + j) of each stored entry of a (T, N * n_valid)
+    sampling matrix in storage order: its sample point, its candidate, and
+    its position in a row-major (T, n_valid) array."""
+    row = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
+    n, j = np.divmod(W.indices, n_valid)
+    return n, j, row * n_valid + j
+
+
 def param_shapes(hyper: HyperShape) -> dict[str, tuple[int, ...]]:
     h = hyper
     return {
@@ -217,15 +227,18 @@ class ProposalNetwork:
         vm = np.zeros((hyper.D, hyper.T))
         vm[self.bm.d_idx, self.bm.i_idx] = 1.0
         self.valid_mask = vm
-        self._W_cache: dict[str, sparse.csr_matrix] = {}
+        self._W_cache: dict[str, tuple[sparse.csr_matrix, tuple]] = {}
 
     def init_params(self, seed: int, dtype=np.float64) -> ParamStore:
         return init_params(self.hyper, seed, dtype=dtype)
 
-    def _W(self, dtype) -> sparse.csr_matrix:
+    def _W(self, dtype) -> tuple[sparse.csr_matrix, tuple]:
+        """The sampling matrix in `dtype` and its per-entry indices, built on
+        first use (not at construction, which sits on the set-up path)."""
         key = np.dtype(dtype).name
         if key not in self._W_cache:
-            self._W_cache[key] = self.bm.W.astype(dtype)
+            W = self.bm.W.astype(dtype)
+            self._W_cache[key] = (W, sample_entries(W, self.bm.n_valid))
         return self._W_cache[key]
 
     def make_dropout_mask(self, p_drop: float, rng: np.random.Generator, dtype):
@@ -284,11 +297,9 @@ class ProposalNetwork:
             out.p_e = ad.take_last(t, 1)
 
             q = act(ad.conv1d(base_feat, P("pem.conv1.w"), P("pem.conv1.b"), pad=1))
-            samp = ad.sparse_sample(q, self._W(dtype))
-            samp = ad.reshape(samp, (h.Hp, h.N, self.bm.n_valid))
-            red = act(ad.reduce_axis1(samp, P("pem.reduce.w"), P("pem.reduce.b")))
-            grid = ad.scatter_grid(red, self.bm.d_idx, self.bm.i_idx, (h.D, h.T))
-            g = ad.transpose(grid, (1, 2, 0))
+            W, entries = self._W(dtype)
+            red = act(ad.sparse_sample(q, W, P("pem.reduce.w"), P("pem.reduce.b"), entries))
+            g = ad.scatter_grid(red, self.bm.d_idx, self.bm.i_idx, (h.D, h.T))
             g = act(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), pad=1))
             g = ad.sigmoid(ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), pad=1))
             g = ad.mul(g, self.valid_mask.astype(dtype)[:, :, None])

@@ -63,13 +63,14 @@ def align_flip_outputs(out: Predictions) -> Predictions:
     """
     T = out.p_s.shape[0]
     D = out.m_cc.shape[0]
+    # every (d, i) whose source lies on the map (src >= 0; src < T always holds)
+    src = T - (np.arange(D)[:, None] + 1) - np.arange(T)[None, :]
+    d, i = np.nonzero(src >= 0)
+    src = src[d, i]
 
     def flip_map(m: np.ndarray) -> np.ndarray:
         res = np.zeros_like(m)
-        for d in range(D):
-            src = T - (d + 1) - np.arange(T)
-            ok = (src >= 0) & (src < T)
-            res[d, ok] = m[d, src[ok]]
+        res[d, i] = m[d, src]
         return res
 
     return Predictions(

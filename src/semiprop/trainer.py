@@ -23,7 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import pretext
-from .data import DatasetManifest, LabelMaps, build_label_maps, load_video
+from .data import (DatasetManifest, FormatError, LabelMaps, build_label_maps,
+                   load_video)
 from .model import (CHECKPOINT_STORES, HyperShape, ModelOutputs, ParamStore,
                     ProposalNetwork, backward, load_checkpoint, prefixed,
                     save_checkpoint, unprefixed, wrap_params)
@@ -346,8 +347,9 @@ class Trainer:
         epochs = self.cfg.epochs if epochs is None else epochs
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         records = []
-        mode = "a" if self.epoch else "w"
-        with open(metrics_path, mode, encoding="utf-8") as metrics_fh:
+        if self.epoch:
+            _truncate_metrics(metrics_path, self.epoch)
+        with open(metrics_path, "a" if self.epoch else "w", encoding="utf-8") as metrics_fh:
             while self.epoch < epochs:
                 t0 = time.perf_counter()
                 reports = [train_step(self.net, self.student, self.teacher, b,
@@ -398,6 +400,28 @@ class Trainer:
             rngs[f"rng_{name}"].bit_generator.state = extra["rng"][name]
         return cls(net=net, cfg=cfg, student=student, teacher=teacher, opt=opt,
                    epoch=extra["epoch"], **rngs)
+
+
+def _truncate_metrics(path: str, epoch: int) -> None:
+    """Keep the metrics lines of epochs up to the resumed checkpoint's.
+
+    A line is written before its epoch's checkpoint, so a run stopped between
+    the two writes (or during the line, leaving it without a newline) has
+    lines for an epoch that the resumed run trains and logs again.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        return
+    try:
+        keep = [ln for ln in lines if ln.endswith("\n") and json.loads(ln)["epoch"] <= epoch]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: bad metrics line: {exc!r}") from exc
+    if keep != lines:
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+            fh.writelines(keep)
+        os.replace(path + ".tmp", path)
 
 
 def hyper_from(cfg: TrainConfig, T: int, C: int) -> HyperShape:

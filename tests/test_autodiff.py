@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from semiprop import autodiff as ad
+from semiprop.model import build_bm_mask, sample_entries
+
+# a random sampling matrix for N=3 sample points of J=5 candidates over T=6
+SAMPLE_W = sparse.random(6, 3 * 5, density=0.4, random_state=1, format="csr")
+SAMPLE_ENTRIES = sample_entries(SAMPLE_W, 5)
 
 
 def numeric_grad(build, arrs, i, h=1e-6):
@@ -26,8 +32,13 @@ CASES = {
                   [(8, 3), (1, 3, 2), (2,)]),
     "conv2d": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(x, w, b, pad=1))),
                [(5, 6, 3), (3, 3, 3, 2), (2,)]),
-    "reduce": (lambda x, w, b: ad.tsum(ad.square(ad.reduce_axis1(x, w, b))),
-               [(3, 4, 7), (4,), (3,)]),
+    "conv2d_pad0": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(x, w, b, pad=0))),
+                    [(5, 6, 2), (3, 3, 2, 4), (4,)]),
+    "conv2d_k2": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(x, w, b, pad=1))),
+                  [(4, 5, 3), (2, 2, 3, 2), (2,)]),
+    "reduce": (lambda x, w, b: ad.tsum(ad.square(
+        ad.sparse_sample(x, SAMPLE_W, w, b, SAMPLE_ENTRIES))),
+               [(6, 4), (3,), (4,)]),
     "sigmoid": (lambda x: ad.tmean(ad.sigmoid(x)), [(6, 4)]),
     "dot_vm": (lambda x, w: ad.tsum(ad.square(ad.dot_vm(x, w))), [(5,), (5, 3)]),
     "take_last_2d": (lambda x: ad.tsum(ad.square(ad.take_last(x, 1))), [(6, 3)]),
@@ -35,7 +46,6 @@ CASES = {
     "cross_entropy": (lambda x: ad.cross_entropy_logits(x, 1), [(4,)]),
     "log": (lambda x: ad.tsum(ad.log(ad.sigmoid(x), eps=1e-12)), [(7,)]),
     "mean_axis": (lambda x: ad.tsum(ad.square(ad.tmean(x, axis=0))), [(6, 4)]),
-    "transpose": (lambda x: ad.tsum(ad.square(ad.transpose(x, (2, 0, 1)))), [(3, 4, 2)]),
 }
 
 
@@ -81,26 +91,142 @@ def test_backward_requires_scalar():
         x.backward()
 
 
-def test_sparse_sample_matches_dense():
-    from scipy import sparse
+def test_conv2d_rejects_pad_beyond_kernel():
+    x, w, b = np.zeros((4, 4, 2)), np.zeros((3, 3, 2, 2)), np.zeros(2)
+    with pytest.raises(ValueError, match="pad=3"):
+        ad.conv2d(x, w, b, pad=3)
 
+
+def test_sparse_sample_matches_dense():
     rng = np.random.default_rng(0)
-    W = sparse.random(6, 10, density=0.4, random_state=1, format="csr")
     x = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    out = ad.sparse_sample(x, W)
-    assert np.allclose(out.data, x.data.T @ W.toarray())
+    w, b = rng.normal(size=3), rng.normal(size=3)
+    out = ad.sparse_sample(x, SAMPLE_W, w, b, SAMPLE_ENTRIES)
+    samples = (x.data.T @ SAMPLE_W.toarray()).reshape(3, 3, 5)  # (C, N, J)
+    assert np.allclose(out.data, np.einsum("cnj,n->jc", samples, w) + b)
     ad.tsum(ad.square(out)).backward()
-    fd = numeric_grad(lambda t: ad.tsum(ad.square(ad.sparse_sample(t, W))), [x.data], 0)
+    fd = numeric_grad(lambda t: ad.tsum(ad.square(
+        ad.sparse_sample(t, SAMPLE_W, w, b, SAMPLE_ENTRIES))), [x.data], 0)
     assert np.abs(x.grad - fd).max() < 1e-6
 
 
 def test_scatter_grid_roundtrip_gradient():
     d_idx = np.array([0, 0, 1])
     i_idx = np.array([0, 2, 1])
-    x = ad.Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
+    x = ad.Tensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True)
     g = ad.scatter_grid(x, d_idx, i_idx, (2, 4))
-    assert g.data.shape == (2, 2, 4)
-    assert g.data[1, 0, 2] == x.data[1, 1]
-    assert g.data[:, 1, 3].sum() == 0.0
+    assert g.data.shape == (2, 4, 2)
+    assert np.array_equal(g.data[0, 2], x.data[1])
+    assert g.data[1, 3].sum() == 0.0
     ad.tsum(ad.square(g)).backward()
     assert np.allclose(x.grad, 2 * x.data)
+
+
+# ---------------------------------------------------------------------------
+# parity with the earlier kernels: per-tap tensordot conv2d backward, and the
+# sample -> reshape -> reduce -> scatter -> transpose chain of the sampler
+
+def old_conv2d(x, w, b, pad):
+    x, w, b = ad.as_tensor(x), ad.as_tensor(w), ad.as_tensor(b)
+    D, T, cin = x.data.shape
+    k = w.data.shape[0]
+    cout = w.data.shape[3]
+    xp = np.zeros((D + 2 * pad, T + 2 * pad, cin), dtype=x.data.dtype)
+    xp[pad:pad + D, pad:pad + T] = x.data
+    d_out = D + 2 * pad - k + 1
+    t_out = T + 2 * pad - k + 1
+    y = np.zeros((d_out, t_out, cout), dtype=x.data.dtype)
+    for a in range(k):
+        for c in range(k):
+            y += xp[a:a + d_out, c:c + t_out] @ w.data[a, c]
+    y += b.data
+    out = ad.Tensor(y, _parents=(x, w, b))
+
+    def bwd():
+        gy = out.grad
+        gxp = np.zeros_like(xp)
+        gw = np.zeros_like(w.data)
+        for a in range(k):
+            for c in range(k):
+                patch = xp[a:a + d_out, c:c + t_out]
+                gw[a, c] = np.tensordot(patch, gy, axes=([0, 1], [0, 1]))
+                gxp[a:a + d_out, c:c + t_out] += gy @ w.data[a, c].T
+        ad._accum(x, gxp[pad:pad + D, pad:pad + T])
+        ad._accum(w, gw)
+        ad._accum(b, gy.sum(axis=(0, 1)))
+
+    out._backward = bwd
+    return out
+
+
+def old_sample_chain(q, w, b, W, bm):
+    """(T, C) -> (D, T, C) through the separate sampling ops."""
+    q, w, b = ad.as_tensor(q), ad.as_tensor(w), ad.as_tensor(b)
+    C, N, J = q.data.shape[1], bm.N, bm.n_valid
+    samp = ad.Tensor(np.asarray(q.data.T @ W), _parents=(q,))
+    samp._backward = lambda: ad._accum(q, np.asarray(W @ samp.grad.T))
+    x = ad.Tensor(samp.data.reshape(C, N, J), _parents=(samp,))
+    x._backward = lambda: ad._accum(samp, x.grad.reshape(C, N * J))
+    red = ad.Tensor(np.tensordot(x.data, w.data, axes=([1], [0])) + b.data[:, None],
+                    _parents=(x, w, b))
+
+    def red_bwd():
+        gy = red.grad
+        ad._accum(x, gy[:, None, :] * w.data[None, :, None])
+        ad._accum(w, np.tensordot(x.data, gy, axes=([0, 2], [0, 1])))
+        ad._accum(b, gy.sum(axis=1))
+
+    red._backward = red_bwd
+    grid = ad.Tensor(np.zeros((C, bm.D, bm.T), dtype=q.data.dtype), _parents=(red,))
+    grid.data[:, bm.d_idx, bm.i_idx] = red.data
+    grid._backward = lambda: ad._accum(red, grid.grad[:, bm.d_idx, bm.i_idx])
+    out = ad.Tensor(np.transpose(grid.data, (1, 2, 0)), _parents=(grid,))
+    out._backward = lambda: ad._accum(grid, np.transpose(out.grad, (2, 0, 1)))
+    return out
+
+
+def new_sample_chain(q, w, b, W, bm):
+    out = ad.sparse_sample(q, W, w, b, sample_entries(W, bm.n_valid))
+    return ad.scatter_grid(out, bm.d_idx, bm.i_idx, (bm.D, bm.T))
+
+
+def outputs_and_grads(op, shapes, dtype, seed, *const):
+    rng = np.random.default_rng(seed)
+    ts = [ad.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+    out = op(*ts, *const)
+    upstream = rng.normal(size=out.data.shape).astype(dtype)
+    ad.tsum(ad.mul(out, upstream)).backward()
+    return [out.data] + [t.grad for t in ts]
+
+
+def assert_close(new, old, rtol):
+    for a, b in zip(new, old, strict=True):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+PARITY_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shapes,pad", [
+    ([(12, 10, 4), (3, 3, 4, 4), (4,)], 1),
+    ([(12, 10, 4), (3, 3, 4, 2), (2,)], 1),
+    ([(9, 11, 3), (3, 3, 3, 5), (5,)], 0),
+    ([(7, 6, 2), (2, 2, 2, 3), (3,)], 1),
+])
+def test_conv2d_matches_old_kernel(shapes, pad, dtype):
+    new = outputs_and_grads(lambda x, w, b: ad.conv2d(x, w, b, pad), shapes, dtype, 5)
+    old = outputs_and_grads(lambda x, w, b: old_conv2d(x, w, b, pad), shapes, dtype, 5)
+    assert_close(new, old, PARITY_RTOL[dtype])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("T,D,N,C", [(12, 8, 4, 5), (16, 16, 8, 3), (5, 1, 2, 2)])
+def test_fused_sampler_matches_old_chain(T, D, N, C, dtype):
+    bm = build_bm_mask(T, D, N)
+    W = bm.W.astype(dtype)
+    shapes = [(T, C), (N,), (C,)]
+    new = outputs_and_grads(new_sample_chain, shapes, dtype, 6, W, bm)
+    old = outputs_and_grads(old_sample_chain, shapes, dtype, 6, W, bm)
+    assert_close(new, old, PARITY_RTOL[dtype])

@@ -126,6 +126,16 @@ class TestExitCodes:
         assert rc == 2
         assert f"{path}:2" in capsys.readouterr().err
 
+    def test_eval_with_zero_an_max_is_usage_error(self, dataset, tmp_path, capsys):
+        props_dir = tmp_path / "props"
+        props_dir.mkdir()
+        (props_dir / "v00000.props.tsv").write_text("# start end score\n1.0 2.0 0.5\n")
+        rc = run_cli(["eval", "--proposals", str(props_dir),
+                      "--manifest", str(dataset / "manifest.json"), "--an-max", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "an_max" in err and "0" in err and "Traceback" not in err
+
     @staticmethod
     def _infer(checkpoint, dataset, tmp_path):
         return run_cli(["infer", "--checkpoint", str(checkpoint),

@@ -139,8 +139,11 @@ class TestForward:
         net = ProposalNetwork(TINY)
         rng = np.random.default_rng(4)
         q = rng.normal(size=(TINY.T, TINY.Hp))
-        s1 = ad.sparse_sample(ad.Tensor(q), net._W(np.float64)).data
-        s2 = ad.sparse_sample(ad.Tensor(2.0 * q), net._W(np.float64)).data
+        w, b = rng.normal(size=TINY.N), np.zeros(TINY.Hp)
+        W, entries = net._W(np.float64)
+        s1 = ad.sparse_sample(ad.Tensor(q), W, w, b, entries).data
+        s2 = ad.sparse_sample(ad.Tensor(2.0 * q), W, w, b, entries).data
+        assert s1.shape == (net.bm.n_valid, TINY.Hp)
         assert np.allclose(s2, 2.0 * s1)
 
     def test_constant_input_is_flip_fixed_point(self):

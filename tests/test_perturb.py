@@ -101,6 +101,24 @@ class TestAlignFlipOutputs:
         al = align_flip_outputs(pred)
         assert np.array_equal(al.m_cc[0], pred.m_cc[0, ::-1])
 
+    @pytest.mark.parametrize("T,D", [(100, 100), (12, 6), (7, 7), (1, 1)])
+    def test_matches_row_loop(self, T, D):
+        def loop_flip_map(m):
+            res = np.zeros_like(m)
+            for d in range(D):
+                src = T - (d + 1) - np.arange(T)
+                ok = (src >= 0) & (src < T)
+                res[d, ok] = m[d, src[ok]]
+            return res
+
+        rng = np.random.default_rng(T * 1000 + D)
+        pred = rand_predictions(rng, T, D)
+        pred.m_cr = rng.random((D, T))  # nonzero outside the valid region too
+        al = align_flip_outputs(pred)
+        assert np.array_equal(al.m_cc, loop_flip_map(pred.m_cc))
+        assert np.array_equal(al.m_cr, loop_flip_map(pred.m_cr))
+        assert np.array_equal(al.valid_mask, loop_flip_map(pred.valid_mask))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_involution_on_valid_region(self, seed):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semiprop import autodiff as ad
-from semiprop.data import (AnnotationSet, build_label_maps,
+from semiprop.data import (AnnotationSet, FormatError, build_label_maps,
                            gen_synthetic_dataset, read_manifest)
 from semiprop.model import HyperShape, ModelOutputs, ProposalNetwork
 from semiprop.perturb import Predictions
@@ -345,6 +345,30 @@ class TestTrainerRun:
             assert np.array_equal(straight.teacher.params[k],
                                   resumed.teacher.params[k])
         assert straight.opt.t == resumed.opt.t
+
+    def test_resume_drops_metrics_lines_after_checkpoint(self, tmp_path):
+        mpath, manifest = self._dataset(tmp_path, n=4, frac=0.5)
+        ckpt, _ = train_run(manifest, mpath, tiny_cfg(epochs=1), tmp_path / "run")
+        metrics = tmp_path / "run" / "metrics.jsonl"
+        # a run stopped after epoch 2's line but before its checkpoint, and
+        # one stopped while writing epoch 3's line
+        with open(metrics, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"epoch": 2, "steps": 1, "total": -1.0}) + "\n")
+            fh.write('{"epoch": 3, "st')
+        train_run(manifest, mpath, tiny_cfg(epochs=3), tmp_path / "run",
+                  resume_from=ckpt)
+        recs = [json.loads(ln) for ln in metrics.read_text().splitlines()]
+        assert [r["epoch"] for r in recs] == [1, 2, 3]
+        assert recs[1]["total"] != -1.0
+
+    def test_resume_with_garbled_metrics_line_is_format_error(self, tmp_path):
+        mpath, manifest = self._dataset(tmp_path, n=4, frac=0.5)
+        ckpt, _ = train_run(manifest, mpath, tiny_cfg(epochs=1), tmp_path / "run")
+        metrics = tmp_path / "run" / "metrics.jsonl"
+        metrics.write_text("not json\n" + metrics.read_text())
+        with pytest.raises(FormatError, match="metrics.jsonl"):
+            train_run(manifest, mpath, tiny_cfg(epochs=2), tmp_path / "run",
+                      resume_from=ckpt)
 
     def test_no_labeled_videos_rejected(self, tmp_path):
         mpath, manifest = self._dataset(tmp_path, n=2, frac=0.0)
