@@ -90,10 +90,10 @@ def _toposort(root):
     return order
 
 
-def as_tensor(x, dtype=None):
+def as_tensor(x):
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    return Tensor(np.asarray(x))
 
 
 def _accum(t, g):
@@ -117,25 +117,23 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, _parents=(a, b))
 
     def bwd():
         _accum(a, _unbroadcast(out.grad, a.data.shape))
         _accum(b, _unbroadcast(out.grad, b.data.shape))
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
     return out
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, _parents=(a, b))
 
     def bwd():
         _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
         _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
     return out
 
 
@@ -145,24 +143,22 @@ def square(a):
 
 def relu(a):
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), _parents=(a,))
 
     def bwd():
         _accum(a, out.grad * (a.data > 0.0))
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
     return out
 
 
 def sigmoid(a):
     a = as_tensor(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(s, _parents=(a,))
 
     def bwd():
         _accum(a, out.grad * s * (1.0 - s))
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(s, _parents=(a,), _backward=bwd)
     return out
 
 
@@ -171,7 +167,6 @@ def log(a, eps=0.0):
     (pass-through gradient inside the clamp, zero outside)."""
     a = as_tensor(a)
     x = np.maximum(a.data, eps) if eps else a.data
-    out = Tensor(np.log(x), _parents=(a,))
 
     def bwd():
         g = out.grad / x
@@ -179,13 +174,12 @@ def log(a, eps=0.0):
             g = g * (a.data >= eps)
         _accum(a, g)
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(np.log(x), _parents=(a,), _backward=bwd)
     return out
 
 
 def tsum(a, axis=None):
     a = as_tensor(a)
-    out = Tensor(np.sum(a.data, axis=axis), _parents=(a,))
 
     def bwd():
         g = out.grad
@@ -193,7 +187,7 @@ def tsum(a, axis=None):
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(np.sum(a.data, axis=axis), _parents=(a,), _backward=bwd)
     return out
 
 
@@ -206,121 +200,117 @@ def tmean(a, axis=None):
 def dot_vm(x, w):
     """(H,) vector times (H, M) matrix -> (M,)."""
     x, w = as_tensor(x), as_tensor(w)
-    out = Tensor(x.data @ w.data, _parents=(x, w))
 
     def bwd():
         _accum(x, w.data @ out.grad)
         _accum(w, np.outer(x.data, out.grad))
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(x.data @ w.data, _parents=(x, w), _backward=bwd)
     return out
 
 
 def take_last(a, idx):
     """Select index `idx` of the trailing axis (a column of a 2-D tensor)."""
     a = as_tensor(a)
-    out = Tensor(np.ascontiguousarray(a.data[..., idx]), _parents=(a,))
 
     def bwd():
         g = np.zeros_like(a.data)
         g[..., idx] = out.grad
         _accum(a, g)
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(np.ascontiguousarray(a.data[..., idx]), _parents=(a,), _backward=bwd)
     return out
 
 
-def dropout(a, mask):
-    """Apply a frozen inverted-dropout mask (already scaled by 1/keep)."""
-    return mul(a, mask)
+def _pad2d(x, pad):
+    """Zero-pad the two leading axes of a (D, T, C) array by pad = (pd, pt)
+    on each side."""
+    D, T, C = x.shape
+    pd, pt = pad
+    xp = np.zeros((D + 2 * pd, T + 2 * pt, C), dtype=x.dtype)
+    xp[pd:pd + D, pt:pt + T] = x
+    return xp
+
+
+def _conv2d_taps(xp, w, d_out, t_out):
+    """Sum over the kd x kt taps of shifted slices of a padded (D', T', Cin)
+    grid times the tap's (Cin, Cout) matrix, giving (d_out, t_out, Cout)."""
+    kd, kt = w.shape[:2]
+    y = np.zeros((d_out, t_out, w.shape[3]), dtype=xp.dtype)
+    for a in range(kd):
+        for c in range(kt):
+            y += xp[a:a + d_out, c:c + t_out] @ w[a, c]
+    return y
+
+
+def _conv_grid(x, w, b, pad):
+    """Stride-1 convolution of a (D, T, Cin) array with a (kd, kt, Cin, Cout)
+    kernel, zero-padded by pad = (pd, pt) with 0 <= pd <= kd-1 and
+    0 <= pt <= kt-1.
+
+    Returns the (d_out, t_out, Cout) output and a function from its gradient
+    to the gradients of x, w and b. The input gradient is the same tap loop
+    over the output gradient, padded by k-1-pad on each axis, with the kernel
+    flipped in both spatial axes and its in/out axes swapped; the weight
+    gradient is one (d_out*t_out, Cin)^T (d_out*t_out, Cout) product per tap.
+    """
+    D, T, cin = x.shape
+    kd, kt, _, cout = w.shape
+    for p, k in zip(pad, (kd, kt)):
+        if not 0 <= p <= k - 1:
+            raise ValueError(f"convolution needs 0 <= pad <= k-1, got pad={p}, k={k}")
+    pd, pt = pad
+    xp = _pad2d(x, pad)
+    d_out = D + 2 * pd - kd + 1
+    t_out = T + 2 * pt - kt + 1
+    y = _conv2d_taps(xp, w, d_out, t_out)
+    y += b
+
+    def grads(gy):
+        w_flip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
+        gx = _conv2d_taps(_pad2d(gy, (kd - 1 - pd, kt - 1 - pt)), w_flip, D, T)
+        gy_rows = gy.reshape(-1, cout)
+        gw = np.empty_like(w)
+        for a in range(kd):
+            for c in range(kt):
+                patch = np.ascontiguousarray(xp[a:a + d_out, c:c + t_out])
+                gw[a, c] = patch.reshape(-1, cin).T @ gy_rows
+        return gx, gw, gy.sum(axis=(0, 1))
+
+    return y, grads
 
 
 def conv1d(x, w, b, pad):
     """1-D convolution over a (T, Cin) sequence.
 
-    w has shape (k, Cin, Cout), b shape (Cout,). Stride 1; output length
-    T + 2*pad - k + 1.
+    w has shape (k, Cin, Cout), b shape (Cout,). Stride 1 and
+    0 <= pad <= k-1; output length T + 2*pad - k + 1. Runs the 2-D kernel
+    on a one-row grid.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    T, cin = x.data.shape
-    k, _, cout = w.data.shape
-    xp = np.zeros((T + 2 * pad, cin), dtype=x.data.dtype)
-    xp[pad:pad + T] = x.data
-    t_out = T + 2 * pad - k + 1
-    y = np.zeros((t_out, cout), dtype=x.data.dtype)
-    for j in range(k):
-        y += xp[j:j + t_out] @ w.data[j]
-    y += b.data
-    out = Tensor(y, _parents=(x, w, b))
+    y, grads = _conv_grid(x.data[None], w.data[None], b.data, (0, pad))
 
     def bwd():
-        gy = out.grad
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for j in range(k):
-            gw[j] = xp[j:j + t_out].T @ gy
-            gxp[j:j + t_out] += gy @ w.data[j].T
-        _accum(x, gxp[pad:pad + T])
-        _accum(w, gw)
-        _accum(b, gy.sum(axis=0))
+        for t, g in zip((x, w, b), grads(out.grad[None])):
+            _accum(t, g.reshape(t.data.shape))
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(y[0], _parents=(x, w, b), _backward=bwd)
     return out
-
-
-def _pad2d(x, pad):
-    """Zero-pad the two leading axes of a (D, T, C) array by `pad` each side."""
-    D, T, C = x.shape
-    xp = np.zeros((D + 2 * pad, T + 2 * pad, C), dtype=x.dtype)
-    xp[pad:pad + D, pad:pad + T] = x
-    return xp
-
-
-def _conv2d_taps(xp, w, d_out, t_out):
-    """Sum over the k x k taps of shifted slices of a padded (D', T', Cin)
-    grid times the tap's (Cin, Cout) matrix, giving (d_out, t_out, Cout)."""
-    k = w.shape[0]
-    y = np.zeros((d_out, t_out, w.shape[3]), dtype=xp.dtype)
-    for a in range(k):
-        for c in range(k):
-            y += xp[a:a + d_out, c:c + t_out] @ w[a, c]
-    return y
 
 
 def conv2d(x, w, b, pad):
     """2-D convolution over a (D, T, Cin) grid with a (k, k, Cin, Cout) kernel.
 
-    Stride 1 and 0 <= pad <= k-1. The input gradient is the same tap loop
-    over the output gradient, padded by k-1-pad, with the kernel flipped in
-    both spatial axes and its in/out axes swapped.
+    Stride 1 and 0 <= pad <= k-1 on both axes.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    D, T, cin = x.data.shape
-    k = w.data.shape[0]
-    cout = w.data.shape[3]
-    if not 0 <= pad <= k - 1:
-        raise ValueError(f"conv2d needs 0 <= pad <= k-1, got pad={pad}, k={k}")
-    xp = _pad2d(x.data, pad)
-    d_out = D + 2 * pad - k + 1
-    t_out = T + 2 * pad - k + 1
-    y = _conv2d_taps(xp, w.data, d_out, t_out)
-    y += b.data
-    out = Tensor(y, _parents=(x, w, b))
+    y, grads = _conv_grid(x.data, w.data, b.data, (pad, pad))
 
     def bwd():
-        gy = out.grad
-        w_flip = np.ascontiguousarray(w.data[::-1, ::-1].transpose(0, 1, 3, 2))
-        _accum(x, _conv2d_taps(_pad2d(gy, k - 1 - pad), w_flip, D, T))
-        gy_rows = gy.reshape(-1, cout)
-        gw = np.empty_like(w.data)
-        for a in range(k):
-            for c in range(k):
-                patch = np.ascontiguousarray(xp[a:a + d_out, c:c + t_out])
-                gw[a, c] = patch.reshape(-1, cin).T @ gy_rows
-        _accum(w, gw)
-        _accum(b, gy.sum(axis=(0, 1)))
+        for t, g in zip((x, w, b), grads(out.grad)):
+            _accum(t, g)
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(y, _parents=(x, w, b), _backward=bwd)
     return out
 
 
@@ -343,8 +333,6 @@ def sparse_sample(x, W, w, b, entries):
     T, NJ = W.shape
     N = w.data.shape[0]
     Wc = sparse.csr_matrix((W.data * w.data[n], j, W.indptr), shape=(T, NJ // N))
-    y = np.asarray(Wc.T @ x.data) + b.data
-    out = Tensor(y, _parents=(x, w, b))
 
     def bwd():
         gy = out.grad
@@ -353,7 +341,7 @@ def sparse_sample(x, W, w, b, entries):
         _accum(w, np.bincount(n, per_entry, minlength=N).astype(w.data.dtype))
         _accum(b, gy.sum(axis=0))
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(np.asarray(Wc.T @ x.data) + b.data, _parents=(x, w, b), _backward=bwd)
     return out
 
 
@@ -364,12 +352,11 @@ def scatter_grid(x, d_idx, i_idx, grid_shape):
     D, T = grid_shape
     y = np.zeros((D, T, x.data.shape[1]), dtype=x.data.dtype)
     y[d_idx, i_idx] = x.data
-    out = Tensor(y, _parents=(x,))
 
     def bwd():
         _accum(x, out.grad[d_idx, i_idx])
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(y, _parents=(x,), _backward=bwd)
     return out
 
 
@@ -379,12 +366,11 @@ def cross_entropy_logits(logits, label):
     z = logits.data
     m = z.max()
     lse = m + np.log(np.exp(z - m).sum())
-    out = Tensor(np.asarray(lse - z[label], dtype=z.dtype), _parents=(logits,))
 
     def bwd():
         p = np.exp(z - lse)
         p[label] -= 1.0
         _accum(logits, out.grad * p)
 
-    out._backward = bwd if out.requires_grad else None
+    out = Tensor(np.asarray(lse - z[label], dtype=z.dtype), _parents=(logits,), _backward=bwd)
     return out

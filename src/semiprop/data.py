@@ -158,8 +158,10 @@ def segment_iou(a_start, a_end, b_start, b_end) -> np.ndarray:
     return np.where(inter > 0.0, inter / union, 0.0)
 
 
-def _region_overlap(lo: float, hi: float, rlo: float, rhi: float) -> float:
-    return max(0.0, min(hi, rhi) - max(lo, rlo))
+def candidate_mask(T: int, D: int) -> np.ndarray:
+    """The (D, T) 0/1 map of the candidates (d, i), the segments [i, i+d+1]
+    that end inside a T-snippet video: i + d + 1 <= T."""
+    return (np.arange(D)[:, None] + np.arange(T)[None, :] + 1 <= T).astype(np.float64)
 
 
 def build_label_maps(ann: AnnotationSet, T: int, D: int) -> LabelMaps:
@@ -174,23 +176,19 @@ def build_label_maps(ann: AnnotationSet, T: int, D: int) -> LabelMaps:
     g_start = np.zeros(T)
     g_end = np.zeros(T)
     g_iou = np.zeros((D, T))
-    d_grid = np.arange(D)[:, None]
-    i_grid = np.arange(T)[None, :]
-    valid = ((i_grid + d_grid + 1) <= T).astype(np.float64)
+    t = np.arange(T, dtype=np.float64)  # snippet and candidate start indices
+    ends = t + np.arange(D)[:, None] + 1.0
+    valid = candidate_mask(T, D)
 
     for ts, te in ann.instances:
         dur = te - ts
         half = dur / 10.0
-        for t in range(T):
-            s_ior = _region_overlap(t, t + 1, ts - half, ts + half)
-            e_ior = _region_overlap(t, t + 1, te - half, te + half)
-            g_start[t] = max(g_start[t], s_ior)
-            g_end[t] = max(g_end[t], e_ior)
-        starts = i_grid.astype(np.float64)
-        ends = starts + d_grid + 1.0
-        inter = np.minimum(ends, te) - np.maximum(starts, ts)
+        # overlap of each snippet [t, t+1] with the regions around ts and te
+        g_start = np.maximum(g_start, np.minimum(t + 1, ts + half) - np.maximum(t, ts - half))
+        g_end = np.maximum(g_end, np.minimum(t + 1, te + half) - np.maximum(t, te - half))
+        inter = np.minimum(ends, te) - np.maximum(t, ts)
         inter = np.maximum(inter, 0.0)
-        union = (ends - starts) + dur - inter
+        union = (ends - t) + dur - inter
         g_iou = np.maximum(g_iou, inter / union)
 
     g_iou *= valid

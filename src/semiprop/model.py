@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from . import autodiff as ad
-from .data import FormatError, read_framed, write_framed
+from .data import FormatError, candidate_mask, read_framed, write_framed
 from .perturb import Predictions
 
 CHECKPOINT_MAGIC = b"SPCHKPT1"
@@ -86,13 +86,7 @@ def build_bm_mask(T: int, D: int, N: int) -> BMSamplingMask:
     interpolated linearly between neighboring snippets."""
     if D > T or N < 2:
         raise ValueError(f"need D <= T and N >= 2, got T={T}, D={D}, N={N}")
-    d_list, i_list = [], []
-    for d in range(D):
-        for i in range(T - d):
-            d_list.append(d)
-            i_list.append(i)
-    d_idx = np.asarray(d_list)
-    i_idx = np.asarray(i_list)
+    d_idx, i_idx = np.nonzero(candidate_mask(T, D))
     n_valid = d_idx.shape[0]
 
     dur = (d_idx + 1).astype(np.float64)
@@ -207,7 +201,6 @@ class ModelOutputs:
     m_cr: ad.Tensor | None = None
     recon: ad.Tensor | None = None
     order_logits: ad.Tensor | None = None
-    dropout_mask: np.ndarray | None = None
 
     def detach(self) -> Predictions:
         return Predictions(
@@ -224,9 +217,7 @@ class ProposalNetwork:
         hyper.validate()
         self.hyper = hyper
         self.bm = build_bm_mask(hyper.T, hyper.D, hyper.N)
-        vm = np.zeros((hyper.D, hyper.T))
-        vm[self.bm.d_idx, self.bm.i_idx] = 1.0
-        self.valid_mask = vm
+        self.valid_mask = candidate_mask(hyper.T, hyper.D)
         self._W_cache: dict[str, tuple[sparse.csr_matrix, tuple]] = {}
 
     def init_params(self, seed: int, dtype=np.float64) -> ParamStore:
@@ -264,8 +255,9 @@ class ProposalNetwork:
 
         `params` may be a ParamStore of arrays (wrapped internally) or a dict
         of already-wrapped tensors shared across passes so their gradients
-        accumulate. Dropout runs on the base output in train_mode only; the
-        drawn mask is recorded on the output so a pass can be replayed.
+        accumulate. Dropout runs on the base output in train_mode only, with
+        `dropout_mask` if given (a frozen mask replays a pass) or a mask drawn
+        from `rng`.
         """
         h = self.hyper
         first = next(iter(params.values()))
@@ -279,16 +271,14 @@ class ProposalNetwork:
         x = ad.Tensor(np.ascontiguousarray(f, dtype=dtype))
         z = act(ad.conv1d(x, P("base.conv1.w"), P("base.conv1.b"), pad=1))
         z = act(ad.conv1d(z, P("base.conv2.w"), P("base.conv2.b"), pad=1))
-        dmask = None
         if train_mode and p_drop > 0.0:
             if dropout_mask is None:
                 if rng is None:
                     raise ValueError("train_mode dropout needs an rng or a frozen mask")
                 dropout_mask = self.make_dropout_mask(p_drop, rng, dtype)
-            dmask = dropout_mask
-            z = ad.dropout(z, dmask)
+            z = ad.mul(z, dropout_mask)
         base_feat = z
-        out = ModelOutputs(base_feat=base_feat, valid_mask=self.valid_mask, dropout_mask=dmask)
+        out = ModelOutputs(base_feat=base_feat, valid_mask=self.valid_mask)
 
         if "proposal" in heads:
             t = act(ad.conv1d(base_feat, P("tem.conv1.w"), P("tem.conv1.b"), pad=1))

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import candidate_mask
+
 
 @dataclass
 class ShiftPlan:
@@ -63,10 +65,8 @@ def align_flip_outputs(out: Predictions) -> Predictions:
     """
     T = out.p_s.shape[0]
     D = out.m_cc.shape[0]
-    # every (d, i) whose source lies on the map (src >= 0; src < T always holds)
-    src = T - (np.arange(D)[:, None] + 1) - np.arange(T)[None, :]
-    d, i = np.nonzero(src >= 0)
-    src = src[d, i]
+    d, i = np.nonzero(candidate_mask(T, D))
+    src = T - (d + 1) - i
 
     def flip_map(m: np.ndarray) -> np.ndarray:
         res = np.zeros_like(m)

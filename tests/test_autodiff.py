@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -30,6 +32,10 @@ CASES = {
                   [(8, 3), (3, 3, 4), (4,)]),
     "conv1d_k1": (lambda x, w, b: ad.tsum(ad.square(ad.conv1d(x, w, b, pad=0))),
                   [(8, 3), (1, 3, 2), (2,)]),
+    "conv1d_pad0": (lambda x, w, b: ad.tsum(ad.square(ad.conv1d(x, w, b, pad=0))),
+                    [(8, 2), (3, 2, 4), (4,)]),
+    "conv1d_k2": (lambda x, w, b: ad.tsum(ad.square(ad.conv1d(x, w, b, pad=1))),
+                  [(7, 3), (2, 3, 2), (2,)]),
     "conv2d": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(x, w, b, pad=1))),
                [(5, 6, 3), (3, 3, 3, 2), (2,)]),
     "conv2d_pad0": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(x, w, b, pad=0))),
@@ -70,6 +76,25 @@ def test_constant_subgraph_builds_no_tape():
     assert not y.requires_grad and y._backward is None and y._parents == ()
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_op_attaches_backward_only_with_grad(name):
+    """Constants carry no closure and no parents; with an input that needs
+    a gradient, every op output in the graph holds its backward as a
+    zero-argument callable on `_backward` (the per-op tracer wraps it)."""
+    build, shapes = CASES[name]
+    rng = np.random.default_rng(0)
+    arrs = [rng.normal(size=s) for s in shapes]
+    const = build(*[ad.Tensor(a) for a in arrs])
+    assert not const.requires_grad and const._backward is None and const._parents == ()
+    for i in range(len(arrs)):
+        ts = [ad.Tensor(a, requires_grad=j == i) for j, a in enumerate(arrs)]
+        ops = [n for n in ad._toposort(build(*ts)) if n._parents]
+        assert ops
+        for node in ops:
+            assert callable(node._backward)
+            assert not inspect.signature(node._backward).parameters
+
+
 def test_broadcast_add_gradient_sums_over_broadcast_axes():
     x = ad.Tensor(np.zeros((4, 3)), requires_grad=True)
     b = ad.Tensor(np.zeros(3), requires_grad=True)
@@ -95,6 +120,13 @@ def test_conv2d_rejects_pad_beyond_kernel():
     x, w, b = np.zeros((4, 4, 2)), np.zeros((3, 3, 2, 2)), np.zeros(2)
     with pytest.raises(ValueError, match="pad=3"):
         ad.conv2d(x, w, b, pad=3)
+
+
+@pytest.mark.parametrize("k,pad", [(3, 3), (1, 1), (2, -1)])
+def test_conv1d_rejects_pad_out_of_range(k, pad):
+    x, w, b = np.zeros((6, 2)), np.zeros((k, 2, 2)), np.zeros(2)
+    with pytest.raises(ValueError, match=f"pad={pad}, k={k}"):
+        ad.conv1d(x, w, b, pad=pad)
 
 
 def test_sparse_sample_matches_dense():
@@ -123,8 +155,37 @@ def test_scatter_grid_roundtrip_gradient():
 
 
 # ---------------------------------------------------------------------------
-# parity with the earlier kernels: per-tap tensordot conv2d backward, and the
-# sample -> reshape -> reduce -> scatter -> transpose chain of the sampler
+# parity with the earlier kernels: conv1d with its own tap loops and a
+# tap-by-tap scattered input gradient, per-tap tensordot conv2d backward, and
+# the sample -> reshape -> reduce -> scatter -> transpose chain of the sampler
+
+def old_conv1d(x, w, b, pad):
+    x, w, b = ad.as_tensor(x), ad.as_tensor(w), ad.as_tensor(b)
+    T, cin = x.data.shape
+    k, _, cout = w.data.shape
+    xp = np.zeros((T + 2 * pad, cin), dtype=x.data.dtype)
+    xp[pad:pad + T] = x.data
+    t_out = T + 2 * pad - k + 1
+    y = np.zeros((t_out, cout), dtype=x.data.dtype)
+    for j in range(k):
+        y += xp[j:j + t_out] @ w.data[j]
+    y += b.data
+    out = ad.Tensor(y, _parents=(x, w, b))
+
+    def bwd():
+        gy = out.grad
+        gxp = np.zeros_like(xp)
+        gw = np.zeros_like(w.data)
+        for j in range(k):
+            gw[j] = xp[j:j + t_out].T @ gy
+            gxp[j:j + t_out] += gy @ w.data[j].T
+        ad._accum(x, gxp[pad:pad + T])
+        ad._accum(w, gw)
+        ad._accum(b, gy.sum(axis=0))
+
+    out._backward = bwd
+    return out
+
 
 def old_conv2d(x, w, b, pad):
     x, w, b = ad.as_tensor(x), ad.as_tensor(w), ad.as_tensor(b)
@@ -206,6 +267,15 @@ def assert_close(new, old, rtol):
 
 
 PARITY_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k,pad", [(3, 1), (1, 0), (3, 0), (2, 1)])
+def test_conv1d_matches_old_kernel(k, pad, dtype):
+    shapes = [(11, 4), (k, 4, 3), (3,)]
+    new = outputs_and_grads(lambda x, w, b: ad.conv1d(x, w, b, pad), shapes, dtype, 4)
+    old = outputs_and_grads(lambda x, w, b: old_conv1d(x, w, b, pad), shapes, dtype, 4)
+    assert_close(new, old, PARITY_RTOL[dtype])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

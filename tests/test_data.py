@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from semiprop.data import (AnnotationSet, FeatureSequence, FormatError,
-                           build_label_maps, gen_synthetic_dataset, iou_1d,
-                           load_video, read_features, read_manifest,
-                           write_features, write_framed)
+                           build_label_maps, candidate_mask,
+                           gen_synthetic_dataset, iou_1d, load_video,
+                           read_features, read_manifest, write_features,
+                           write_framed)
+from semiprop.model import HyperShape, ProposalNetwork, build_bm_mask
+from semiprop.perturb import Predictions, align_flip_outputs
 
 
 class TestIou:
@@ -94,6 +98,95 @@ class TestLabelMaps:
     def test_d_larger_than_t_rejected(self):
         with pytest.raises(ValueError):
             build_label_maps(AnnotationSet([]), T=5, D=6)
+
+
+# ---------------------------------------------------------------------------
+# the candidate grid against the per-element loops it replaced: the d/i
+# append loop of the sampling matrix, the per-snippet boundary loop of the
+# label maps and the per-row loop of the flip alignment
+
+def loop_bm_mask(T, D, N):
+    d_list, i_list = [], []
+    for d in range(D):
+        for i in range(T - d):
+            d_list.append(d)
+            i_list.append(i)
+    d_idx, i_idx = np.asarray(d_list), np.asarray(i_list)
+    n_valid = d_idx.shape[0]
+    dur = (d_idx + 1).astype(np.float64)
+    lo = i_idx - 0.25 * dur
+    hi = i_idx + 1.25 * dur
+    steps = np.arange(N) / (N - 1)
+    locs = np.clip(lo[None, :] + (hi - lo)[None, :] * steps[:, None], 0.0, T - 1.0)
+    base = np.floor(locs).astype(np.int64)
+    frac = locs - base
+    cols = np.arange(N)[:, None] * n_valid + np.arange(n_valid)[None, :]
+    up = frac > 0
+    rows = np.concatenate([base.ravel(), (base[up] + 1).ravel()])
+    ccols = np.concatenate([cols.ravel(), cols[up].ravel()])
+    vals = np.concatenate([(1.0 - frac).ravel(), frac[up].ravel()])
+    W = sparse.coo_matrix((vals, (rows, ccols)), shape=(T, N * n_valid)).tocsr()
+    return W, d_idx, i_idx
+
+
+def loop_label_maps(instances, T, D):
+    def region_overlap(lo, hi, rlo, rhi):
+        return max(0.0, min(hi, rhi) - max(lo, rlo))
+
+    g_start, g_end, g_iou = np.zeros(T), np.zeros(T), np.zeros((D, T))
+    d_grid, i_grid = np.arange(D)[:, None], np.arange(T)[None, :]
+    valid = ((i_grid + d_grid + 1) <= T).astype(np.float64)
+    for ts, te in instances:
+        dur = te - ts
+        half = dur / 10.0
+        for t in range(T):
+            g_start[t] = max(g_start[t], region_overlap(t, t + 1, ts - half, ts + half))
+            g_end[t] = max(g_end[t], region_overlap(t, t + 1, te - half, te + half))
+        starts = i_grid.astype(np.float64)
+        ends = starts + d_grid + 1.0
+        inter = np.maximum(np.minimum(ends, te) - np.maximum(starts, ts), 0.0)
+        g_iou = np.maximum(g_iou, inter / ((ends - starts) + dur - inter))
+    return g_start, g_end, g_iou * valid, valid
+
+
+def loop_flip_map(m, T, D):
+    res = np.zeros_like(m)
+    for d in range(D):
+        src = T - (d + 1) - np.arange(T)
+        ok = src >= 0
+        res[d, ok] = m[d, src[ok]]
+    return res
+
+
+@pytest.mark.parametrize("T", range(1, 18))
+def test_candidate_grid_matches_loops(T):
+    """Every D <= T, two random annotation sets each."""
+    rng = np.random.default_rng(T)
+    for D in range(1, T + 1):
+        N = 2 + (T + D) % 4
+        W, d_idx, i_idx = loop_bm_mask(T, D, N)
+        bm = build_bm_mask(T, D, N)
+        assert np.array_equal(bm.d_idx, d_idx) and np.array_equal(bm.i_idx, i_idx)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(bm.W, attr), getattr(W, attr))
+        vm = np.zeros((D, T))
+        vm[d_idx, i_idx] = 1.0
+        assert np.array_equal(candidate_mask(T, D), vm)
+        assert np.array_equal(ProposalNetwork(HyperShape(T=T, D=D, N=N)).valid_mask, vm)
+        for _ in range(2):
+            inst = []
+            for _ in range(rng.integers(1, 4)):
+                s = rng.uniform(0, T - 0.5)
+                inst.append((s, min(float(T), s + rng.uniform(0.2, T))))
+            lm = build_label_maps(AnnotationSet(inst), T, D)
+            for got, want in zip((lm.g_start, lm.g_end, lm.g_iou, lm.valid_mask),
+                                 loop_label_maps(inst, T, D)):
+                assert np.array_equal(got, want)
+            pred = Predictions(p_s=rng.random(T), p_e=rng.random(T), m_cc=rng.random((D, T)),
+                               m_cr=rng.random((D, T)) * vm, valid_mask=vm)
+            al = align_flip_outputs(pred)
+            for m in ("m_cc", "m_cr", "valid_mask"):
+                assert np.array_equal(getattr(al, m), loop_flip_map(getattr(pred, m), T, D))
 
 
 class TestFeatureIO:
