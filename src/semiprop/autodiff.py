@@ -197,6 +197,19 @@ def tmean(a, axis=None):
     return mul(tsum(a, axis=axis), 1.0 / n)
 
 
+def mse(pred, target, weight=None):
+    """Weighted mean square error sum(w * (pred - target)^2) / max(sum(w), 1);
+    the plain mean when `weight` is None. `target` and `weight` are constants
+    cast to pred's dtype, and `weight` broadcasts against pred."""
+    pred = as_tensor(pred)
+    dt = pred.data.dtype
+    sq = square(pred - np.asarray(target, dtype=dt))
+    if weight is None:
+        return tmean(sq)
+    w = np.asarray(weight, dtype=dt)
+    return tsum(mul(sq, w)) / max(float(np.broadcast_to(w, sq.shape).sum()), 1.0)
+
+
 def dot_vm(x, w):
     """(H,) vector times (H, M) matrix -> (M,)."""
     x, w = as_tensor(x), as_tensor(w)

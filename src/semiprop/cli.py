@@ -1,7 +1,8 @@
 """Command-line entry point: data generation, training, inference,
 evaluation, gradient checking, and ablation grids.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numeric error.
+Exit codes: 0 success, 1 usage or config error, 2 data/format or path error,
+3 numeric error.
 """
 
 from __future__ import annotations
@@ -90,15 +91,6 @@ def evaluate_proposals(all_props: dict, manifest: DatasetManifest,
     return metrics_mod.evaluate_dataset(per_video, thresholds, an_max=an_max)
 
 
-def evaluate_model(net, params, manifest, manifest_path, out_dir,
-                   thresholds_name: str = "anet", sigma: float = 0.4,
-                   score_floor: float = 0.001, max_out: int = 100) -> dict:
-    props = run_inference(net, params, manifest, manifest_path, out_dir,
-                          sigma=sigma, score_floor=score_floor, max_out=max_out)
-    return evaluate_proposals(props, manifest,
-                              metrics_mod.threshold_set(thresholds_name))
-
-
 def params_from_checkpoint(path, which: str = "student"):
     header, tensors = load_checkpoint(path)
     hyper = HyperShape(**header["hyper"])
@@ -160,6 +152,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not os.path.isdir(args.proposals):
+        raise NotADirectoryError(f"{args.proposals}: no such proposal directory")
     manifest = read_manifest(args.manifest)
     all_props = {}
     for entry in manifest.videos:
@@ -215,10 +209,10 @@ def cmd_ablate(args) -> int:
             cfg = dataclasses.replace(apply_mode(base, mode), seed=seed)
             run_dir = os.path.join(args.out, f"{mode}-{config_hash(cfg)}-s{seed}")
             _, trainer = train_run(train_manifest, args.train_manifest, cfg, run_dir)
-            result = evaluate_model(trainer.net, trainer.student, test_manifest,
-                                    args.test_manifest,
-                                    os.path.join(run_dir, "proposals"),
-                                    thresholds_name=args.thresholds)
+            props = run_inference(trainer.net, trainer.student, test_manifest,
+                                  args.test_manifest, os.path.join(run_dir, "proposals"))
+            result = evaluate_proposals(props, test_manifest,
+                                        metrics_mod.threshold_set(args.thresholds))
             row = {"config": mode, "seed": seed,
                    **{k: result.get(k, float("nan")) for k in ABLATION_METRICS}}
             rows.append(row)
@@ -315,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, ZeroDivisionError, np.linalg.LinAlgError) as exc:

@@ -308,18 +308,37 @@ def write_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
+def _video_entry(v) -> VideoEntry:
+    """One manifest video, each field checked for its JSON type and range."""
+    if not isinstance(v, dict):
+        raise TypeError(f"video entry must be an object, got {v!r}")
+    for key in ("video_id", "feature_file"):
+        if not isinstance(v[key], str):
+            raise TypeError(f"{key} must be a string, got {v[key]!r}")
+    for key in ("T", "C"):
+        if type(v[key]) is not int or v[key] < 1:
+            raise ValueError(f"{key} must be a positive integer, got {v[key]!r}")
+    if type(v["labeled"]) is not bool:
+        raise TypeError(f"labeled must be true or false, got {v['labeled']!r}")
+    annotations = []
+    for a in v["annotations"]:
+        if not (isinstance(a, list) and len(a) == 2
+                and all(type(x) in (int, float) and math.isfinite(x) for x in a)):
+            raise ValueError(f"annotation must be a [start, end] pair of finite "
+                             f"numbers, got {a!r}")
+        annotations.append(tuple(a))
+    AnnotationSet(annotations).validate(v["T"])
+    return VideoEntry(video_id=v["video_id"], T=v["T"], C=v["C"], labeled=v["labeled"],
+                      feature_file=v["feature_file"], annotations=annotations)
+
+
 def read_manifest(path: str | os.PathLike) -> DatasetManifest:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        videos = [
-            VideoEntry(
-                video_id=v["video_id"], T=int(v["T"]), C=int(v["C"]),
-                labeled=bool(v["labeled"]), feature_file=v["feature_file"],
-                annotations=[tuple(a) for a in v["annotations"]],
-            )
-            for v in doc["videos"]
-        ]
+        if not isinstance(doc["videos"], list):
+            raise TypeError("videos must be a list")
+        videos = [_video_entry(v) for v in doc["videos"]]
         seed = doc["seed"]
         if type(seed) is not int:
             raise TypeError(f"seed must be an integer, got {seed!r}")

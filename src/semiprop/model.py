@@ -193,7 +193,6 @@ class GateTape:
 class ModelOutputs:
     """Head outputs of one pass; heads that were not requested stay None."""
 
-    base_feat: ad.Tensor
     valid_mask: np.ndarray
     p_s: ad.Tensor | None = None
     p_e: ad.Tensor | None = None
@@ -270,15 +269,14 @@ class ProposalNetwork:
         act = gate_tape.gate if gate_tape is not None else ad.relu
         x = ad.Tensor(np.ascontiguousarray(f, dtype=dtype))
         z = act(ad.conv1d(x, P("base.conv1.w"), P("base.conv1.b"), pad=1))
-        z = act(ad.conv1d(z, P("base.conv2.w"), P("base.conv2.b"), pad=1))
+        base_feat = act(ad.conv1d(z, P("base.conv2.w"), P("base.conv2.b"), pad=1))
         if train_mode and p_drop > 0.0:
             if dropout_mask is None:
                 if rng is None:
                     raise ValueError("train_mode dropout needs an rng or a frozen mask")
                 dropout_mask = self.make_dropout_mask(p_drop, rng, dtype)
-            z = ad.mul(z, dropout_mask)
-        base_feat = z
-        out = ModelOutputs(base_feat=base_feat, valid_mask=self.valid_mask)
+            base_feat = ad.mul(base_feat, dropout_mask)
+        out = ModelOutputs(valid_mask=self.valid_mask)
 
         if "proposal" in heads:
             t = act(ad.conv1d(base_feat, P("tem.conv1.w"), P("tem.conv1.b"), pad=1))
@@ -340,21 +338,18 @@ def composite_loss(net: ProposalNetwork, wrapped: dict[str, ad.Tensor],
                    gate_tape: GateTape | None = None) -> ad.Tensor:
     """A scalar loss touching every head, for finite-difference checks."""
     from . import pretext
+    from .trainer import consistency_loss
 
     out = net.forward(wrapped, f, heads={"proposal", "recon", "order"},
                       train_mode=dropout_mask is not None,
                       dropout_mask=dropout_mask,
                       p_drop=0.1 if dropout_mask is not None else 0.0,
                       gate_tape=gate_tape)
-    vm = net.valid_mask
-    nvalid = vm.sum()
-    loss = ad.tmean(ad.square(out.p_s - targets["p_s"]))
-    loss = loss + ad.tmean(ad.square(out.p_e - targets["p_e"]))
-    loss = loss + ad.tsum(ad.mul(ad.square(out.m_cc - targets["m_cc"]), vm)) / nvalid
-    loss = loss + ad.tsum(ad.mul(ad.square(out.m_cr - targets["m_cr"]), vm)) / nvalid
-    loss = loss + pretext.recon_loss(out.recon, targets["recon"])
-    loss = loss + pretext.order_loss(out.order_logits, targets["order_label"])
-    return loss
+    maps = Predictions(targets["p_s"], targets["p_e"], targets["m_cc"], targets["m_cr"],
+                       net.valid_mask)
+    return (consistency_loss(out, maps)
+            + pretext.recon_loss(out.recon, targets["recon"])
+            + pretext.order_loss(out.order_logits, targets["order_label"]))
 
 
 def grad_check(hyper: HyperShape, seed: int, h_step: float = 1e-3,

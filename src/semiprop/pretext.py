@@ -42,12 +42,7 @@ def recon_loss(pred, f1, mask: np.ndarray | None = None) -> ad.Tensor:
     f1 = np.asarray(f1)
     if pred.shape != f1.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {f1.shape}")
-    sq = ad.square(pred - f1)
-    if mask is None:
-        return ad.tmean(sq)
-    w = mask.astype(f1.dtype)[:, None]
-    denom = max(float(w.sum()) * f1.shape[1], 1.0)
-    return ad.tsum(ad.mul(sq, w)) / denom
+    return ad.mse(pred, f1, None if mask is None else mask[:, None])
 
 
 def permutations_of(K: int) -> list[tuple[int, ...]]:

@@ -35,6 +35,13 @@ log = logging.getLogger(__name__)
 LOG_EPS = 1e-12
 # the trainer's random streams: batch order of each pool, and everything else
 RNG_STREAMS = ("labeled", "unlabeled", "aux")
+# the loss terms of a step, in the order of their weights (1, lambda1..lambda4)
+LOSS_TERMS = ("supervised", "shift", "flip", "recon", "order")
+
+
+# the JSON value types a config file may give a field, by its default's type:
+# an integer is accepted for a float, and for max_duration (default None)
+_JSON_TYPES = {float: (float, int), int: (int,), str: (str,), type(None): (type(None), int)}
 
 
 @dataclass
@@ -93,11 +100,16 @@ class TrainConfig:
     def from_file(cls, path, **overrides) -> "TrainConfig":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        doc.update({k: v for k, v in overrides.items() if v is not None})
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            if type(value) not in _JSON_TYPES[type(defaults[key])]:
+                raise ValueError(f"{path}: config field {key} has the wrong type: {value!r}")
+        doc.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**doc)
 
 
@@ -172,11 +184,7 @@ def supervised_loss(out: ModelOutputs, labels: LabelMaps,
         sel.ravel()[chosen] = True
     elif not n_pos:
         sel = neg
-    count = max(float(sel.sum()), 1.0)
-    dt = out.m_cr.data.dtype
-    sq = ad.square(out.m_cr - labels.g_iou.astype(dt))
-    loss = loss + ad.tsum(ad.mul(sq, sel.astype(dt))) / count
-    return loss
+    return loss + ad.mse(out.m_cr, labels.g_iou, sel)
 
 
 def consistency_loss(student_out: ModelOutputs, teacher_aligned: Predictions) -> ad.Tensor:
@@ -184,16 +192,11 @@ def consistency_loss(student_out: ModelOutputs, teacher_aligned: Predictions) ->
     intersection of valid masks. Teacher values are constants."""
     if student_out.p_s.data.shape != teacher_aligned.p_s.shape:
         raise ValueError("student/teacher shape mismatch")
-    dt = student_out.p_s.data.dtype
-    loss = ad.tmean(ad.square(student_out.p_s - teacher_aligned.p_s.astype(dt)))
-    loss = loss + ad.tmean(ad.square(student_out.p_e - teacher_aligned.p_e.astype(dt)))
-    inter = (student_out.valid_mask * teacher_aligned.valid_mask).astype(dt)
-    denom = max(float(inter.sum()), 1.0)
-    for s_map, t_map in ((student_out.m_cc, teacher_aligned.m_cc),
-                         (student_out.m_cr, teacher_aligned.m_cr)):
-        sq = ad.square(s_map - t_map.astype(dt))
-        loss = loss + ad.tsum(ad.mul(sq, inter)) / denom
-    return loss
+    inter = student_out.valid_mask * teacher_aligned.valid_mask
+    loss = ad.mse(student_out.p_s, teacher_aligned.p_s)
+    loss = loss + ad.mse(student_out.p_e, teacher_aligned.p_e)
+    loss = loss + ad.mse(student_out.m_cc, teacher_aligned.m_cc, inter)
+    return loss + ad.mse(student_out.m_cr, teacher_aligned.m_cr, inter)
 
 
 @dataclass
@@ -242,57 +245,51 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
     the composed total.
     """
     l1, l2, l3, l4 = cfg.lambdas()
-    labeled = [bv for bv in batch if bv.labeled]
-    if not labeled and l1 == l2 == l3 == l4 == 0.0:
+    if not any(bv.labeled for bv in batch) and l1 == l2 == l3 == l4 == 0.0:
         raise ValueError("batch has no labeled videos and all loss weights are zero")
 
     wrapped = wrap_params(student)
-    terms = {name: [] for name in ("supervised", "shift", "flip", "recon", "order")}
-    need_teacher = l1 > 0.0 or l2 > 0.0
 
+    def student_pass(f, head):
+        return net.forward(wrapped, f, heads={head}, train_mode=True, rng=rng,
+                           p_drop=cfg.p_drop)
+
+    terms = [[] for _ in LOSS_TERMS]
+    supervised, shift, flip, recon, order = terms
     for bv in batch:
         f1 = bv.features
-        teacher_pred = None
-        if need_teacher:
-            t_out = net.forward(teacher.params, f1, heads={"proposal"},
-                                train_mode=False, requires_grad=False)
-            teacher_pred = t_out.detach()
+        if l1 > 0.0 or l2 > 0.0:
+            teacher_pred = net.forward(teacher.params, f1, heads={"proposal"},
+                                       train_mode=False, requires_grad=False).detach()
         if bv.labeled:
-            s_out = net.forward(wrapped, f1, heads={"proposal"}, train_mode=True,
-                                rng=rng, p_drop=cfg.p_drop)
-            terms["supervised"].append(supervised_loss(s_out, bv.label_maps, rng=rng))
+            supervised.append(supervised_loss(student_pass(f1, "proposal"),
+                                              bv.label_maps, rng=rng))
         if l1 > 0.0:
-            f_shift, _plan = temporal_shift(f1, cfg.mu, rng)
-            s_out = net.forward(wrapped, f_shift, heads={"proposal"}, train_mode=True,
-                                rng=rng, p_drop=cfg.p_drop)
-            terms["shift"].append(consistency_loss(s_out, teacher_pred))
+            f_shift = temporal_shift(f1, cfg.mu, rng)[0]
+            shift.append(consistency_loss(student_pass(f_shift, "proposal"), teacher_pred))
         if l2 > 0.0:
-            s_out = net.forward(wrapped, temporal_flip(f1), heads={"proposal"},
-                                train_mode=True, rng=rng, p_drop=cfg.p_drop)
-            terms["flip"].append(consistency_loss(s_out, align_flip_outputs(teacher_pred)))
+            flip.append(consistency_loss(student_pass(temporal_flip(f1), "proposal"),
+                                         align_flip_outputs(teacher_pred)))
         if l3 > 0.0:
             f2, m = pretext.mask_features(f1, cfg.omega, rng)
-            s_out = net.forward(wrapped, f2, heads={"recon"}, train_mode=True,
-                                rng=rng, p_drop=cfg.p_drop)
-            terms["recon"].append(pretext.recon_loss(
-                s_out.recon, f1, m if cfg.recon_support == "masked_only" else None))
+            recon.append(pretext.recon_loss(
+                student_pass(f2, "recon").recon, f1,
+                m if cfg.recon_support == "masked_only" else None))
         if l4 > 0.0:
             sample = pretext.make_order_sample(f1, cfg.K, rng)
-            s_out = net.forward(wrapped, net.pad_to_length(sample.shuffled),
-                                heads={"order"}, train_mode=True, rng=rng,
-                                p_drop=cfg.p_drop)
-            terms["order"].append(pretext.order_loss(s_out.order_logits, sample.label))
+            order.append(pretext.order_loss(
+                student_pass(net.pad_to_length(sample.shuffled), "order").order_logits,
+                sample.label))
 
-    parts = {name: sum(ts[1:], ts[0]) * (1.0 / len(ts)) if ts else None
-             for name, ts in terms.items()}
-    weights = {"supervised": 1.0, "shift": l1, "flip": l2, "recon": l3, "order": l4}
-    pieces = [term * weights[name] for name, term in parts.items() if term is not None]
+    parts = [sum(ts[1:], ts[0]) * (1.0 / len(ts)) if ts else None for ts in terms]
+    pieces = [term * weight for term, weight in zip(parts, (1.0, l1, l2, l3, l4))
+              if term is not None]
     total = sum(pieces[1:], pieces[0])
     grads = backward(total, wrapped)
     adam_step(student, grads, opt, cfg)
     ema_update(teacher, student, cfg.alpha)
 
-    report = {k: (v.item() if v is not None else 0.0) for k, v in parts.items()}
+    report = {k: (v.item() if v is not None else 0.0) for k, v in zip(LOSS_TERMS, parts)}
     report["total"] = total.item()
     return report
 
@@ -359,7 +356,7 @@ class Trainer:
                 rec = {"epoch": self.epoch,
                        "steps": len(reports),
                        "wall_time_s": round(time.perf_counter() - t0, 4)}
-                for key in ("supervised", "shift", "flip", "recon", "order", "total"):
+                for key in LOSS_TERMS + ("total",):
                     rec[key] = float(np.mean([r[key] for r in reports]))
                 metrics_fh.write(json.dumps(rec) + "\n")
                 metrics_fh.flush()

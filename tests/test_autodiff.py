@@ -10,6 +10,12 @@ from semiprop.model import build_bm_mask, sample_entries
 # a random sampling matrix for N=3 sample points of J=5 candidates over T=6
 SAMPLE_W = sparse.random(6, 3 * 5, density=0.4, random_state=1, format="csr")
 SAMPLE_ENTRIES = sample_entries(SAMPLE_W, 5)
+# constant targets and 0/1 weights for the mean square error: a (D, T) map
+# and a (T, C) sequence with a per-row (T, 1) weight
+_mse_rng = np.random.default_rng(2)
+MSE_MAP, MSE_SEQ = _mse_rng.normal(size=(4, 6)), _mse_rng.normal(size=(6, 3))
+MSE_MAP_W = (_mse_rng.random((4, 6)) < 0.6).astype(float)
+MSE_ROW_W = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0]])
 
 
 def numeric_grad(build, arrs, i, h=1e-6):
@@ -52,6 +58,9 @@ CASES = {
     "cross_entropy": (lambda x: ad.cross_entropy_logits(x, 1), [(4,)]),
     "log": (lambda x: ad.tsum(ad.log(ad.sigmoid(x), eps=1e-12)), [(7,)]),
     "mean_axis": (lambda x: ad.tsum(ad.square(ad.tmean(x, axis=0))), [(6, 4)]),
+    "mse": (lambda x: ad.mse(x, MSE_MAP), [(4, 6)]),
+    "mse_weighted": (lambda x: ad.mse(x, MSE_MAP, MSE_MAP_W), [(4, 6)]),
+    "mse_row_weight": (lambda x: ad.mse(x, MSE_SEQ, MSE_ROW_W), [(6, 3)]),
 }
 
 
@@ -300,3 +309,12 @@ def test_fused_sampler_matches_old_chain(T, D, N, C, dtype):
     new = outputs_and_grads(new_sample_chain, shapes, dtype, 6, W, bm)
     old = outputs_and_grads(old_sample_chain, shapes, dtype, 6, W, bm)
     assert_close(new, old, PARITY_RTOL[dtype])
+
+
+def test_mse_weighted_mean_and_empty_weight():
+    pred = np.array([[1.0, 2.0], [3.0, 5.0]])
+    target = np.zeros((2, 2), dtype=np.float32)
+    assert ad.mse(pred, target).item() == (1 + 4 + 9 + 25) / 4
+    assert ad.mse(pred, target, np.array([[1.0], [0.0]])).item() == (1 + 4) / 2
+    assert ad.mse(pred, target, np.zeros((2, 2))).item() == 0.0
+    assert ad.mse(pred.astype(np.float32), pred).dtype == np.float64  # the 1/n factor

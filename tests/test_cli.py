@@ -30,6 +30,62 @@ def dataset(tmp_path):
     return root
 
 
+def _manifest_case(edit):
+    """Train on the fixture manifest after `edit(doc)`; a data error."""
+    def make(dataset, tmp_path):
+        path = dataset / "manifest.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return ["train", "--manifest", str(path), "--out", str(tmp_path / "run")], 2
+    return make
+
+
+def _video_case(**fields):
+    return _manifest_case(lambda doc: doc["videos"][0].update(fields))
+
+
+def _config_case(doc):
+    """Train with `doc` as the config file; a usage error."""
+    def make(dataset, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return ["train", "--manifest", str(dataset / "manifest.json"),
+                "--config", str(path), "--out", str(tmp_path / "run")], 1
+    return make
+
+
+MALFORMED = {
+    "manifest_videos_not_list": _manifest_case(lambda doc: doc.update(videos={})),
+    "manifest_video_not_object": _manifest_case(lambda doc: doc["videos"].append(3)),
+    "manifest_negative_T": _video_case(T=-3),
+    "manifest_string_C": _video_case(C="4"),
+    "manifest_labeled_string": _video_case(labeled="no"),
+    "manifest_reversed_annotation": _video_case(annotations=[[5, 2]]),
+    "manifest_annotation_past_end": _video_case(annotations=[[1, 200]]),
+    "manifest_annotation_strings": _video_case(annotations=[["a", "b"]]),
+    "manifest_annotation_triple": _video_case(annotations=[[1, 2, 3]]),
+    "manifest_annotation_bool": _video_case(annotations=[[False, 2]]),
+    "manifest_is_directory": lambda dataset, tmp_path: (
+        ["train", "--manifest", str(dataset), "--out", str(tmp_path / "run")], 2),
+    "checkpoint_is_directory": lambda dataset, tmp_path: (
+        ["infer", "--checkpoint", str(dataset), "--manifest",
+         str(dataset / "manifest.json"), "--out", str(tmp_path / "props")], 2),
+    "config_is_directory": lambda dataset, tmp_path: (
+        ["train", "--manifest", str(dataset / "manifest.json"),
+         "--config", str(dataset), "--out", str(tmp_path / "run")], 2),
+    "eval_missing_proposals": lambda dataset, tmp_path: (
+        ["eval", "--proposals", str(tmp_path / "missing"),
+         "--manifest", str(dataset / "manifest.json")], 2),
+    "config_not_object": _config_case([1, 2]),
+    "config_string_epochs": _config_case({"epochs": "abc"}),
+    "config_float_epochs": _config_case({"epochs": 2.5}),
+    "config_bool_epochs": _config_case({"epochs": True}),
+    "config_null_lr": _config_case({"lr": None}),
+    "config_string_max_duration": _config_case({"max_duration": "8"}),
+}
+
+
 class TestApplyMode:
     def test_supervised_zeroes_everything(self):
         cfg = apply_mode(TrainConfig(), "supervised")
@@ -135,6 +191,13 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "an_max" in err and "0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_exit_code(self, dataset, tmp_path, capsys, case):
+        argv, code = MALFORMED[case](dataset, tmp_path)
+        assert run_cli(argv + TRAIN_FLAGS if argv[0] == "train" else argv) == code
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     @staticmethod
     def _infer(checkpoint, dataset, tmp_path):

@@ -63,6 +63,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             TrainConfig.from_file(path)
 
+    def test_file_accepts_int_for_float_and_null_max_duration(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"lr": 1, "max_duration": None, "epochs": 3}))
+        cfg = TrainConfig.from_file(path)
+        assert (cfg.lr, cfg.max_duration, cfg.epochs) == (1, None, 3)
+
 
 class TestEmaUpdate:
     def test_single_step_arithmetic(self):
@@ -115,7 +121,7 @@ def const_outputs(T, D, value=0.5):
         p_e=ad.Tensor(np.full(T, value), requires_grad=True),
         m_cc=ad.Tensor(full.copy(), requires_grad=True),
         m_cr=ad.Tensor(full.copy(), requires_grad=True),
-        base_feat=ad.Tensor(np.zeros((T, 1))), valid_mask=vm,
+        valid_mask=vm,
     )
 
 
