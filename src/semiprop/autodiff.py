@@ -235,28 +235,41 @@ def take_last(a, idx):
     return out
 
 
-def _pad2d(x, pad):
-    """Zero-pad the two leading axes of a (D, T, C) array by pad = (pd, pt)
-    on each side."""
-    D, T, C = x.shape
-    pd, pt = pad
-    xp = np.zeros((D + 2 * pd, T + 2 * pt, C), dtype=x.dtype)
-    xp[pd:pd + D, pt:pt + T] = x
-    return xp
+def _block_taps(src, block, kd, kt):
+    """The kd x kt shifted slices that output block (d0, d1, t1) reads from
+    a padded (D', T', C) grid whose last row is a spare row of zeros, as one
+    (kd, kt, (d1 - d0) * width, C) view of rows [d0, d1 + kd) and columns
+    [0, width) of `src`, width = t1 + kt - 1; those are copied only when
+    they do not span the whole row. Row r * width + t of every slice belongs
+    to output cell (d0 + r, t); the rows with t >= t1 are computed and
+    dropped, and only they reach into the spare row."""
+    d0, d1, t1 = block
+    width = t1 + kt - 1
+    strip = np.ascontiguousarray(src[d0:d1 + kd, :width])
+    row, ch = strip.strides[1:]
+    return np.lib.stride_tricks.as_strided(
+        strip, shape=(kd, kt, (d1 - d0) * width, src.shape[2]),
+        strides=(width * row, row, row, ch), writeable=False)
 
 
-def _conv2d_taps(xp, w, d_out, t_out):
-    """Sum over the kd x kt taps of shifted slices of a padded (D', T', Cin)
-    grid times the tap's (Cin, Cout) matrix, giving (d_out, t_out, Cout)."""
-    kd, kt = w.shape[:2]
-    y = np.zeros((d_out, t_out, w.shape[3]), dtype=xp.dtype)
-    for a in range(kd):
-        for c in range(kt):
-            y += xp[a:a + d_out, c:c + t_out] @ w[a, c]
-    return y
+def _conv2d_taps(src, w, shape, extent, bias=None):
+    """Stride-1 convolution over a padded (D', T', Cin) grid `src` (with a
+    spare zero row) and a (kd, kt, Cin, Cout) kernel: the sum over taps of
+    shifted slices times the tap's (Cin, Cout) matrix, plus `bias`, giving a
+    (*shape, Cout) grid that is computed inside the row blocks of `extent`
+    and zero elsewhere. Each block runs its kd * kt products as one batched
+    matmul."""
+    kd, kt, _, cout = w.shape
+    out = np.zeros((*shape, cout), dtype=src.dtype)
+    for d0, d1, t1 in extent:
+        acc = np.matmul(_block_taps(src, (d0, d1, t1), kd, kt), w).sum(axis=(0, 1))
+        if bias is not None:
+            acc += bias
+        out[d0:d1, :t1] = acc.reshape(d1 - d0, -1, cout)[:, :t1]
+    return out
 
 
-def _conv_grid(x, w, b, pad):
+def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
     """Stride-1 convolution of a (D, T, Cin) array with a (kd, kt, Cin, Cout)
     kernel, zero-padded by pad = (pd, pt) with 0 <= pd <= kd-1 and
     0 <= pt <= kt-1.
@@ -265,7 +278,14 @@ def _conv_grid(x, w, b, pad):
     to the gradients of x, w and b. The input gradient is the same tap loop
     over the output gradient, padded by k-1-pad on each axis, with the kernel
     flipped in both spatial axes and its in/out axes swapped; the weight
-    gradient is one (d_out*t_out, Cin)^T (d_out*t_out, Cout) product per tap.
+    gradient is one (cells, Cin)^T (cells, Cout) product per tap and block,
+    with the output gradient zero on the dropped cells of `_block_taps`.
+
+    An extent is a staircase of row blocks (d0, d1, t1), each covering rows
+    [d0, d1) and columns [0, t1). The output is computed only inside
+    `out_extent` and the input gradient only inside `grad_extent`; cells
+    outside them are zero, and the output gradient is read only inside
+    `out_extent`. Both default to one block over the whole grid.
     """
     D, T, cin = x.shape
     kd, kt, _, cout = w.shape
@@ -273,22 +293,29 @@ def _conv_grid(x, w, b, pad):
         if not 0 <= p <= k - 1:
             raise ValueError(f"convolution needs 0 <= pad <= k-1, got pad={p}, k={k}")
     pd, pt = pad
-    xp = _pad2d(x, pad)
+    xp = np.zeros((D + 2 * pd + 1, T + 2 * pt, cin), dtype=x.dtype)  # + spare row
+    xp[pd:pd + D, pt:pt + T] = x
     d_out = D + 2 * pd - kd + 1
     t_out = T + 2 * pt - kt + 1
-    y = _conv2d_taps(xp, w, d_out, t_out)
-    y += b
+    out_extent = out_extent or ((0, d_out, t_out),)
+    grad_extent = grad_extent or ((0, D, T),)
+    y = _conv2d_taps(xp, w, (d_out, t_out), out_extent, b)
 
     def grads(gy):
+        qd, qt = kd - 1 - pd, kt - 1 - pt
+        gyp = np.zeros((d_out + 2 * qd + 1, t_out + 2 * qt, cout), dtype=gy.dtype)
+        gw = np.zeros_like(w)
+        gb = np.zeros(cout, dtype=gy.dtype)
+        for d0, d1, t1 in out_extent:
+            g = gy[d0:d1, :t1]
+            gyp[qd + d0:qd + d1, qt:qt + t1] = g
+            gb += g.sum(axis=(0, 1))
+            rows = np.zeros((d1 - d0, t1 + kt - 1, cout), dtype=gy.dtype)
+            rows[:, :t1] = g
+            taps = _block_taps(xp, (d0, d1, t1), kd, kt)
+            gw += np.matmul(taps.swapaxes(2, 3), rows.reshape(-1, cout))
         w_flip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-        gx = _conv2d_taps(_pad2d(gy, (kd - 1 - pd, kt - 1 - pt)), w_flip, D, T)
-        gy_rows = gy.reshape(-1, cout)
-        gw = np.empty_like(w)
-        for a in range(kd):
-            for c in range(kt):
-                patch = np.ascontiguousarray(xp[a:a + d_out, c:c + t_out])
-                gw[a, c] = patch.reshape(-1, cin).T @ gy_rows
-        return gx, gw, gy.sum(axis=(0, 1))
+        return _conv2d_taps(gyp, w_flip, (D, T), grad_extent), gw, gb
 
     return y, grads
 
@@ -311,13 +338,16 @@ def conv1d(x, w, b, pad):
     return out
 
 
-def conv2d(x, w, b, pad):
+def conv2d(x, w, b, pad, out_extent=None, grad_extent=None):
     """2-D convolution over a (D, T, Cin) grid with a (k, k, Cin, Cout) kernel.
 
-    Stride 1 and 0 <= pad <= k-1 on both axes.
+    Stride 1 and 0 <= pad <= k-1 on both axes. `out_extent` and
+    `grad_extent` are staircases of row blocks (d0, d1, t1) that bound the
+    cells computed in the output and in the input gradient (`_conv_grid`);
+    the default is the whole grid.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    y, grads = _conv_grid(x.data, w.data, b.data, (pad, pad))
+    y, grads = _conv_grid(x.data, w.data, b.data, (pad, pad), out_extent, grad_extent)
 
     def bwd():
         for t, g in zip((x, w, b), grads(out.grad)):

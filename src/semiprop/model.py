@@ -25,6 +25,10 @@ from .data import FormatError, candidate_mask, read_framed, write_framed
 from .perturb import Predictions
 
 CHECKPOINT_MAGIC = b"SPCHKPT1"
+# row blocks per staircase extent of the 2-D convolutions: fewer blocks
+# compute more cells outside the candidate triangle, more blocks make more
+# and smaller matrix products
+CONV_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,26 @@ def sample_entries(W: sparse.csr_matrix, n_valid: int):
     row = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
     n, j = np.divmod(W.indices, n_valid)
     return n, j, row * n_valid + j
+
+
+def halo(mask: np.ndarray) -> np.ndarray:
+    """The cells of a (D, T) mask grown by one cell in every direction: the
+    cells a 3 x 3 convolution reads to give the mask's cells."""
+    D, T = mask.shape
+    p = np.pad(mask > 0, 1)
+    return np.logical_or.reduce([p[a:a + D, c:c + T] for a in range(3) for c in range(3)])
+
+
+def staircase(mask: np.ndarray, n_blocks: int = CONV_BLOCKS) -> tuple:
+    """A convolution extent covering the nonzero cells of a (D, T) mask:
+    `n_blocks` near-equal row blocks (d0, d1, t1), each spanning rows
+    [d0, d1) and columns [0, t1) up to the last nonzero column in its rows.
+    Blocks without a nonzero cell are left out."""
+    nz = mask > 0
+    ends = np.where(nz.any(axis=1), nz.shape[1] - np.argmax(nz[:, ::-1], axis=1), 0)
+    return tuple((int(rows[0]), int(rows[-1]) + 1, int(ends[rows].max()))
+                 for rows in np.array_split(np.arange(nz.shape[0]), n_blocks)
+                 if rows.size and ends[rows].max() > 0)
 
 
 def param_shapes(hyper: HyperShape) -> dict[str, tuple[int, ...]]:
@@ -217,6 +241,11 @@ class ProposalNetwork:
         self.hyper = hyper
         self.bm = build_bm_mask(hyper.T, hyper.D, hyper.N)
         self.valid_mask = candidate_mask(hyper.T, hyper.D)
+        # conv2b's output is masked to the candidates, so it is needed there
+        # only; those cells read conv2a's output on the one-cell halo, and
+        # scatter_grid reads conv2a's input gradient on the candidates only
+        valid, grown = staircase(self.valid_mask), staircase(halo(self.valid_mask))
+        self.extents = {"pem.conv2a": (grown, valid), "pem.conv2b": (valid, grown)}
         self._W_cache: dict[str, tuple[sparse.csr_matrix, tuple]] = {}
 
     def init_params(self, seed: int, dtype=np.float64) -> ParamStore:
@@ -288,8 +317,9 @@ class ProposalNetwork:
             W, entries = self._W(dtype)
             red = act(ad.sparse_sample(q, W, P("pem.reduce.w"), P("pem.reduce.b"), entries))
             g = ad.scatter_grid(red, self.bm.d_idx, self.bm.i_idx, (h.D, h.T))
-            g = act(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), pad=1))
-            g = ad.sigmoid(ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), pad=1))
+            ext_a, ext_b = self.extents["pem.conv2a"], self.extents["pem.conv2b"]
+            g = act(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), 1, *ext_a))
+            g = ad.sigmoid(ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), 1, *ext_b))
             g = ad.mul(g, self.valid_mask.astype(dtype)[:, :, None])
             out.m_cc = ad.take_last(g, 0)
             out.m_cr = ad.take_last(g, 1)

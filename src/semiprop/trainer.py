@@ -75,6 +75,12 @@ class TrainConfig:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
         if min(self.lambda1, self.lambda2, self.lambda3, self.lambda4) < 0:
             raise ValueError("loss weights must be >= 0")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 <= self.p_drop < 1.0:
+            raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.batch_labeled < 1:
             raise ValueError("batch_labeled must be >= 1")
         if self.batch_unlabeled < 0:

@@ -5,7 +5,9 @@ import pytest
 from scipy import sparse
 
 from semiprop import autodiff as ad
-from semiprop.model import build_bm_mask, sample_entries
+from semiprop.data import candidate_mask
+from semiprop.model import (CONV_BLOCKS, build_bm_mask, halo, sample_entries,
+                            staircase)
 
 # a random sampling matrix for N=3 sample points of J=5 candidates over T=6
 SAMPLE_W = sparse.random(6, 3 * 5, density=0.4, random_state=1, format="csr")
@@ -318,3 +320,78 @@ def test_mse_weighted_mean_and_empty_weight():
     assert ad.mse(pred, target, np.array([[1.0], [0.0]])).item() == (1 + 4) / 2
     assert ad.mse(pred, target, np.zeros((2, 2))).item() == 0.0
     assert ad.mse(pred.astype(np.float32), pred).dtype == np.float64  # the 1/n factor
+
+
+# ---------------------------------------------------------------------------
+# staircase extents: the candidate triangle of a (D, T) map and its one-cell
+# halo, against one block over the whole grid. The shapes cover D < T, D not
+# a multiple of the block count, and fewer rows than blocks.
+
+STAIRCASE_SHAPES = [(16, 16), (11, 6), (13, 7), (9, 3)]
+assert any(D % CONV_BLOCKS for _, D in STAIRCASE_SHAPES)
+
+
+def inside(extent, shape):
+    """The (D, T) cells inside an extent."""
+    cells = np.zeros(shape, dtype=bool)
+    for d0, d1, t1 in extent:
+        cells[d0:d1, :t1] = True
+    return cells
+
+
+def staircase_case(T, D, conv2a):
+    """Random float64 operands and conv2a's (output on the halo, input
+    gradient on the candidates) or conv2b's (the reverse) extents."""
+    valid = candidate_mask(T, D)
+    pair = (staircase(halo(valid)), staircase(valid))
+    out_ext, grad_ext = pair if conv2a else pair[::-1]
+    rng = np.random.default_rng(T * 100 + D)
+    x, w, b = rng.normal(size=(D, T, 3)), rng.normal(size=(3, 3, 3, 4)), rng.normal(size=4)
+    gy = rng.normal(size=(D, T, 4))
+    return x, w, b, gy, out_ext, grad_ext
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+def test_staircase_covers_mask_and_halo():
+    valid = candidate_mask(13, 7)
+    grown = halo(valid)
+    d, i = np.indices(valid.shape)
+    assert np.array_equal(grown, i <= 13 - d + 1)
+    for mask in (valid, grown):
+        ext = staircase(mask)
+        assert len(ext) == CONV_BLOCKS and inside(ext, mask.shape)[mask > 0].all()
+    assert staircase(np.ones((5, 8)), 1) == ((0, 5, 8),)
+
+
+@pytest.mark.parametrize("conv2a", [True, False])
+@pytest.mark.parametrize("T,D", STAIRCASE_SHAPES)
+def test_staircase_conv_matches_full_grid(T, D, conv2a):
+    """On the cells that are computed, the output is bit-equal to the
+    full-grid kernel's and the gradients agree to 1e-12 when the full-grid
+    backward gets the output gradient masked to the output extent; every
+    other cell is zero."""
+    x, w, b, gy, out_ext, grad_ext = staircase_case(T, D, conv2a)
+    out_cells, grad_cells = inside(out_ext, (D, T)), inside(grad_ext, (D, T))
+    y_full, grads_full = ad._conv_grid(x, w, b, (1, 1))
+    y, grads = ad._conv_grid(x, w, b, (1, 1), out_ext, grad_ext)
+    assert np.array_equal(y[out_cells], y_full[out_cells]) and not y[~out_cells].any()
+    gx_full, gw_full, gb_full = grads_full(gy * out_cells[..., None])
+    gx, gw, gb = grads(gy)
+    assert rel_err(gx[grad_cells], gx_full[grad_cells]) <= 1e-12
+    assert not gx[~grad_cells].any()
+    assert rel_err(gw, gw_full) <= 1e-12 and rel_err(gb, gb_full) <= 1e-12
+
+
+@pytest.mark.parametrize("conv2a", [True, False])
+@pytest.mark.parametrize("T,D", STAIRCASE_SHAPES)
+def test_staircase_conv_reads_no_gradient_outside_output_extent(T, D, conv2a):
+    x, w, b, gy, out_ext, grad_ext = staircase_case(T, D, conv2a)
+    out_cells = inside(out_ext, (D, T))
+    _, grads = ad._conv_grid(x, w, b, (1, 1), out_ext, grad_ext)
+    clean = grads(np.where(out_cells[..., None], gy, 0.0))
+    poisoned = grads(np.where(out_cells[..., None], gy, np.nan))
+    for a, c in zip(poisoned, clean, strict=True):
+        assert np.isfinite(a).all() and np.array_equal(a, c)

@@ -199,6 +199,18 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--p-drop", "1.0"),
+                                            ("--p-drop", "-0.1"), ("--lr", "-1"),
+                                            ("--lr", "0")])
+    def test_out_of_range_train_flag_is_usage_error(self, dataset, tmp_path, capsys,
+                                                    flag, value):
+        run_dir = tmp_path / "run"
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(run_dir)] + TRAIN_FLAGS + [flag, value])
+        assert rc == 1
+        assert "error" in capsys.readouterr().err
+        assert not (run_dir / "checkpoint.bin").exists()
+
     @staticmethod
     def _infer(checkpoint, dataset, tmp_path):
         return run_cli(["infer", "--checkpoint", str(checkpoint),

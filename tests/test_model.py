@@ -6,7 +6,7 @@ import pytest
 from semiprop import autodiff as ad
 from semiprop.data import FormatError
 from semiprop.model import (HyperShape, ProposalNetwork, backward,
-                            build_bm_mask, grad_check, init_params,
+                            build_bm_mask, composite_loss, grad_check, init_params,
                             load_checkpoint, param_shapes, save_checkpoint,
                             wrap_params)
 from semiprop.perturb import temporal_flip
@@ -216,6 +216,78 @@ class TestGradCheck:
     def test_unfrozen_dropout_is_detected(self):
         report = grad_check(TINY, seed=0, freeze_dropout=False)
         assert not report["passed"]
+
+
+def composite_value_and_grads(net, seed=0):
+    """The float64 loss over every head at a jittered point, and its
+    parameter gradients."""
+    h = net.hyper
+    rng = np.random.default_rng(seed)
+    params = net.init_params(seed)
+    for v in params.values():
+        v += rng.uniform(-0.1, 0.1, size=v.shape)
+    f = rng.normal(size=(h.T, h.C))
+    targets = {"p_s": rng.random(h.T), "p_e": rng.random(h.T),
+               "m_cc": rng.random((h.D, h.T)) * net.valid_mask,
+               "m_cr": rng.random((h.D, h.T)) * net.valid_mask,
+               "recon": rng.normal(size=(h.T, h.C)), "order_label": 1}
+    mask = net.make_dropout_mask(0.1, rng, np.float64)
+    wrapped = wrap_params(params)
+    loss = composite_loss(net, wrapped, f, targets, mask)
+    return loss.item(), backward(loss, wrapped)
+
+
+def nan_outside(a, extent):
+    out = np.full_like(a, np.nan)
+    for d0, d1, t1 in extent:
+        out[d0:d1, :t1] = a[d0:d1, :t1]
+    return out
+
+
+# D = T, D < T, and D values that the block count does not divide
+STAIRCASE_HYPERS = [TINY, HyperShape(T=16, C=3, H=4, Hp=4, D=16, N=4),
+                    HyperShape(T=13, C=3, H=4, Hp=4, D=7, N=4),
+                    HyperShape(T=100, C=4, H=8, Hp=8, D=100, N=4)]
+
+
+class TestStaircaseExtents:
+    @pytest.mark.parametrize("hyper", STAIRCASE_HYPERS, ids=lambda h: f"T{h.T}D{h.D}")
+    def test_matches_full_grid_in_float64(self, hyper):
+        net = ProposalNetwork(hyper)
+        loss, grads = composite_value_and_grads(net)
+        net.extents = {name: (None, None) for name in net.extents}
+        full_loss, full_grads = composite_value_and_grads(net)
+        assert loss == full_loss
+        for name, g in full_grads.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    @pytest.mark.parametrize("hyper", STAIRCASE_HYPERS, ids=lambda h: f"T{h.T}D{h.D}")
+    def test_gradients_outside_extents_are_never_read(self, hyper, monkeypatch):
+        """NaN in every 2-D convolution's output gradient outside its output
+        extent and in its input gradient outside its input-gradient extent
+        changes neither the loss nor any gradient. (Its output outside the
+        extent stays zero: the candidate mask multiplies conv2b's output,
+        and conv2b's blocks reach past conv2a's halo.)"""
+        net = ProposalNetwork(hyper)
+        loss, grads = composite_value_and_grads(net)
+        conv_grid = ad._conv_grid
+
+        def poisoned(x, w, b, pad, out_extent=None, grad_extent=None):
+            y, conv_grads = conv_grid(x, w, b, pad, out_extent, grad_extent)
+            if out_extent is None:  # conv1d
+                return y, conv_grads
+
+            def poisoned_grads(gy):
+                gx, gw, gb = conv_grads(nan_outside(gy, out_extent))
+                return nan_outside(gx, grad_extent), gw, gb
+            return y, poisoned_grads
+
+        monkeypatch.setattr(ad, "_conv_grid", poisoned)
+        poisoned_loss, poisoned_grads = composite_value_and_grads(net)
+        assert poisoned_loss == loss
+        for name, g in grads.items():
+            assert np.isfinite(poisoned_grads[name]).all(), name
+            assert np.array_equal(poisoned_grads[name], g), name
 
 
 class TestCheckpoint:

@@ -47,7 +47,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kw", [dict(alpha=1.0), dict(alpha=0.0),
                                     dict(lambda2=-1.0), dict(batch_labeled=0),
                                     dict(precision="float16"),
-                                    dict(recon_support="everything")])
+                                    dict(recon_support="everything"),
+                                    dict(epochs=0), dict(epochs=-1),
+                                    dict(p_drop=1.0), dict(p_drop=-0.1),
+                                    dict(p_drop=float("nan")), dict(lr=-1.0),
+                                    dict(lr=0.0), dict(lr=float("nan"))])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
