@@ -4,6 +4,12 @@ Only the operations needed by the proposal network are implemented. Tensors
 wrap a numpy array; ops record a backward closure and the graph is walked in
 reverse topological order. Constants (requires_grad=False with no grad
 parents) carry no closure, so e.g. a teacher forward pass builds no graph.
+
+A closure refers to the tensor it belongs to, so every op node is a
+reference cycle until `backward()` breaks it: the walk is one-shot and frees
+the graph as it goes, dropping each node's closure and parents as soon as
+the closure has run. A released node has `_parents` None, and a second
+`backward()` that reaches one raises `RuntimeError`.
 """
 
 from __future__ import annotations
@@ -34,13 +40,19 @@ class Tensor:
         return float(self.data)
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the `grad` of every leaf that
+        requires it. One-shot: each op node is released (its closure and
+        parents dropped) as soon as its backward has run, so the graph is
+        freed during the walk; a second backward() through it raises."""
         if self.data.ndim != 0:
             raise ValueError("backward() requires a scalar tensor")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in order:
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward()
+                node._backward, node._parents = None, None
 
     # operator sugar; scalars and ndarrays are treated as constants
     def __add__(self, other):
@@ -72,6 +84,7 @@ class Tensor:
 
 
 def _toposort(root):
+    """The nodes that need a gradient, each after all of its parents."""
     order, visited = [], set()
     stack = [(root, False)]
     while stack:
@@ -81,12 +94,14 @@ def _toposort(root):
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise RuntimeError("backward() through a graph that an earlier "
+                               "backward() has released")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
-    order.reverse()
     return order
 
 
@@ -97,10 +112,13 @@ def as_tensor(x):
 
 
 def _accum(t, g):
+    """Add `g` to t's gradient. The first gradient is kept as it is (cast
+    to t's dtype), so `g` must be an array that nothing else holds or
+    writes to; every op's backward passes one it has just made."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True) if g.dtype != t.data.dtype else g.copy()
+        t.grad = g.astype(t.data.dtype, copy=False)
     else:
         t.grad += g
 
@@ -119,8 +137,9 @@ def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
     def bwd():
-        _accum(a, _unbroadcast(out.grad, a.data.shape))
-        _accum(b, _unbroadcast(out.grad, b.data.shape))
+        for t in (a, b):
+            g = _unbroadcast(out.grad, t.data.shape)
+            _accum(t, g.copy() if g is out.grad else g)
 
     out = Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
     return out
@@ -153,7 +172,9 @@ def relu(a):
 
 def sigmoid(a):
     a = as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):  # exp(-x) -> inf gives s = 0, as it should
+        e = np.exp(-a.data)
+    s = 1.0 / (1.0 + e)
 
     def bwd():
         _accum(a, out.grad * s * (1.0 - s))
@@ -235,34 +256,51 @@ def take_last(a, idx):
     return out
 
 
-def _block_taps(src, block, kd, kt):
-    """The kd x kt shifted slices that output block (d0, d1, t1) reads from
-    a padded (D', T', C) grid whose last row is a spare row of zeros, as one
-    (kd, kt, (d1 - d0) * width, C) view of rows [d0, d1 + kd) and columns
-    [0, width) of `src`, width = t1 + kt - 1; those are copied only when
-    they do not span the whole row. Row r * width + t of every slice belongs
-    to output cell (d0 + r, t); the rows with t >= t1 are computed and
-    dropped, and only they reach into the spare row."""
+def _strip(src, extent, rows, cols):
+    """A zeroed (r1 - r0, c1 - c0, C) copy of rows [r0, r1) and columns
+    [c0, c1) of a (D, T, C) grid `src`, holding its cells inside the
+    staircase `extent` only; the ranges may reach past the grid's edges,
+    which reads as zero padding."""
+    (r0, r1), (c0, c1) = rows, cols
+    strip = np.zeros((r1 - r0, c1 - c0, src.shape[2]), dtype=src.dtype)
+    for e0, e1, u1 in extent:
+        a0, a1, b0, b1 = max(e0, r0), min(e1, r1), max(c0, 0), min(u1, c1)
+        if a0 < a1 and b0 < b1:
+            strip[a0 - r0:a1 - r0, b0 - c0:b1 - c0] = src[a0:a1, b0:b1]
+    return strip
+
+
+def _block_taps(src, extent, block, kernel, pad):
+    """The kd x kt shifted slices that output block (d0, d1, t1) of a
+    stride-1 convolution reads from `src` (inside `extent`) zero-padded by
+    pad = (pd, pt), as one (kd, kt, (d1 - d0) * width, C) view of a strip of
+    padded rows [d0, d1 + kd) and columns [0, width), width = t1 + kt - 1.
+    Row r * width + t of every slice belongs to output cell (d0 + r, t);
+    the rows with t >= t1 are computed and dropped, and only they reach into
+    the strip's last row."""
     d0, d1, t1 = block
+    (kd, kt), (pd, pt) = kernel, pad
     width = t1 + kt - 1
-    strip = np.ascontiguousarray(src[d0:d1 + kd, :width])
+    strip = _strip(src, extent, (d0 - pd, d1 + kd - pd), (-pt, width - pt))
     row, ch = strip.strides[1:]
-    return np.lib.stride_tricks.as_strided(
-        strip, shape=(kd, kt, (d1 - d0) * width, src.shape[2]),
-        strides=(width * row, row, row, ch), writeable=False)
+    # a strided view over the strip's buffer (what as_strided builds, without
+    # its per-call overhead); the strip's last row covers the overrun
+    return np.ndarray((kd, kt, (d1 - d0) * width, src.shape[2]), strip.dtype, strip, 0,
+                      (width * row, row, row, ch))
 
 
-def _conv2d_taps(src, w, shape, extent, bias=None):
-    """Stride-1 convolution over a padded (D', T', Cin) grid `src` (with a
-    spare zero row) and a (kd, kt, Cin, Cout) kernel: the sum over taps of
-    shifted slices times the tap's (Cin, Cout) matrix, plus `bias`, giving a
-    (*shape, Cout) grid that is computed inside the row blocks of `extent`
-    and zero elsewhere. Each block runs its kd * kt products as one batched
-    matmul."""
+def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None):
+    """Stride-1 convolution of a (D, T, Cin) grid `src`, read inside
+    `extent` and zero-padded by `pad`, with a (kd, kt, Cin, Cout) kernel:
+    the sum over taps of shifted slices times the tap's (Cin, Cout) matrix,
+    plus `bias`, giving a (*shape, Cout) grid that is computed inside the
+    row blocks of `out_extent` and zero elsewhere. Each block runs its
+    kd * kt products as one batched matmul."""
     kd, kt, _, cout = w.shape
     out = np.zeros((*shape, cout), dtype=src.dtype)
-    for d0, d1, t1 in extent:
-        acc = np.matmul(_block_taps(src, (d0, d1, t1), kd, kt), w).sum(axis=(0, 1))
+    for d0, d1, t1 in out_extent:
+        taps = _block_taps(src, extent, (d0, d1, t1), (kd, kt), pad)
+        acc = np.matmul(taps, w).sum(axis=(0, 1))
         if bias is not None:
             acc += bias
         out[d0:d1, :t1] = acc.reshape(d1 - d0, -1, cout)[:, :t1]
@@ -280,6 +318,8 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
     flipped in both spatial axes and its in/out axes swapped; the weight
     gradient is one (cells, Cin)^T (cells, Cout) product per tap and block,
     with the output gradient zero on the dropped cells of `_block_taps`.
+    Padding exists only in the per-block strips, so neither direction keeps
+    or makes a padded copy of a whole grid.
 
     An extent is a staircase of row blocks (d0, d1, t1), each covering rows
     [d0, d1) and columns [0, t1). The output is computed only inside
@@ -293,29 +333,25 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
         if not 0 <= p <= k - 1:
             raise ValueError(f"convolution needs 0 <= pad <= k-1, got pad={p}, k={k}")
     pd, pt = pad
-    xp = np.zeros((D + 2 * pd + 1, T + 2 * pt, cin), dtype=x.dtype)  # + spare row
-    xp[pd:pd + D, pt:pt + T] = x
     d_out = D + 2 * pd - kd + 1
     t_out = T + 2 * pt - kt + 1
+    whole = ((0, D, T),)
     out_extent = out_extent or ((0, d_out, t_out),)
-    grad_extent = grad_extent or ((0, D, T),)
-    y = _conv2d_taps(xp, w, (d_out, t_out), out_extent, b)
+    grad_extent = grad_extent or whole
+    y = _conv2d_taps(x, whole, w, pad, (d_out, t_out), out_extent, b)
 
     def grads(gy):
-        qd, qt = kd - 1 - pd, kt - 1 - pt
-        gyp = np.zeros((d_out + 2 * qd + 1, t_out + 2 * qt, cout), dtype=gy.dtype)
         gw = np.zeros_like(w)
         gb = np.zeros(cout, dtype=gy.dtype)
         for d0, d1, t1 in out_extent:
-            g = gy[d0:d1, :t1]
-            gyp[qd + d0:qd + d1, qt:qt + t1] = g
-            gb += g.sum(axis=(0, 1))
-            rows = np.zeros((d1 - d0, t1 + kt - 1, cout), dtype=gy.dtype)
-            rows[:, :t1] = g
-            taps = _block_taps(xp, (d0, d1, t1), kd, kt)
-            gw += np.matmul(taps.swapaxes(2, 3), rows.reshape(-1, cout))
+            gb += gy[d0:d1, :t1].sum(axis=(0, 1))
+            rows = _strip(gy, out_extent, (d0, d1), (0, t1 + kt - 1)).reshape(-1, cout)
+            taps = _block_taps(x, whole, (d0, d1, t1), (kd, kt), pad)
+            gw += np.matmul(taps.swapaxes(2, 3), rows)
         w_flip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-        return _conv2d_taps(gyp, w_flip, (D, T), grad_extent), gw, gb
+        gx = _conv2d_taps(gy, out_extent, w_flip, (kd - 1 - pd, kt - 1 - pt), (D, T),
+                          grad_extent)
+        return gx, gw, gb
 
     return y, grads
 
@@ -384,7 +420,9 @@ def sparse_sample(x, W, w, b, entries):
         _accum(w, np.bincount(n, per_entry, minlength=N).astype(w.data.dtype))
         _accum(b, gy.sum(axis=0))
 
-    out = Tensor(np.asarray(Wc.T @ x.data) + b.data, _parents=(x, w, b), _backward=bwd)
+    y = np.asarray(Wc.T @ x.data)
+    y += b.data
+    out = Tensor(y, _parents=(x, w, b), _backward=bwd)
     return out
 
 

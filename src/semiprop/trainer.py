@@ -137,6 +137,30 @@ def ema_update(teacher: TeacherState, student: ParamStore, alpha: float) -> Teac
     return teacher
 
 
+class _OncePerEpoch(logging.Filter):
+    """While entered, the module logger passes each distinct message once
+    until `seen` is cleared, which `Trainer.run` does at the start of every
+    epoch."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = set()
+
+    def filter(self, record):
+        message = record.getMessage()
+        if message in self.seen:
+            return False
+        self.seen.add(message)
+        return True
+
+    def __enter__(self):
+        log.addFilter(self)
+        return self
+
+    def __exit__(self, *exc):
+        log.removeFilter(self)
+
+
 def _balanced_bce(p: ad.Tensor, target: np.ndarray, mask: np.ndarray | None,
                   what: str) -> ad.Tensor:
     """Class-balanced binary logistic loss; targets binarized at 0.5,
@@ -352,8 +376,10 @@ class Trainer:
         records = []
         if self.epoch:
             _truncate_metrics(metrics_path, self.epoch)
-        with open(metrics_path, "a" if self.epoch else "w", encoding="utf-8") as metrics_fh:
+        with (_OncePerEpoch() as once,
+              open(metrics_path, "a" if self.epoch else "w", encoding="utf-8") as metrics_fh):
             while self.epoch < epochs:
+                once.seen.clear()
                 t0 = time.perf_counter()
                 reports = [train_step(self.net, self.student, self.teacher, b,
                                       self.cfg, self.rng_aux, self.opt)

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,81 @@ def test_op_attaches_backward_only_with_grad(name):
         for node in ops:
             assert callable(node._backward)
             assert not inspect.signature(node._backward).parameters
+
+
+def keep_graph_backward(root):
+    """The backward walk that keeps the graph: a reverse topological order
+    of every node that needs a gradient, each closure run once, nothing
+    released."""
+    order, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in visited)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_backward_releases_graph_with_unchanged_gradients(name, dtype):
+    """backward() leaves every op node without a closure or parents, and
+    its gradients are bit-equal to those of a walk that keeps the graph."""
+    build, shapes = CASES[name]
+    rng = np.random.default_rng(3)
+    arrs = [rng.normal(size=s).astype(dtype) for s in shapes]
+    kept = [ad.Tensor(a, requires_grad=True) for a in arrs]
+    keep_graph_backward(build(*kept))
+    leaves = [ad.Tensor(a, requires_grad=True) for a in arrs]
+    root = build(*leaves)
+    ops = [n for n in ad._toposort(root) if n._parents]
+    assert ops
+    root.backward()
+    for node in ops:
+        assert node._backward is None and not node._parents
+    for t, k in zip(leaves, kept, strict=True):
+        assert t.grad.dtype == k.grad.dtype and np.array_equal(t.grad, k.grad)
+
+
+def test_second_backward_through_released_graph_raises():
+    x = ad.Tensor(np.arange(3.0), requires_grad=True)
+    y = ad.relu(ad.mul(x, 2.0))
+    loss = ad.tsum(y)
+    loss.backward()
+    with pytest.raises(RuntimeError, match="released"):
+        loss.backward()
+    # a new root over a released node must not pass as a leaf either
+    with pytest.raises(RuntimeError, match="released"):
+        ad.tsum(ad.square(y)).backward()
+    assert np.array_equal(x.grad, [0.0, 2.0, 2.0])
+
+
+def test_leaves_are_reusable_after_backward():
+    x = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    ad.tsum(ad.square(x)).backward()
+    ad.tsum(x).backward()
+    assert np.array_equal(x.grad, [3.0, -3.0])
+
+
+def test_sigmoid_saturates_without_overflow_warning():
+    x = np.linspace(-1000.0, 100.0, 2201, dtype=np.float32)
+    t = ad.Tensor(x, requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = ad.sigmoid(t)
+        ad.tsum(s).backward()
+    with np.errstate(over="ignore"):
+        expect = 1.0 / (1.0 + np.exp(-x))
+    assert s.data.dtype == np.float32 and np.array_equal(s.data, expect)
+    assert s.data[0] == 0.0 and s.data[-1] == 1.0
+    assert np.isfinite(t.grad).all() and t.grad[0] == 0.0
 
 
 def test_broadcast_add_gradient_sums_over_broadcast_axes():
@@ -395,3 +471,76 @@ def test_staircase_conv_reads_no_gradient_outside_output_extent(T, D, conv2a):
     poisoned = grads(np.where(out_cells[..., None], gy, np.nan))
     for a, c in zip(poisoned, clean, strict=True):
         assert np.isfinite(a).all() and np.array_equal(a, c)
+
+
+def padded_conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
+    """The kernel before per-block strips: whole padded copies of the input
+    (kept for the weight gradient) and of the output gradient, each with a
+    spare zero row, and the block taps read from them."""
+    def block_taps(src, block, kd, kt):
+        d0, d1, t1 = block
+        width = t1 + kt - 1
+        strip = np.ascontiguousarray(src[d0:d1 + kd, :width])
+        row, ch = strip.strides[1:]
+        return np.lib.stride_tricks.as_strided(
+            strip, shape=(kd, kt, (d1 - d0) * width, src.shape[2]),
+            strides=(width * row, row, row, ch), writeable=False)
+
+    def taps_conv(src, w, shape, extent, bias=None):
+        kd, kt, _, cout = w.shape
+        out = np.zeros((*shape, cout), dtype=src.dtype)
+        for d0, d1, t1 in extent:
+            acc = np.matmul(block_taps(src, (d0, d1, t1), kd, kt), w).sum(axis=(0, 1))
+            if bias is not None:
+                acc += bias
+            out[d0:d1, :t1] = acc.reshape(d1 - d0, -1, cout)[:, :t1]
+        return out
+
+    D, T, cin = x.shape
+    kd, kt, _, cout = w.shape
+    pd, pt = pad
+    xp = np.zeros((D + 2 * pd + 1, T + 2 * pt, cin), dtype=x.dtype)
+    xp[pd:pd + D, pt:pt + T] = x
+    d_out, t_out = D + 2 * pd - kd + 1, T + 2 * pt - kt + 1
+    out_extent = out_extent or ((0, d_out, t_out),)
+    grad_extent = grad_extent or ((0, D, T),)
+    y = taps_conv(xp, w, (d_out, t_out), out_extent, b)
+
+    def grads(gy):
+        qd, qt = kd - 1 - pd, kt - 1 - pt
+        gyp = np.zeros((d_out + 2 * qd + 1, t_out + 2 * qt, cout), dtype=gy.dtype)
+        gw = np.zeros_like(w)
+        gb = np.zeros(cout, dtype=gy.dtype)
+        for d0, d1, t1 in out_extent:
+            g = gy[d0:d1, :t1]
+            gyp[qd + d0:qd + d1, qt:qt + t1] = g
+            gb += g.sum(axis=(0, 1))
+            rows = np.zeros((d1 - d0, t1 + kt - 1, cout), dtype=gy.dtype)
+            rows[:, :t1] = g
+            gw += np.matmul(block_taps(xp, (d0, d1, t1), kd, kt).swapaxes(2, 3),
+                            rows.reshape(-1, cout))
+        w_flip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
+        return taps_conv(gyp, w_flip, (D, T), grad_extent), gw, gb
+
+    return y, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("conv2a", [True, False, None])
+@pytest.mark.parametrize("T,D", STAIRCASE_SHAPES)
+def test_strip_conv_bit_equal_to_padded_grid_kernel(T, D, conv2a, dtype):
+    """Per-block strips give the padded-grid kernel's output and gradients
+    bit for bit, on staircase extents and on the whole grid (None), and at
+    every pad of a 3 x 3 and a 2 x 3 kernel."""
+    x, w, b, gy, out_ext, grad_ext = staircase_case(T, D, bool(conv2a))
+    x, w, b, gy = (a.astype(dtype) for a in (x, w, b, gy))
+    cases = [((1, 1), w, out_ext, grad_ext)] if conv2a is not None else [
+        (pad, k, None, None) for k in (w, w[1:]) for pad in
+        ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 2)) if pad[0] < k.shape[0]]
+    for pad, k, oe, ge in cases:
+        y, grads = ad._conv_grid(x, k, b, pad, oe, ge)
+        y_old, grads_old = padded_conv_grid(x, k, b, pad, oe, ge)
+        assert y.dtype == dtype and np.array_equal(y, y_old)
+        g = np.resize(gy, y.shape).astype(dtype)
+        for new, old in zip(grads(g), grads_old(g), strict=True):
+            assert new.dtype == old.dtype and np.array_equal(new, old)

@@ -1,4 +1,6 @@
+import gc
 import json
+import logging
 import math
 
 import numpy as np
@@ -322,6 +324,29 @@ class TestTrainStep:
             assert np.abs(teacher.params[k] - expect[k]).max() <= 1e-8
 
 
+    def test_step_leaves_no_graph_for_the_cyclic_collector(self):
+        """Every tensor of a step's graph is freed by reference counting:
+        with DEBUG_SAVEALL the collector keeps what it finds unreachable,
+        and none of it is a Tensor."""
+        cfg = tiny_cfg(precision="float32")
+        net, student, teacher, opt, batch = fresh_state(cfg)
+        batch = [BatchVideo(bv.video_id, bv.features.astype(np.float32), bv.labeled,
+                            bv.label_maps) for bv in batch]
+        flags = gc.get_debug()
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(2):
+                train_step(net, student, teacher, batch, cfg, np.random.default_rng(5), opt)
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, ad.Tensor)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert leaked == []
+
+
 class TestTrainerRun:
     def _dataset(self, tmp_path, n=4, frac=0.5, T=16, C=4, seed=2):
         root = tmp_path / "data"
@@ -384,3 +409,25 @@ class TestTrainerRun:
         mpath, manifest = self._dataset(tmp_path, n=2, frac=0.0)
         with pytest.raises(ValueError):
             train_run(manifest, mpath, tiny_cfg(), tmp_path / "run")
+
+    def test_missing_positives_warn_once_per_cause_per_epoch(self, tmp_path, caplog):
+        cfg = tiny_cfg(epochs=2, lambda1=0, lambda2=0, lambda3=0, lambda4=0)
+        trainer = Trainer.create(TINY, cfg)
+        rng = np.random.default_rng(0)
+        no_actions = build_label_maps(AnnotationSet([]), TINY.T, TINY.D)
+        labeled = [BatchVideo(f"lab{j}", rng.normal(size=(TINY.T, TINY.C)), True, no_actions)
+                   for j in range(4)]
+        with caplog.at_level(logging.WARNING, logger="semiprop.trainer"):
+            records = trainer.run(labeled, [], tmp_path / "run")
+        assert [r["steps"] for r in records] == [2, 2]  # 2 videos per step, 3 causes each
+        warned = [r.getMessage() for r in caplog.records if "no positive entries" in r.getMessage()]
+        causes = ["start boundaries", "end boundaries", "confidence map"]
+        assert sorted(warned) == sorted(
+            f"no positive entries for {c}; positive term dropped" for c in causes * 2)
+        # outside Trainer.run every call still warns
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="semiprop.trainer"):
+            for _ in range(2):
+                train_step(trainer.net, trainer.student, trainer.teacher, labeled[:2],
+                           cfg, np.random.default_rng(1), trainer.opt)
+        assert len([r for r in caplog.records if "no positive" in r.getMessage()]) == 12
