@@ -138,8 +138,9 @@ def add(a, b):
 
     def bwd():
         for t in (a, b):
-            g = _unbroadcast(out.grad, t.data.shape)
-            _accum(t, g.copy() if g is out.grad else g)
+            if t.requires_grad:
+                g = _unbroadcast(out.grad, t.data.shape)
+                _accum(t, g.copy() if g is out.grad else g)
 
     out = Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
     return out
@@ -149,8 +150,10 @@ def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
     def bwd():
-        _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
     out = Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
     return out

@@ -92,7 +92,6 @@ class AnnotationSet:
 class FeatureSequence:
     video_id: str
     values: np.ndarray  # (T, C) float32
-    labeled: bool = True
     annotations: AnnotationSet | None = None
 
     @property
@@ -276,8 +275,7 @@ def gen_synthetic_dataset(
         values, instances = _synthesize_video(rng, T, C)
         vid = f"v{idx:05d}"
         fname = f"{vid}.feat"
-        seq = FeatureSequence(video_id=vid, values=values, labeled=idx < n_labeled,
-                              annotations=AnnotationSet(instances))
+        seq = FeatureSequence(video_id=vid, values=values, annotations=AnnotationSet(instances))
         write_features(seq, os.path.join(out_dir, fname))
         entries.append(VideoEntry(video_id=vid, T=T, C=C, labeled=idx < n_labeled,
                                   feature_file=fname, annotations=[list(p) for p in instances]))
@@ -358,6 +356,5 @@ def load_video(manifest_path: str | os.PathLike, entry: VideoEntry) -> FeatureSe
     if (seq.T, seq.C) != (entry.T, entry.C):
         raise FormatError(f"{path}: holds T={seq.T}, C={seq.C}; "
                           f"the manifest says T={entry.T}, C={entry.C}")
-    seq.labeled = entry.labeled
     seq.annotations = AnnotationSet([tuple(a) for a in entry.annotations])
     return seq

@@ -189,6 +189,31 @@ def test_broadcast_add_gradient_sums_over_broadcast_axes():
     assert np.array_equal(b.grad, np.full(3, 4.0))
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+@pytest.mark.parametrize("x_shape, const", [((4, 3), 2.0), ((4, 3), np.ones(3)),
+                                            ((3,), np.ones((4, 3)))])
+def test_constant_operand_gets_no_gradient_work(op, x_shape, const, monkeypatch):
+    """add and mul reduce a gradient to the shape of the operands that need
+    one only: a scalar, mask or weight constant costs no broadcast sum."""
+    shapes = []
+    unbroadcast = ad._unbroadcast
+
+    def recording(g, shape):
+        shapes.append(shape)
+        return unbroadcast(g, shape)
+
+    monkeypatch.setattr(ad, "_unbroadcast", recording)
+    x = ad.Tensor(np.arange(np.prod(x_shape), dtype=float).reshape(x_shape),
+                  requires_grad=True)
+    for a, b in ((x, const), (const, x)):
+        x.grad = None
+        ad.tsum(op(a, b)).backward()
+        expect = np.broadcast_to(const if op is ad.mul else 1.0,
+                                 np.broadcast_shapes(x_shape, np.shape(const)))
+        assert np.array_equal(x.grad, unbroadcast(expect, x_shape))
+    assert shapes and all(s == x_shape for s in shapes)
+
+
 def test_shared_node_accumulates_both_paths():
     x = ad.Tensor(np.array(3.0), requires_grad=True)
     y = ad.add(ad.mul(x, x), x)  # x^2 + x, derivative 2x + 1

@@ -127,11 +127,9 @@ class TestForward:
         net = ProposalNetwork(TINY)
         params = net.init_params(seed=2)
         f = np.random.default_rng(2).normal(size=(TINY.T, TINY.C))
-        mask = net.make_dropout_mask(0.1, np.random.default_rng(3), np.float64)
-        a = net.forward(params, f, train_mode=True, p_drop=0.1,
-                        dropout_mask=mask, requires_grad=False)
-        b = net.forward(params, f, train_mode=True, p_drop=0.1,
-                        dropout_mask=mask, requires_grad=False)
+        a, b = (net.forward(params, f, train_mode=True, p_drop=0.1,
+                            rng=np.random.default_rng(3), requires_grad=False)
+                for _ in range(2))
         assert np.array_equal(a.p_s.data, b.p_s.data)
         assert np.array_equal(a.m_cc.data, b.m_cc.data)
 
@@ -213,9 +211,19 @@ class TestGradCheck:
         assert report["passed"]
         assert report["max_rel_error"] <= 1e-4
 
-    def test_unfrozen_dropout_is_detected(self):
-        report = grad_check(TINY, seed=0, freeze_dropout=False)
+    def test_broken_relu_backward_is_detected(self, monkeypatch):
+        """The check differentiates the network's own ReLU: a backward that
+        halves its gradient fails the 1e-4 bound."""
+        relu = ad.relu
+
+        def half_grad_relu(a):  # same value, half the gradient
+            y = relu(a)
+            return ad.add(ad.mul(y, 0.5), y.data * 0.5)
+
+        monkeypatch.setattr(ad, "relu", half_grad_relu)
+        report = grad_check(TINY, seed=0)
         assert not report["passed"]
+        assert report["max_rel_error"] > 1e-2
 
 
 def composite_value_and_grads(net, seed=0):
@@ -231,9 +239,8 @@ def composite_value_and_grads(net, seed=0):
                "m_cc": rng.random((h.D, h.T)) * net.valid_mask,
                "m_cr": rng.random((h.D, h.T)) * net.valid_mask,
                "recon": rng.normal(size=(h.T, h.C)), "order_label": 1}
-    mask = net.make_dropout_mask(0.1, rng, np.float64)
     wrapped = wrap_params(params)
-    loss = composite_loss(net, wrapped, f, targets, mask)
+    loss = composite_loss(net, wrapped, f, targets, rng)
     return loss.item(), backward(loss, wrapped)
 
 

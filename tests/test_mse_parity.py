@@ -2,6 +2,8 @@
 the expressions each site wrote out by hand before that, and check that the
 values and gradients are the same to the bit."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,9 @@ def same(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def old_composite_loss(net, wrapped, f, targets, dropout_mask):
+def old_composite_loss(net, wrapped, f, targets, rng):
     out = net.forward(wrapped, f, heads={"proposal", "recon", "order"},
-                      train_mode=True, dropout_mask=dropout_mask, p_drop=0.1)
+                      train_mode=True, rng=rng, p_drop=0.1)
     vm = net.valid_mask
     nvalid = vm.sum()
     loss = ad.tmean(ad.square(out.p_s - targets["p_s"]))
@@ -51,10 +53,9 @@ def test_composite_loss_matches_old_expression(dtype):
                "recon": rng.normal(size=(h.T, h.C))}
     targets = {k: v.astype(dtype) for k, v in targets.items()}
     targets["order_label"] = 1
-    mask = net.make_dropout_mask(0.1, rng, dtype)
     new_w, old_w = wrap_params(params), wrap_params(params)
-    new = composite_loss(net, new_w, f, targets, mask)
-    old = old_composite_loss(net, old_w, f, targets, mask)
+    new = composite_loss(net, new_w, f, targets, copy.deepcopy(rng))
+    old = old_composite_loss(net, old_w, f, targets, rng)
     new_g, old_g = backward(new, new_w), backward(old, old_w)
     for name in params:
         assert same(new_g[name], old_g[name]), name

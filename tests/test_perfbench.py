@@ -1,0 +1,25 @@
+"""The benchmark harness (`perfbench/run.py`) runs each workload to the end
+with every output check passing. It drives the package through its public
+API (`ProposalNetwork.forward(..., heads=, train_mode=, requires_grad=)`,
+`Trainer.run`, the post-processing and the evaluation), so a change to that
+API that the benchmark does not follow fails here."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["train_sstap", "train_supervised", "infer_dense"])
+def test_benchmark_workload_runs_clean(workload):
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
+           "--seed", "1", "--seconds", "0.5", "--trace", "0"]
+    res = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr[-4000:]
+    result = json.loads(res.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, res.stdout[-4000:]
