@@ -4,6 +4,7 @@ Only the operations needed by the proposal network are implemented. Tensors
 wrap a numpy array; ops record a backward closure and the graph is walked in
 reverse topological order. Constants (requires_grad=False with no grad
 parents) carry no closure, so e.g. a teacher forward pass builds no graph.
+Ops take optional leading axes, numpy style: a (B, T, C) stack is one call.
 
 A closure refers to the tensor it belongs to, so every op node is a
 reference cycle until `backward()` breaks it: the walk is one-shot and frees
@@ -239,8 +240,8 @@ def dot_vm(x, w):
     x, w = as_tensor(x), as_tensor(w)
 
     def bwd():
-        _accum(x, w.data @ out.grad)
-        _accum(w, np.outer(x.data, out.grad))
+        _accum(x, out.grad @ w.data.T)
+        _accum(w, x.data.reshape(-1, w.shape[0]).T @ out.grad.reshape(-1, w.shape[1]))
 
     out = Tensor(x.data @ w.data, _parents=(x, w), _backward=bwd)
     return out
@@ -265,11 +266,11 @@ def _strip(src, extent, rows, cols):
     staircase `extent` only; the ranges may reach past the grid's edges,
     which reads as zero padding."""
     (r0, r1), (c0, c1) = rows, cols
-    strip = np.zeros((r1 - r0, c1 - c0, src.shape[2]), dtype=src.dtype)
+    strip = np.zeros((*src.shape[:-3], r1 - r0, c1 - c0, src.shape[-1]), dtype=src.dtype)
     for e0, e1, u1 in extent:
         a0, a1, b0, b1 = max(e0, r0), min(e1, r1), max(c0, 0), min(u1, c1)
         if a0 < a1 and b0 < b1:
-            strip[a0 - r0:a1 - r0, b0 - c0:b1 - c0] = src[a0:a1, b0:b1]
+            strip[..., a0 - r0:a1 - r0, b0 - c0:b1 - c0, :] = src[..., a0:a1, b0:b1, :]
     return strip
 
 
@@ -285,11 +286,11 @@ def _block_taps(src, extent, block, kernel, pad):
     (kd, kt), (pd, pt) = kernel, pad
     width = t1 + kt - 1
     strip = _strip(src, extent, (d0 - pd, d1 + kd - pd), (-pt, width - pt))
-    row, ch = strip.strides[1:]
+    *lead, row, ch = strip.strides[:-3] + strip.strides[-2:]
     # a strided view over the strip's buffer (what as_strided builds, without
-    # its per-call overhead); the strip's last row covers the overrun
-    return np.ndarray((kd, kt, (d1 - d0) * width, src.shape[2]), strip.dtype, strip, 0,
-                      (width * row, row, row, ch))
+    # its per-call overhead); each strip's last row covers its overrun
+    return np.ndarray((*strip.shape[:-3], kd, kt, (d1 - d0) * width, src.shape[-1]),
+                      strip.dtype, strip, 0, (*lead, width * row, row, row, ch))
 
 
 def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None):
@@ -300,13 +301,13 @@ def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None):
     row blocks of `out_extent` and zero elsewhere. Each block runs its
     kd * kt products as one batched matmul."""
     kd, kt, _, cout = w.shape
-    out = np.zeros((*shape, cout), dtype=src.dtype)
+    out = np.zeros((*src.shape[:-3], *shape, cout), dtype=src.dtype)
     for d0, d1, t1 in out_extent:
         taps = _block_taps(src, extent, (d0, d1, t1), (kd, kt), pad)
-        acc = np.matmul(taps, w).sum(axis=(0, 1))
+        acc = np.matmul(taps, w).sum(axis=(-4, -3))
         if bias is not None:
             acc += bias
-        out[d0:d1, :t1] = acc.reshape(d1 - d0, -1, cout)[:, :t1]
+        out[..., d0:d1, :t1, :] = acc.reshape(*acc.shape[:-2], d1 - d0, -1, cout)[..., :t1, :]
     return out
 
 
@@ -330,7 +331,7 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
     outside them are zero, and the output gradient is read only inside
     `out_extent`. Both default to one block over the whole grid.
     """
-    D, T, cin = x.shape
+    D, T, cin = x.shape[-3:]
     kd, kt, _, cout = w.shape
     for p, k in zip(pad, (kd, kt)):
         if not 0 <= p <= k - 1:
@@ -347,10 +348,10 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
         gw = np.zeros_like(w)
         gb = np.zeros(cout, dtype=gy.dtype)
         for d0, d1, t1 in out_extent:
-            gb += gy[d0:d1, :t1].sum(axis=(0, 1))
-            rows = _strip(gy, out_extent, (d0, d1), (0, t1 + kt - 1)).reshape(-1, cout)
-            taps = _block_taps(x, whole, (d0, d1, t1), (kd, kt), pad)
-            gw += np.matmul(taps.swapaxes(2, 3), rows)
+            g = _strip(gy, out_extent, (d0, d1), (0, t1 + kt - 1))
+            gb += g.reshape(-1, cout).sum(axis=0)
+            taps = _block_taps(x, whole, (d0, d1, t1), (kd, kt), pad).swapaxes(-2, -1)
+            gw += (taps @ g.reshape(*g.shape[:-3], 1, 1, -1, cout)).reshape(-1, *w.shape).sum(0)
         w_flip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
         gx = _conv2d_taps(gy, out_extent, w_flip, (kd - 1 - pd, kt - 1 - pt), (D, T),
                           grad_extent)
@@ -364,16 +365,16 @@ def conv1d(x, w, b, pad):
 
     w has shape (k, Cin, Cout), b shape (Cout,). Stride 1 and
     0 <= pad <= k-1; output length T + 2*pad - k + 1. Runs the 2-D kernel
-    on a one-row grid.
+    on a (..., 1, T, Cin) grid.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    y, grads = _conv_grid(x.data[None], w.data[None], b.data, (0, pad))
+    y, grads = _conv_grid(x.data[..., None, :, :], w.data[None], b.data, (0, pad))
 
     def bwd():
-        for t, g in zip((x, w, b), grads(out.grad[None])):
+        for t, g in zip((x, w, b), grads(out.grad[..., None, :, :])):
             _accum(t, g.reshape(t.data.shape))
 
-    out = Tensor(y[0], _parents=(x, w, b), _backward=bwd)
+    out = Tensor(y[..., 0, :, :], _parents=(x, w, b), _backward=bwd)
     return out
 
 
@@ -408,22 +409,25 @@ def sparse_sample(x, W, w, b, entries):
 
     computed as W_comb.T @ x + b with W_comb = sum_n w[n] * W_n, a (T, J) CSR
     matrix that reuses W's row pointers; its duplicate entries are summed by
-    the sparse product, so the (C, N*J) samples are never formed.
+    the sparse product, so the (C, N*J) samples are never formed. Leading
+    axes ride along the columns: the product runs once, on x as (T, ...*C).
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     n, j, flat = entries
     T, NJ = W.shape
     N = w.data.shape[0]
     Wc = sparse.csr_matrix((W.data * w.data[n], j, W.indptr), shape=(T, NJ // N))
+    columns = lambda a: np.moveaxis(a, -2, 0).reshape(a.shape[-2], -1)  # (T or J, ...*C)
+    stacked = lambda a: np.moveaxis(a.reshape(a.shape[0], *x.data.shape[:-2], -1), 0, -2)
 
     def bwd():
-        gy = out.grad
-        _accum(x, np.asarray(Wc @ gy))
-        per_entry = W.data * (x.data @ gy.T).ravel().take(flat)
+        gy = columns(out.grad)
+        _accum(x, stacked(Wc @ gy))
+        per_entry = W.data * (columns(x.data) @ gy.T).ravel().take(flat)
         _accum(w, np.bincount(n, per_entry, minlength=N).astype(w.data.dtype))
-        _accum(b, gy.sum(axis=0))
+        _accum(b, gy.reshape(-1, b.data.shape[0]).sum(axis=0))
 
-    y = np.asarray(Wc.T @ x.data)
+    y = stacked(Wc.T @ columns(x.data))
     y += b.data
     out = Tensor(y, _parents=(x, w, b), _backward=bwd)
     return out
@@ -433,28 +437,29 @@ def scatter_grid(x, d_idx, i_idx, grid_shape):
     """Scatter per-candidate features (J, C) into a dense (D, T, C) grid,
     zero outside the candidate index lists."""
     x = as_tensor(x)
-    D, T = grid_shape
-    y = np.zeros((D, T, x.data.shape[1]), dtype=x.data.dtype)
-    y[d_idx, i_idx] = x.data
+    y = np.zeros((*x.data.shape[:-2], *grid_shape, x.data.shape[-1]), dtype=x.data.dtype)
+    y[..., d_idx, i_idx, :] = x.data
 
     def bwd():
-        _accum(x, out.grad[d_idx, i_idx])
+        _accum(x, out.grad[..., d_idx, i_idx, :])
 
     out = Tensor(y, _parents=(x,), _backward=bwd)
     return out
 
 
-def cross_entropy_logits(logits, label):
-    """Cross entropy -log softmax(logits)[label], numerically stable."""
-    logits = as_tensor(logits)
+def cross_entropy_logits(logits, labels):
+    """Cross entropy -log softmax(logits)[label], numerically stable, and its
+    mean over an array of labels."""
+    logits, labels = as_tensor(logits), np.asarray(labels)[..., None]
     z = logits.data
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
+    m = z.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
 
     def bwd():
         p = np.exp(z - lse)
-        p[label] -= 1.0
-        _accum(logits, out.grad * p)
+        p -= labels == np.arange(z.shape[-1])
+        _accum(logits, out.grad * p / labels.size)
 
-    out = Tensor(np.asarray(lse - z[label], dtype=z.dtype), _parents=(logits,), _backward=bwd)
+    out = Tensor(np.asarray((lse - np.take_along_axis(z, labels, -1)).mean(), dtype=z.dtype),
+                 _parents=(logits,), _backward=bwd)
     return out

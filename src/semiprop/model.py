@@ -257,11 +257,6 @@ class ProposalNetwork:
             self._W_cache[key] = (W, sample_entries(W, self.bm.n_valid))
         return self._W_cache[key]
 
-    def make_dropout_mask(self, p_drop: float, rng: np.random.Generator, dtype):
-        h = self.hyper
-        keep = rng.random((h.T, h.H)) >= p_drop
-        return (keep / (1.0 - p_drop)).astype(dtype)
-
     def forward(
         self,
         params: ParamStore | dict[str, ad.Tensor],
@@ -273,7 +268,8 @@ class ProposalNetwork:
         requires_grad: bool = True,
         gate_tape: GateTape | None = None,
     ) -> ModelOutputs:
-        """Evaluate the network on one (T, C) sequence.
+        """Evaluate the network on one (T, C) sequence, or in one pass on a
+        (..., T, C) stack of them, whose outputs carry the same leading axes.
 
         `params` may be a ParamStore of arrays (wrapped internally) or a dict
         of already-wrapped tensors shared across passes so their gradients
@@ -284,8 +280,8 @@ class ProposalNetwork:
         first = next(iter(params.values()))
         wrapped = params if isinstance(first, ad.Tensor) else wrap_params(params, requires_grad)
         dtype = next(iter(wrapped.values())).data.dtype
-        if f.shape != (h.T, h.C):
-            raise ValueError(f"input shape {f.shape} != {(h.T, h.C)}")
+        if f.shape[-2:] != (h.T, h.C):
+            raise ValueError(f"input shape {f.shape} does not end in {(h.T, h.C)}")
 
         P = wrapped.__getitem__
         act = gate_tape.gate if gate_tape is not None else ad.relu
@@ -295,7 +291,8 @@ class ProposalNetwork:
         if train_mode and p_drop > 0.0:
             if rng is None:
                 raise ValueError("train_mode dropout needs an rng")
-            base_feat = ad.mul(base_feat, self.make_dropout_mask(p_drop, rng, dtype))
+            keep = rng.random(base_feat.shape) >= p_drop
+            base_feat = ad.mul(base_feat, (keep / (1.0 - p_drop)).astype(dtype))
         out = ModelOutputs(valid_mask=self.valid_mask)
 
         if "proposal" in heads:
@@ -321,18 +318,17 @@ class ProposalNetwork:
             _check_finite(out.recon.data, "recon")
         if "order" in heads:
             o = act(ad.conv1d(base_feat, P("order.conv.w"), P("order.conv.b"), pad=1))
-            pooled = ad.tmean(o, axis=0)
+            pooled = ad.tmean(o, axis=-2)
             out.order_logits = ad.add(ad.dot_vm(pooled, P("order.fc.w")), P("order.fc.b"))
             _check_finite(out.order_logits.data, "order")
         return out
 
     def pad_to_length(self, f: np.ndarray) -> np.ndarray:
-        """Zero-pad truncated sequences (order-task clips) back to T rows."""
-        h = self.hyper
-        if f.shape[0] == h.T:
+        """Zero-pad truncated (..., T', C) order-task clips back to T rows."""
+        if f.shape[-2] == self.hyper.T:
             return f
-        fpad = np.zeros((h.T, h.C), dtype=f.dtype)
-        fpad[: f.shape[0]] = f
+        fpad = np.zeros((*f.shape[:-2], self.hyper.T, f.shape[-1]), dtype=f.dtype)
+        fpad[..., : f.shape[-2], :] = f
         return fpad
 
 

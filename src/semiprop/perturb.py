@@ -22,10 +22,10 @@ class ShiftPlan:
 class Predictions:
     """Plain-array model predictions used by alignment, losses, decoding."""
 
-    p_s: np.ndarray  # (T,)
-    p_e: np.ndarray  # (T,)
-    m_cc: np.ndarray  # (D, T)
-    m_cr: np.ndarray  # (D, T)
+    p_s: np.ndarray  # (..., T)
+    p_e: np.ndarray  # (..., T)
+    m_cc: np.ndarray  # (..., D, T)
+    m_cr: np.ndarray  # (..., D, T)
     valid_mask: np.ndarray  # (D, T)
 
 
@@ -52,8 +52,8 @@ def apply_shift_plan(f: np.ndarray, plan: ShiftPlan) -> np.ndarray:
 
 
 def temporal_flip(f: np.ndarray) -> np.ndarray:
-    """Reverse the time axis; an involution."""
-    return f[::-1].copy()
+    """Reverse the time axis of (..., T, C) features; an involution."""
+    return f[..., ::-1, :].copy()
 
 
 def align_flip_outputs(out: Predictions) -> Predictions:
@@ -63,19 +63,19 @@ def align_flip_outputs(out: Predictions) -> Predictions:
     The candidate [i, i+d+1] reflects to start index T-(d+1)-i on the same
     duration row; entries whose source index falls outside the map are 0.
     """
-    T = out.p_s.shape[0]
-    D = out.m_cc.shape[0]
+    T = out.p_s.shape[-1]
+    D = out.m_cc.shape[-2]
     d, i = np.nonzero(candidate_mask(T, D))
     src = T - (d + 1) - i
 
     def flip_map(m: np.ndarray) -> np.ndarray:
         res = np.zeros_like(m)
-        res[d, i] = m[d, src]
+        res[..., d, i] = m[..., d, src]
         return res
 
     return Predictions(
-        p_s=out.p_e[::-1].copy(),
-        p_e=out.p_s[::-1].copy(),
+        p_s=out.p_e[..., ::-1].copy(),
+        p_e=out.p_s[..., ::-1].copy(),
         m_cc=flip_map(out.m_cc),
         m_cr=flip_map(out.m_cr),
         valid_mask=flip_map(out.valid_mask),

@@ -34,15 +34,15 @@ def mask_features(f1: np.ndarray, omega: float, rng: np.random.Generator):
 
 
 def recon_loss(pred, f1, mask: np.ndarray | None = None) -> ad.Tensor:
-    """Mean squared error between reconstruction and original features.
+    """Mean squared error between (..., T, C) reconstructions and features.
 
-    With a mask (masked_only support), only masked rows enter the mean.
+    With a row mask (masked_only support), only masked rows enter the mean.
     """
     pred = ad.as_tensor(pred)
     f1 = np.asarray(f1)
     if pred.shape != f1.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {f1.shape}")
-    return ad.mse(pred, f1, None if mask is None else mask[:, None])
+    return ad.mse(pred, f1, None if mask is None else mask[..., None])
 
 
 def permutations_of(K: int) -> list[tuple[int, ...]]:
@@ -63,10 +63,10 @@ def make_order_sample(f1: np.ndarray, K: int, rng: np.random.Generator) -> Order
     return OrderSample(shuffled=np.concatenate(clips, axis=0), label=label, K=K)
 
 
-def order_loss(logits, label: int) -> ad.Tensor:
-    """Cross entropy of permutation-class logits against the true order."""
-    logits = ad.as_tensor(logits)
-    n = logits.shape[0]
-    if not (0 <= label < n):
-        raise ValueError(f"label {label} out of range for {n} classes")
-    return ad.cross_entropy_logits(logits, label)
+def order_loss(logits, labels) -> ad.Tensor:
+    """Mean cross entropy of permutation-class logits against true orders."""
+    logits, labels = ad.as_tensor(logits), np.asarray(labels)
+    n = logits.shape[-1]
+    if not ((0 <= labels) & (labels < n)).all():
+        raise ValueError(f"label {labels} out of range for {n} classes")
+    return ad.cross_entropy_logits(logits, labels)

@@ -4,9 +4,10 @@ pretext losses, loss composition, batching, and the Adam optimizer.
 Per step, the student sees the clean input (supervised loss on labeled
 videos), a channel-shifted input and a flipped input (consistency against the
 teacher's clean-pass predictions, the flip branch aligned back), a masked
-input (reconstruction) and a clip-shuffled input (order prediction). The
-teacher runs in evaluation mode and receives no gradients; after each
-optimizer step its weights follow the student by exponential moving average.
+input (reconstruction) and a clip-shuffled input (order prediction), each as
+one pass over the stacked videos. The teacher runs in evaluation mode and
+receives no gradients; after each optimizer step its weights follow the
+student by exponential moving average.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from . import pretext
 from .data import (DatasetManifest, FormatError, LabelMaps, build_label_maps,
                    load_video)
 from .model import (CHECKPOINT_STORES, HyperShape, ModelOutputs, ParamStore,
-                    ProposalNetwork, backward, load_checkpoint, prefixed,
-                    save_checkpoint, unprefixed, wrap_params)
+                    ProposalNetwork, backward, load_checkpoint, param_shapes,
+                    prefixed, save_checkpoint, unprefixed, wrap_params)
 from .perturb import Predictions, align_flip_outputs, temporal_flip, temporal_shift
 
 log = logging.getLogger(__name__)
@@ -81,6 +82,8 @@ class TrainConfig:
             raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.max_duration is not None and self.max_duration < 1:
+            raise ValueError(f"max_duration must be >= 1, got {self.max_duration}")
         if self.batch_labeled < 1:
             raise ValueError("batch_labeled must be >= 1")
         if self.batch_unlabeled < 0:
@@ -189,7 +192,8 @@ def supervised_loss(out: ModelOutputs, labels: LabelMaps,
 
     Classification uses positives g_iou > 0.9 and negatives g_iou < 0.3 on
     the valid region; regression is MSE over positives (g_iou > 0) plus a
-    1:1 randomly subsampled set of zero-target negatives.
+    1:1 randomly subsampled set of zero-target negatives. For stacked
+    videos, the class weights and the negative subsample pool the stack.
     """
     if out.p_s.data.shape != labels.g_start.shape or out.m_cr.data.shape != labels.g_iou.shape:
         raise ValueError("prediction/label shape mismatch")
@@ -271,11 +275,13 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
                opt: AdamState) -> dict:
     """One optimizer step over a mixed batch, then the EMA update.
 
-    Returns a report with the raw (unweighted) mean of each loss term and
-    the composed total.
+    Each branch is one pass over the stacked videos, and each loss is pooled
+    over the stack. Returns a report with the raw (unweighted) value of each
+    loss term and the composed total.
     """
     l1, l2, l3, l4 = cfg.lambdas()
-    if not any(bv.labeled for bv in batch) and l1 == l2 == l3 == l4 == 0.0:
+    lab = np.array([bv.labeled for bv in batch])
+    if not lab.any() and l1 == l2 == l3 == l4 == 0.0:
         raise ValueError("batch has no labeled videos and all loss weights are zero")
 
     wrapped = wrap_params(student)
@@ -284,34 +290,31 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
         return net.forward(wrapped, f, heads={head}, train_mode=True, rng=rng,
                            p_drop=cfg.p_drop)
 
-    terms = [[] for _ in LOSS_TERMS]
-    supervised, shift, flip, recon, order = terms
-    for bv in batch:
-        f1 = bv.features
-        if l1 > 0.0 or l2 > 0.0:
-            teacher_pred = net.forward(teacher.params, f1, heads={"proposal"},
-                                       train_mode=False, requires_grad=False).detach()
-        if bv.labeled:
-            supervised.append(supervised_loss(student_pass(f1, "proposal"),
-                                              bv.label_maps, rng=rng))
-        if l1 > 0.0:
-            f_shift = temporal_shift(f1, cfg.mu, rng)[0]
-            shift.append(consistency_loss(student_pass(f_shift, "proposal"), teacher_pred))
-        if l2 > 0.0:
-            flip.append(consistency_loss(student_pass(temporal_flip(f1), "proposal"),
-                                         align_flip_outputs(teacher_pred)))
-        if l3 > 0.0:
-            f2, m = pretext.mask_features(f1, cfg.omega, rng)
-            recon.append(pretext.recon_loss(
-                student_pass(f2, "recon").recon, f1,
-                m if cfg.recon_support == "masked_only" else None))
-        if l4 > 0.0:
-            sample = pretext.make_order_sample(f1, cfg.K, rng)
-            order.append(pretext.order_loss(
-                student_pass(net.pad_to_length(sample.shuffled), "order").order_logits,
-                sample.label))
+    f1 = np.stack([bv.features for bv in batch])
+    supervised = shift = flip = recon = order = None
+    if l1 > 0.0 or l2 > 0.0:
+        teacher_pred = net.forward(teacher.params, f1, heads={"proposal"},
+                                   train_mode=False, requires_grad=False).detach()
+    if lab.any():  # label maps stacked field by field
+        maps = [vars(bv.label_maps).values() for bv in batch if bv.labeled]
+        supervised = supervised_loss(student_pass(f1[lab], "proposal"),
+                                     LabelMaps(*map(np.stack, zip(*maps))), rng=rng)
+    if l1 > 0.0:
+        f_shift = np.stack([temporal_shift(f, cfg.mu, rng)[0] for f in f1])
+        shift = consistency_loss(student_pass(f_shift, "proposal"), teacher_pred)
+    if l2 > 0.0:
+        flip = consistency_loss(student_pass(temporal_flip(f1), "proposal"),
+                                align_flip_outputs(teacher_pred))
+    if l3 > 0.0:
+        f2, m = map(np.stack, zip(*(pretext.mask_features(f, cfg.omega, rng) for f in f1)))
+        recon = pretext.recon_loss(student_pass(f2, "recon").recon, f1,
+                                   m if cfg.recon_support == "masked_only" else None)
+    if l4 > 0.0:
+        samples = [pretext.make_order_sample(f, cfg.K, rng) for f in f1]
+        out = student_pass(net.pad_to_length(np.stack([s.shuffled for s in samples])), "order")
+        order = pretext.order_loss(out.order_logits, [s.label for s in samples])
 
-    parts = [sum(ts[1:], ts[0]) * (1.0 / len(ts)) if ts else None for ts in terms]
+    parts = (supervised, shift, flip, recon, order)
     pieces = [term * weight for term, weight in zip(parts, (1.0, l1, l2, l3, l4))
               if term is not None]
     total = sum(pieces[1:], pieces[0])
@@ -414,13 +417,21 @@ class Trainer:
         header, tensors = load_checkpoint(path)
         hyper = HyperShape(**header["hyper"])
         extra = header["extra"]
+        stores = [unprefixed(tensors, name) for name in CHECKPOINT_STORES]
+        fields = ("epoch", "adam_t", "teacher_step") + (("config",) if cfg is None else ())
+        missing = [k for k in fields if k not in extra]
+        missing += [f"rng.{name}" for name in RNG_STREAMS if name not in extra.get("rng", {})]
+        missing += [f"{store}.{k}" for store, params in zip(CHECKPOINT_STORES, stores)
+                    for k in param_shapes(hyper) if k not in params]
+        if missing:
+            raise FormatError(f"{path}: not a training checkpoint; it lacks {missing[:4]}")
         if cfg is None:
             cfg = TrainConfig(**extra["config"])
         elif cfg.precision != header["precision"]:
             raise ValueError(f"{path}: checkpoint precision {header['precision']!r} "
                              f"differs from the configured precision {cfg.precision!r}")
         net = ProposalNetwork(hyper)
-        student, teacher, m, v = (unprefixed(tensors, name) for name in CHECKPOINT_STORES)
+        student, teacher, m, v = stores
         teacher = TeacherState(params=teacher, step=extra["teacher_step"])
         opt = AdamState(m=m, v=v, t=extra["adam_t"])
         rngs = {}

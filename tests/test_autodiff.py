@@ -19,6 +19,12 @@ _mse_rng = np.random.default_rng(2)
 MSE_MAP, MSE_SEQ = _mse_rng.normal(size=(4, 6)), _mse_rng.normal(size=(6, 3))
 MSE_MAP_W = (_mse_rng.random((4, 6)) < 0.6).astype(float)
 MSE_ROW_W = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0]])
+# conv2a's staircase extents on a (D, T) = (5, 6) candidate grid: output on
+# the candidates' halo, input gradient on the candidates (so the case zeroes
+# its input elsewhere, as scatter_grid does in the network)
+_VALID = candidate_mask(6, 5)
+HALO_EXTENTS = (staircase(halo(_VALID)), staircase(_VALID))
+SCATTER_IDX = (np.array([0, 0, 1]), np.array([0, 2, 1]))
 
 
 def numeric_grad(build, arrs, i, h=1e-6):
@@ -64,6 +70,24 @@ CASES = {
     "mse": (lambda x: ad.mse(x, MSE_MAP), [(4, 6)]),
     "mse_weighted": (lambda x: ad.mse(x, MSE_MAP, MSE_MAP_W), [(4, 6)]),
     "mse_row_weight": (lambda x: ad.mse(x, MSE_SEQ, MSE_ROW_W), [(6, 3)]),
+    # the same ops on a leading (batch) axis, or two
+    "conv1d_batched": (lambda x, w, b: ad.tsum(ad.square(ad.conv1d(x, w, b, pad=1))),
+                       [(2, 7, 3), (3, 3, 4), (4,)]),
+    "conv1d_batched_2axes": (lambda x, w, b: ad.tsum(ad.square(ad.conv1d(x, w, b, pad=0))),
+                             [(2, 2, 6, 2), (2, 2, 3), (3,)]),
+    "conv2d_batched": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(x, w, b, pad=1))),
+                       [(2, 5, 6, 3), (3, 3, 3, 2), (2,)]),
+    "conv2d_batched_staircase": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(
+        ad.mul(x, _VALID[:, :, None]), w, b, 1, *HALO_EXTENTS))),
+                                 [(3, 5, 6, 2), (3, 3, 2, 2), (2,)]),
+    "reduce_batched": (lambda x, w, b: ad.tsum(ad.square(
+        ad.sparse_sample(x, SAMPLE_W, w, b, SAMPLE_ENTRIES))), [(2, 6, 4), (3,), (4,)]),
+    "scatter_batched": (lambda x: ad.tsum(ad.square(ad.scatter_grid(
+        x, *SCATTER_IDX, (2, 4)))), [(3, 3, 2)]),
+    "dot_vm_batched": (lambda x, w: ad.tsum(ad.square(ad.dot_vm(x, w))), [(4, 5), (5, 3)]),
+    "cross_entropy_batched": (lambda x: ad.cross_entropy_logits(x, np.array([1, 0, 3])),
+                              [(3, 4)]),
+    "mean_axis_batched": (lambda x: ad.tsum(ad.square(ad.tmean(x, axis=-2))), [(2, 6, 4)]),
 }
 
 
@@ -252,6 +276,33 @@ def test_sparse_sample_matches_dense():
     fd = numeric_grad(lambda t: ad.tsum(ad.square(
         ad.sparse_sample(t, SAMPLE_W, w, b, SAMPLE_ENTRIES))), [x.data], 0)
     assert np.abs(x.grad - fd).max() < 1e-6
+
+
+@pytest.mark.parametrize("name", ["conv1d_k3", "conv2d", "reduce", "dot_vm"])
+def test_batched_op_matches_per_item_calls(name):
+    """An op on a stack of three inputs gives, for the stack's summed loss,
+    each input's own gradient, and the per-item gradients of the shared
+    operands summed."""
+    build, shapes = CASES[name]
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(3, *shapes[0]))
+    rest = [rng.normal(size=s) for s in shapes[1:]]
+    ts = [ad.Tensor(a, requires_grad=True) for a in [stack, *rest]]
+    loss = build(*ts)
+    loss.backward()
+    grads, items, total = [np.zeros_like(a) for a in rest], [], 0.0
+    for k in range(3):
+        tk = [ad.Tensor(a, requires_grad=True) for a in [stack[k], *rest]]
+        item = build(*tk)
+        item.backward()
+        total += item.item()
+        items.append(tk[0].grad)
+        for g, t in zip(grads, tk[1:]):
+            g += t.grad
+    assert np.isclose(loss.item(), total, rtol=1e-12, atol=0)
+    assert np.allclose(ts[0].grad, np.stack(items), rtol=1e-12, atol=1e-14)
+    for g, t in zip(grads, ts[1:]):
+        assert np.allclose(t.grad, g, rtol=1e-12, atol=1e-14)
 
 
 def test_scatter_grid_roundtrip_gradient():

@@ -8,7 +8,7 @@ import pytest
 from semiprop.cli import apply_mode, config_hash, main
 from semiprop.data import write_framed
 from semiprop.model import (CHECKPOINT_MAGIC, HyperShape, init_params,
-                            save_checkpoint)
+                            load_checkpoint, save_checkpoint)
 from semiprop.trainer import TrainConfig
 
 
@@ -201,7 +201,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--p-drop", "1.0"),
                                             ("--p-drop", "-0.1"), ("--lr", "-1"),
-                                            ("--lr", "0")])
+                                            ("--lr", "0"), ("--max-duration", "0")])
     def test_out_of_range_train_flag_is_usage_error(self, dataset, tmp_path, capsys,
                                                     flag, value):
         run_dir = tmp_path / "run"
@@ -240,6 +240,30 @@ class TestExitCodes:
         path = tmp_path / "ck.bin"
         write_framed(path, CHECKPOINT_MAGIC, b"", header, [np.zeros(1)])
         assert self._infer(path, dataset, tmp_path) == 2
+
+    @pytest.mark.parametrize("partial", ["student_only", "no_adam_v_store"])
+    def test_resume_without_training_state_is_data_error(self, dataset, checkpoint,
+                                                         tmp_path, capsys, partial):
+        """A checkpoint that lacks the training fields (an inference
+        checkpoint of student tensors only) or one of the stores cannot be
+        resumed: exit 2, no traceback."""
+        header, tensors = load_checkpoint(checkpoint)
+        if partial == "student_only":
+            tensors = {k: v for k, v in tensors.items() if k.startswith("student.")}
+            extra = None
+        else:
+            tensors = {k: v for k, v in tensors.items() if not k.startswith("adam.v.")}
+            extra = header["extra"]
+        path = tmp_path / "partial.bin"
+        save_checkpoint(path, HyperShape(**header["hyper"]), header["seed"], header["step"],
+                        header["precision"], tensors, extra=extra)
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(tmp_path / "resumed"), "--mode", "supervised",
+                      "--resume", str(path)] + TRAIN_FLAGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "not a training checkpoint" in err and "Traceback" not in err
+        assert ("teacher_step" if partial == "student_only" else "adam.v.") in err
 
     def test_resume_with_other_precision_is_usage_error(self, dataset, checkpoint,
                                                         capsys):

@@ -165,6 +165,25 @@ class TestForward:
         assert out.order_logits.data.shape == (TINY.n_orders,)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_on_a_stack_matches_each_sequence(dtype):
+    """A (3, T, C) stack gives each sequence's own outputs, bit for bit, on
+    every head but the order logits, whose pooled product runs as one
+    matrix product instead of a vector one (1e-12 relative)."""
+    net = ProposalNetwork(TINY)
+    params = net.init_params(seed=3, dtype=dtype)
+    f = np.random.default_rng(3).normal(size=(3, TINY.T, TINY.C)).astype(dtype)
+    heads = {"proposal", "recon", "order"}
+    stacked = net.forward(params, f, heads=heads, requires_grad=False)
+    for k in range(3):
+        one = net.forward(params, f[k], heads=heads, requires_grad=False)
+        for name in ("p_s", "p_e", "m_cc", "m_cr", "recon"):
+            a, b = getattr(stacked, name).data[k], getattr(one, name).data
+            assert a.dtype == dtype and np.array_equal(a, b), name
+        a, b = stacked.order_logits.data[k], one.order_logits.data
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
 class TestBackward:
     def test_recon_stationary_point_zero_gradients(self):
         net = ProposalNetwork(TINY)

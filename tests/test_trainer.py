@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from semiprop import autodiff as ad
+from semiprop import pretext
+from semiprop.cli import apply_mode
 from semiprop.data import (AnnotationSet, FormatError, build_label_maps,
                            gen_synthetic_dataset, read_manifest)
 from semiprop.model import HyperShape, ModelOutputs, ProposalNetwork
@@ -53,7 +55,8 @@ class TestTrainConfig:
                                     dict(epochs=0), dict(epochs=-1),
                                     dict(p_drop=1.0), dict(p_drop=-0.1),
                                     dict(p_drop=float("nan")), dict(lr=-1.0),
-                                    dict(lr=0.0), dict(lr=float("nan"))])
+                                    dict(lr=0.0), dict(lr=float("nan")),
+                                    dict(max_duration=0)])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
@@ -324,6 +327,50 @@ class TestTrainStep:
             assert np.abs(teacher.params[k] - expect[k]).max() <= 1e-8
 
 
+    @pytest.mark.parametrize("mode, n_unlabeled, passes",
+                             [("sstap", 2, 6), ("supervised", 0, 1)])
+    def test_one_network_pass_per_branch(self, mode, n_unlabeled, passes, monkeypatch):
+        """A step runs each branch (teacher, supervised, shift, flip, recon,
+        order) once over the stacked videos, not once per video."""
+        cfg = apply_mode(tiny_cfg(), mode)
+        net, student, teacher, opt, batch = fresh_state(cfg, n_unlabeled=n_unlabeled)
+        shapes = []
+        forward = ProposalNetwork.forward
+
+        def counting(self, params, f, *args, **kwargs):
+            shapes.append(f.shape)
+            return forward(self, params, f, *args, **kwargs)
+
+        monkeypatch.setattr(ProposalNetwork, "forward", counting)
+        train_step(net, student, teacher, batch, cfg, np.random.default_rng(0), opt)
+        assert len(shapes) == passes
+        assert shapes[0][0] == len(batch) and all(len(s) == 3 for s in shapes)
+
+    def test_pooled_losses_equal_per_video_means(self):
+        """Shift, flip, recon and order pool over the stack with equal
+        denominators per video, so the batch loss is the mean of per-video
+        losses; the supervised loss pools its class weights instead."""
+        cfg = tiny_cfg(precision="float64")
+        net, student, *_ = fresh_state(cfg)
+        rng = np.random.default_rng(9)
+        f = rng.normal(size=(3, TINY.T, TINY.C))
+        out = net.forward(student, f, heads={"proposal", "recon", "order"},
+                          requires_grad=False)
+        teacher = net.forward(student, f[::-1].copy(), requires_grad=False).detach()
+        labels = np.array([0, 1, 1])
+        batched = [consistency_loss(out, teacher).item(),
+                   pretext.recon_loss(out.recon, f[::-1]).item(),
+                   pretext.order_loss(out.order_logits, labels).item()]
+        per_video = []
+        for k in range(3):
+            one = net.forward(student, f[k], heads={"proposal", "recon", "order"},
+                              requires_grad=False)
+            t = net.forward(student, f[2 - k], requires_grad=False).detach()
+            per_video.append([consistency_loss(one, t).item(),
+                              pretext.recon_loss(one.recon, f[2 - k]).item(),
+                              pretext.order_loss(one.order_logits, labels[k]).item()])
+        assert np.allclose(batched, np.mean(per_video, axis=0), rtol=1e-12, atol=0)
+
     def test_step_leaves_no_graph_for_the_cyclic_collector(self):
         """Every tensor of a step's graph is freed by reference counting:
         with DEBUG_SAVEALL the collector keeps what it finds unreachable,
@@ -424,10 +471,11 @@ class TestTrainerRun:
         causes = ["start boundaries", "end boundaries", "confidence map"]
         assert sorted(warned) == sorted(
             f"no positive entries for {c}; positive term dropped" for c in causes * 2)
-        # outside Trainer.run every call still warns
+        # outside Trainer.run every call still warns, once per cause: the
+        # loss is pooled over the call's stacked videos
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="semiprop.trainer"):
             for _ in range(2):
                 train_step(trainer.net, trainer.student, trainer.teacher, labeled[:2],
                            cfg, np.random.default_rng(1), trainer.opt)
-        assert len([r for r in caplog.records if "no positive" in r.getMessage()]) == 12
+        assert len([r for r in caplog.records if "no positive" in r.getMessage()]) == 6
