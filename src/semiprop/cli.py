@@ -60,6 +60,8 @@ def run_inference(net: ProposalNetwork, params: ParamStore,
                   sigma: float = 0.4, score_floor: float = 0.001,
                   max_out: int = 100) -> dict[str, postprocess.Proposals]:
     """Decode + Soft-NMS proposals for every video; write one file each."""
+    if max_out < 1:
+        raise ValueError(f"max_out must be >= 1, got {max_out}")
     for entry in manifest.videos:
         if (entry.T, entry.C) != (net.hyper.T, net.hyper.C):
             raise FormatError(f"{manifest_path}: video {entry.video_id} has "

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FormatError, segment_iou
+from .data import FormatError
 from .perturb import Predictions
 
 
@@ -80,8 +80,9 @@ def decode_candidates(out: Predictions, max_duration: int | None = None) -> Prop
     A start index s opens the segment at coordinate s; an end index t closes
     it at coordinate t + 1, so the pair decodes to segment [s, t+1] matching
     the (d, i) -> [i, i+d+1] map convention. Sorted by descending score, ties
-    by (start, end). Scores are computed in the predictions' dtype, in that
-    factor order, then widened to float64.
+    by (start, end): `nonzero` yields the pairs in (start, end) order and one
+    stable sort on the score keeps it among ties. Scores are computed in the
+    predictions' dtype, in that factor order, then widened to float64.
     """
     D = out.m_cc.shape[0] if max_duration is None else min(max_duration, out.m_cc.shape[0])
     starts = _boundary_set(out.p_s)
@@ -90,9 +91,9 @@ def decode_candidates(out: Predictions, max_duration: int | None = None) -> Prop
     si, ti = np.nonzero((d >= 0) & (d < D))
     s, t, d = starts[si], end_snippets[ti], d[si, ti]
     score = (out.p_s[s] * out.p_e[t] * out.m_cc[d, s] * out.m_cr[d, s]).astype(np.float64)
-    start, end = s.astype(np.float64), (t + 1).astype(np.float64)
-    order = np.lexsort((end, start, -score))
-    return Proposals(start[order], end[order], score[order])
+    order = np.argsort(-score, kind="stable")
+    return Proposals(s[order].astype(np.float64), (t[order] + 1).astype(np.float64),
+                     score[order])
 
 
 def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
@@ -101,17 +102,22 @@ def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
     exp(-iou^2 / sigma), repeat. Ties break on (start, end).
 
     `props` is a `Proposals` or a sequence of `Proposal` rows; it is not
-    modified.
+    modified. The IoU is `iou_1d`'s, operation for operation.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    if math.isnan(score_floor):
+        raise ValueError("score_floor must be a number, got nan")
     props = Proposals.of(props)
-    # in (start, end) order, argmax's first maximum is the tie-break winner
+    # in (start, end) order, argmax's first maximum is the tie-break winner,
+    # and the candidates that start before a pick's end are a prefix
     order = np.lexsort((props.end, props.start))
     start, end, score = props.start[order], props.end[order], props.score[order]
-    # picked entries read -inf; the mask keeps them out of the decay, where
-    # -inf times an exp that underflowed to 0 would give NaN
-    alive = np.ones(len(score), dtype=bool)
+    length = end - start
+    # a picked entry's end reads -inf, so it overlaps nothing and its -inf
+    # score is multiplied by exactly 1 (never by an exp that underflowed to 0)
+    reach = end.copy()
+    ov, union = np.empty_like(score), np.empty_like(score)
     picks, kept = [], []
     for _ in range(min(max_out, len(score))):
         best = int(np.argmax(score))
@@ -119,12 +125,20 @@ def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
             break
         picks.append(best)
         kept.append(score[best])
-        alive[best] = False
-        score[best] = -np.inf
-        ov = segment_iou(start[best], end[best], start, end)
-        hit = alive & (ov > 0.0)
-        ov = ov[hit]
-        score[hit] *= np.exp(-(ov * ov) / sigma)
+        score[best] = reach[best] = -np.inf
+        a, b = start[best], end[best]
+        k = int(np.searchsorted(start, b))
+        o, u = ov[:k], union[:k]
+        np.minimum(reach[:k], b, out=o)
+        o -= np.maximum(start[:k], a, out=u)
+        np.maximum(o, 0.0, out=o)  # no overlap: iou 0, factor exp(-0.0) == 1.0
+        np.add(b - a, length[:k], out=u)
+        u -= o
+        o /= u
+        o *= o
+        np.negative(o, out=o)
+        o /= sigma
+        score[:k] *= np.exp(o, out=o)
     picks = np.array(picks, dtype=np.intp)
     return Proposals(start[picks], end[picks], np.array(kept, dtype=np.float64))
 
@@ -132,11 +146,11 @@ def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
 def write_proposals(props, T: int, path: str | os.PathLike) -> None:
     """One line per proposal: start, end, score in snippet coordinates, then
     the segment normalized to [0, 1] by the video length."""
+    props = Proposals.of(props)
+    rows = zip(props.start.tolist(), props.end.tolist(), props.score.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# start end score start_norm end_norm\n")
-        for p in props:
-            fh.write(f"{p.start:.6f} {p.end:.6f} {p.score:.8g} "
-                     f"{p.start / T:.6f} {p.end / T:.6f}\n")
+        fh.write("# start end score start_norm end_norm\n" + "".join(
+            f"{s:.6f} {e:.6f} {c:.8g} {s / T:.6f} {e / T:.6f}\n" for s, e, c in rows))
 
 
 def read_proposals(path: str | os.PathLike) -> Proposals:

@@ -247,19 +247,22 @@ class AdamState:
 
 def adam_step(params: ParamStore, grads: ParamStore, state: AdamState,
               cfg: TrainConfig) -> None:
+    """One Adam update in place. An overflow leaves inf or NaN in the
+    parameters or moments without a warning; `train_step` checks them."""
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = grads[name]
+            m = state.m[name]
+            v = state.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
 @dataclass
@@ -277,7 +280,9 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
 
     Each branch is one pass over the stacked videos, and each loss is pooled
     over the stack. Returns a report with the raw (unweighted) value of each
-    loss term and the composed total.
+    loss term and the composed total. A non-finite total loss, or a
+    parameter or Adam moment left non-finite by the update, raises
+    `FloatingPointError` naming it.
     """
     l1, l2, l3, l4 = cfg.lambdas()
     lab = np.array([bv.labeled for bv in batch])
@@ -318,9 +323,15 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
     pieces = [term * weight for term, weight in zip(parts, (1.0, l1, l2, l3, l4))
               if term is not None]
     total = sum(pieces[1:], pieces[0])
+    if not math.isfinite(total.item()):
+        raise FloatingPointError(f"non-finite total loss {total.item()}")
     grads = backward(total, wrapped)
     adam_step(student, grads, opt, cfg)
     ema_update(teacher, student, cfg.alpha)
+    state = prefixed(student, teacher.params, opt.m, opt.v)
+    if not np.isfinite(np.concatenate([v.ravel() for v in state.values()])).all():
+        bad = next(k for k, v in state.items() if not np.isfinite(v).all())
+        raise FloatingPointError(f"non-finite {bad} after the Adam update")
 
     report = {k: (v.item() if v is not None else 0.0) for k, v in zip(LOSS_TERMS, parts)}
     report["total"] = total.item()
@@ -384,9 +395,14 @@ class Trainer:
             while self.epoch < epochs:
                 once.seen.clear()
                 t0 = time.perf_counter()
-                reports = [train_step(self.net, self.student, self.teacher, b,
-                                      self.cfg, self.rng_aux, self.opt)
-                           for b in self.epoch_batches(labeled, unlabeled)]
+                reports = []
+                for step, b in enumerate(self.epoch_batches(labeled, unlabeled), 1):
+                    try:
+                        reports.append(train_step(self.net, self.student, self.teacher, b,
+                                                  self.cfg, self.rng_aux, self.opt))
+                    except FloatingPointError as exc:
+                        raise FloatingPointError(
+                            f"epoch {self.epoch + 1}, step {step}: {exc}") from exc
                 self.epoch += 1
                 rec = {"epoch": self.epoch,
                        "steps": len(reports),

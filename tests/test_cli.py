@@ -211,6 +211,45 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
         assert not (run_dir / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--sigma", "nan"), ("--score-floor", "nan"),
+                                            ("--max-out", "0"), ("--max-out", "-1")])
+    def test_bad_nms_flag_is_usage_error(self, dataset, checkpoint, tmp_path, capsys,
+                                         flag, value):
+        out = tmp_path / "props"
+        rc = run_cli(["infer", "--checkpoint", str(checkpoint),
+                      "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(out), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+        assert not list(out.glob("*.props.tsv"))
+
+    @pytest.mark.parametrize("lr,good_epochs", [("1e5", 0), ("3e4", 1)])
+    def test_diverging_training_is_numeric_error(self, tmp_path, capsys, lr, good_epochs):
+        """An update that overflows stops the run before its metrics line or
+        checkpoint: every line left is strict JSON, and the checkpoint is the
+        last good epoch's, every tensor finite."""
+        data, run_dir = tmp_path / "data", tmp_path / "run"
+        assert run_cli(["gen-data", "--out", str(data), "--videos", "6", "--snippets", "20",
+                        "--labeled", "0.5", "--seed", "3"]) == 0
+        rc = run_cli(["train", "--manifest", str(data / "manifest.json"),
+                      "--out", str(run_dir), "--lr", lr, "--mu", "0.25", "--hidden", "8",
+                      "--pem-hidden", "4", "--max-duration", "20",
+                      "--precision", "float32", "--epochs", "3"])
+        assert rc == 3
+        assert f"epoch {good_epochs + 1}, step" in capsys.readouterr().err
+
+        def strict(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        lines = (run_dir / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(ln, parse_constant=strict)["epoch"] for ln in lines] == \
+            list(range(1, good_epochs + 1))
+        assert (run_dir / "checkpoint.bin").exists() == (good_epochs > 0)
+        if good_epochs:
+            header, tensors = load_checkpoint(run_dir / "checkpoint.bin")
+            assert header["extra"]["epoch"] == good_epochs
+            assert all(np.isfinite(t).all() for t in tensors.values())
+
     @staticmethod
     def _infer(checkpoint, dataset, tmp_path):
         return run_cli(["infer", "--checkpoint", str(checkpoint),

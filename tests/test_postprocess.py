@@ -291,12 +291,52 @@ class TestSoftNms:
         assert len(soft_nms([])) == 0
         assert soft_nms(Proposals.of([])) == []
 
+    @pytest.mark.parametrize("sigma", [1e-6, 0.4])
+    @pytest.mark.parametrize("pool", ["all_pairs_t24", "far_from_zero"])
+    def test_matches_list_implementation_at_decode_scale(self, pool, sigma):
+        """Hundreds of candidates, so each pick decays only a prefix of the
+        (start, end)-ordered pool and the prefix bound is exercised."""
+        rng = np.random.default_rng(6)
+        if pool == "all_pairs_t24":
+            T = 24
+            props = decode_candidates(predictions(np.full(T, 0.7), np.full(T, 0.7),
+                                                  m_cc=rng.uniform(0.1, 1, (T, T)),
+                                                  m_cr=rng.uniform(0.1, 1, (T, T))))
+            assert len(props) == 300
+        else:
+            # 0.1 steps at 1e6 are not representable: end - start rounds
+            k = rng.integers(0, 200, 300)
+            j = rng.integers(1, 40, 300)
+            props = Proposals(1e6 + k * 0.1, 1e6 + (k + j) * 0.1,
+                              rng.choice([0.25, 0.5, 1.0], 300) * rng.integers(1, 3, 300))
+        got = soft_nms(props, sigma=sigma, score_floor=0.0, max_out=len(props))
+        assert rows(got) == rows(list_soft_nms(props, sigma, 0.0, len(props)))
+
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             soft_nms([], sigma=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"sigma": -1.0}, {"sigma": math.nan},
+                                        {"sigma": math.inf}, {"score_floor": math.nan}])
+    def test_non_finite_or_negative_parameters(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            soft_nms([Proposal(0, 1, 0.5)], **kwargs)
+
 
 class TestProposalIO:
+    def test_golden_bytes(self, tmp_path):
+        # 1/3 and 2/3 do not terminate; .8g prints a score below 1e-4 with an exponent
+        props = Proposals([1.0, 0.0, 2.0], [2.5, 3.0, 3.0], [0.72, 3.5e-05, 0.123456789])
+        path = tmp_path / "v.props.tsv"
+        write_proposals(props, T=3, path=path)
+        assert path.read_bytes() == (
+            b"# start end score start_norm end_norm\n"
+            b"1.000000 2.500000 0.72 0.333333 0.833333\n"
+            b"0.000000 3.000000 3.5e-05 0.000000 1.000000\n"
+            b"2.000000 3.000000 0.12345679 0.666667 1.000000\n")
+        assert rows(read_proposals(path)) == [(1.0, 2.5, 0.72), (0.0, 3.0, 3.5e-05),
+                                              (2.0, 3.0, 0.12345679)]
+
     def test_roundtrip(self, tmp_path):
         props = [Proposal(3.0, 10.0, 0.72), Proposal(0.0, 4.0, 0.11)]
         path = tmp_path / "v.props.tsv"
