@@ -236,7 +236,7 @@ def mse(pred, target, weight=None):
 
 
 def dot_vm(x, w):
-    """(H,) vector times (H, M) matrix -> (M,)."""
+    """(..., H) vectors times an (H, M) matrix -> (..., M)."""
     x, w = as_tensor(x), as_tensor(w)
 
     def bwd():

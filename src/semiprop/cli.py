@@ -21,7 +21,7 @@ from . import postprocess
 from .data import (AnnotationSet, DatasetManifest, FormatError,
                    gen_synthetic_dataset, load_video, read_manifest)
 from .model import (HyperShape, ParamStore, ProposalNetwork, grad_check,
-                    load_checkpoint, unprefixed)
+                    load_checkpoint, param_shapes, unprefixed)
 from .trainer import TrainConfig, train_run
 
 
@@ -55,11 +55,14 @@ def apply_mode(cfg: TrainConfig, mode: str) -> TrainConfig:
     return dataclasses.replace(cfg, **patch[mode])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_inference(net: ProposalNetwork, params: ParamStore,
                   manifest: DatasetManifest, manifest_path, out_dir,
                   sigma: float = 0.4, score_floor: float = 0.001,
                   max_out: int = 100) -> dict[str, postprocess.Proposals]:
-    """Decode + Soft-NMS proposals for every video; write one file each."""
+    """Decode + Soft-NMS proposals for every video; write one file each.
+    Weights that overflow raise no warning: the forward pass raises
+    `FloatingPointError` on a non-finite output."""
     if max_out < 1:
         raise ValueError(f"max_out must be >= 1, got {max_out}")
     for entry in manifest.videos:
@@ -97,8 +100,9 @@ def params_from_checkpoint(path, which: str = "student"):
     header, tensors = load_checkpoint(path)
     hyper = HyperShape(**header["hyper"])
     params = unprefixed(tensors, which)
-    if not params:
-        raise FormatError(f"{path}: no '{which}' tensors in checkpoint")
+    missing = [k for k in param_shapes(hyper) if k not in params]
+    if missing:
+        raise FormatError(f"{path}: no '{which}' tensors {missing[:4]} in checkpoint")
     return hyper, params
 
 

@@ -25,7 +25,7 @@ FORMAT_VERSION = 1
 
 
 class FormatError(ValueError):
-    """Malformed feature file, checkpoint or manifest."""
+    """Malformed feature file, checkpoint, manifest, proposal or metrics file."""
 
 
 def write_framed(path, magic: bytes, prefix: bytes, header: dict, payload) -> None:
@@ -74,6 +74,16 @@ def read_framed(path, magic: bytes, prefix: bytes, kind: str, payload_layout):
         raise FormatError(f"{path}: expected {count} {dtype.name} values, "
                           f"got {len(payload) / dtype.itemsize:g}")
     return header, payload
+
+
+def read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that do not decode raise
+    `FormatError` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 @dataclass
@@ -207,6 +217,8 @@ def write_features(seq: FeatureSequence, path: str | os.PathLike) -> None:
 def read_features(path: str | os.PathLike) -> FeatureSequence:
     meta, payload = read_framed(path, MAGIC, FEATURE_PREFIX, "feature",
                                 lambda m: (int(m["T"]) * int(m["C"]), np.dtype("<f4")))
+    if "video_id" not in meta:
+        raise FormatError(f"{path}: bad header block: no video_id")
     T, C = int(meta["T"]), int(meta["C"])
     values = np.frombuffer(payload, dtype="<f4").reshape(T, C).copy()
     if not np.isfinite(values).all():

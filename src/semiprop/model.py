@@ -490,12 +490,16 @@ def load_checkpoint(path):
         n = math.prod(shape) * dt.itemsize
         arr = np.frombuffer(payload[offset:offset + n], dtype=dt)
         tensors[entry["name"]] = arr.reshape(shape).astype(entry["dtype"])
+        if not np.isfinite(tensors[entry["name"]]).all():
+            raise FormatError(f"{path}: tensor {entry['name']} holds a non-finite value")
         offset += n
     try:
         hyper = HyperShape(**header["hyper"])
         hyper.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad hyper shape: {exc}") from exc
+    if header.get("precision") not in ("float32", "float64"):
+        raise FormatError(f"{path}: bad precision {header.get('precision')!r}")
     for name, shape in param_shapes(hyper).items():
         for key in [name] + [f"{store}.{name}" for store in CHECKPOINT_STORES]:
             if key in tensors and tensors[key].shape != shape:

@@ -30,24 +30,27 @@ class Predictions:
 
 
 def temporal_shift(f: np.ndarray, mu: float, rng: np.random.Generator):
-    """Shift k = 2*floor(C*mu/2) random channels by one time step, half
-    forward (zero-fill row 0) and half backward (zero-fill row T-1)."""
-    _, C = f.shape
+    """Shift k = 2*floor(C*mu/2) random channels of each (T, C) sequence in
+    (..., T, C) features by one time step, half forward (zero-fill row 0) and
+    half backward (zero-fill row T-1). Each sequence draws its own channels,
+    so the plan's fields have shape (..., k/2)."""
+    *lead, _, C = f.shape
     k = 2 * int(C * mu / 2)
     if k == 0:
         raise ValueError(f"mu={mu} selects zero channels for C={C}")
-    chans = rng.choice(C, size=k, replace=False)
-    plan = ShiftPlan(forward_channels=chans[: k // 2], backward_channels=chans[k // 2:])
+    chans = rng.random((*lead, C)).argsort(-1)[..., :k]
+    plan = ShiftPlan(forward_channels=chans[..., : k // 2], backward_channels=chans[..., k // 2:])
     return apply_shift_plan(f, plan), plan
 
 
 def apply_shift_plan(f: np.ndarray, plan: ShiftPlan) -> np.ndarray:
+    """Apply a plan whose leading axes match those of (..., T, C) features."""
     out = f.copy()
-    fwd, bwd = plan.forward_channels, plan.backward_channels
-    out[1:, fwd] = f[:-1, fwd]
-    out[0, fwd] = 0.0
-    out[:-1, bwd] = f[1:, bwd]
-    out[-1, bwd] = 0.0
+    for chans, step in ((plan.forward_channels, 1), (plan.backward_channels, -1)):
+        idx = np.expand_dims(chans, -2)
+        moved = np.roll(np.take_along_axis(f, idx, -1), step, axis=-2)
+        moved[..., 0 if step > 0 else -1, :] = 0.0
+        np.put_along_axis(out, idx, moved, -1)
     return out
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FormatError
+from .data import FormatError, read_text_lines
 from .perturb import Predictions
 
 
@@ -154,26 +154,29 @@ def write_proposals(props, T: int, path: str | os.PathLike) -> None:
 
 
 def read_proposals(path: str | os.PathLike) -> Proposals:
-    """Read a file written by `write_proposals`. A line with fewer than three
-    fields, a field that is not a finite number, or start >= end raises
-    `FormatError` naming the path and the line."""
+    """Read a file written by `write_proposals`. Bytes that are not UTF-8,
+    a line with fewer than three fields, a field that is not a finite number,
+    start >= end, or a score above the previous line's raises `FormatError`
+    naming the path (and the line)."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise FormatError(f"{path}:{lineno}: expected start, end and score, "
-                                  f"got {len(parts)} fields")
-            try:
-                row = [float(x) for x in parts[:3]]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, row)):
-                raise FormatError(f"{path}:{lineno}: non-finite value")
-            if row[0] >= row[1]:
-                raise FormatError(f"{path}:{lineno}: start {row[0]} >= end {row[1]}")
-            rows.append(row)
+    for lineno, line in enumerate(read_text_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 3:
+            raise FormatError(f"{path}:{lineno}: expected start, end and score, "
+                              f"got {len(parts)} fields")
+        try:
+            row = [float(x) for x in parts[:3]]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise FormatError(f"{path}:{lineno}: non-finite value")
+        if row[0] >= row[1]:
+            raise FormatError(f"{path}:{lineno}: start {row[0]} >= end {row[1]}")
+        if rows and row[2] > rows[-1][2]:
+            raise FormatError(f"{path}:{lineno}: score {row[2]} is above the "
+                              f"previous proposal's {rows[-1][2]}")
+        rows.append(row)
     return Proposals(*np.array(rows, dtype=np.float64).reshape(-1, 3).T.copy())

@@ -13,24 +13,18 @@ from . import autodiff as ad
 
 @dataclass
 class OrderSample:
-    shuffled: np.ndarray  # (T', C), T' = T truncated to a multiple of K
-    label: int  # lexicographic index of the applied permutation in S_K
-    K: int
+    shuffled: np.ndarray  # (..., T', C), T' = T truncated to a multiple of K
+    label: np.ndarray  # (...) lexicographic index of each applied permutation in S_K
 
 
 def mask_features(f1: np.ndarray, omega: float, rng: np.random.Generator):
-    """Zero out round(omega*T) random rows; returns (masked copy, 0/1 mask)."""
+    """Zero out round(omega*T) random rows of each (T, C) sequence in
+    (..., T, C) features; returns (masked copy, boolean (..., T) row mask)."""
     if not (0.0 <= omega < 1.0):
         raise ValueError(f"omega must be in [0,1), got {omega}")
-    T = f1.shape[0]
-    n_mask = round(omega * T)
-    mask = np.zeros(T, dtype=np.int8)
-    if n_mask:
-        idx = rng.choice(T, size=n_mask, replace=False)
-        mask[idx] = 1
-    f2 = f1.copy()
-    f2[mask.astype(bool)] = 0.0
-    return f2, mask
+    *lead, T, _ = f1.shape
+    mask = rng.random((*lead, T)).argsort(-1).argsort(-1) < round(omega * T)
+    return np.where(mask[..., None], 0.0, f1), mask
 
 
 def recon_loss(pred, f1, mask: np.ndarray | None = None) -> ad.Tensor:
@@ -45,22 +39,18 @@ def recon_loss(pred, f1, mask: np.ndarray | None = None) -> ad.Tensor:
     return ad.mse(pred, f1, None if mask is None else mask[..., None])
 
 
-def permutations_of(K: int) -> list[tuple[int, ...]]:
-    return list(itertools.permutations(range(K)))
-
-
 def make_order_sample(f1: np.ndarray, K: int, rng: np.random.Generator) -> OrderSample:
-    """Split into K equal contiguous clips (trailing remainder rows dropped),
-    shuffle them with a uniform permutation, label = its lexicographic index."""
-    T = f1.shape[0]
+    """Split each (T, C) sequence of (..., T, C) features into K equal
+    contiguous clips (trailing remainder rows dropped), shuffle them with a
+    uniform permutation, label = its lexicographic index."""
+    *lead, T, _ = f1.shape
     if K < 2 or K > T:
         raise ValueError(f"need 2 <= K <= T, got K={K}, T={T}")
     clip_len = T // K
-    perms = permutations_of(K)
-    label = int(rng.integers(len(perms)))
-    perm = perms[label]
-    clips = [f1[j * clip_len:(j + 1) * clip_len] for j in perm]
-    return OrderSample(shuffled=np.concatenate(clips, axis=0), label=label, K=K)
+    perms = np.array(list(itertools.permutations(range(K))))
+    label = rng.integers(len(perms), size=tuple(lead))
+    rows = (perms[label][..., None] * clip_len + np.arange(clip_len)).reshape(*lead, -1)
+    return OrderSample(shuffled=np.take_along_axis(f1, rows[..., None], -2), label=label)
 
 
 def order_loss(logits, labels) -> ad.Tensor:

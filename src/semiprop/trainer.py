@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import pretext
 from .data import (DatasetManifest, FormatError, LabelMaps, build_label_maps,
-                   load_video)
+                   load_video, read_text_lines)
 from .model import (CHECKPOINT_STORES, HyperShape, ModelOutputs, ParamStore,
                     ProposalNetwork, backward, load_checkpoint, param_shapes,
                     prefixed, save_checkpoint, unprefixed, wrap_params)
@@ -248,21 +248,21 @@ class AdamState:
 def adam_step(params: ParamStore, grads: ParamStore, state: AdamState,
               cfg: TrainConfig) -> None:
     """One Adam update in place. An overflow leaves inf or NaN in the
-    parameters or moments without a warning; `train_step` checks them."""
+    parameters or moments; `train_step`, which runs with overflow warnings
+    off, checks them."""
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    with np.errstate(over="ignore", invalid="ignore"):
-        for name, p in params.items():
-            g = grads[name]
-            m = state.m[name]
-            v = state.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
 @dataclass
@@ -273,6 +273,7 @@ class BatchVideo:
     label_maps: LabelMaps | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
                batch: list[BatchVideo], cfg: TrainConfig, rng: np.random.Generator,
                opt: AdamState) -> dict:
@@ -280,9 +281,9 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
 
     Each branch is one pass over the stacked videos, and each loss is pooled
     over the stack. Returns a report with the raw (unweighted) value of each
-    loss term and the composed total. A non-finite total loss, or a
-    parameter or Adam moment left non-finite by the update, raises
-    `FloatingPointError` naming it.
+    loss term and the composed total. An overflow raises no warning: a
+    non-finite activation or total loss, or a parameter or Adam moment left
+    non-finite by the update, raises `FloatingPointError` naming it.
     """
     l1, l2, l3, l4 = cfg.lambdas()
     lab = np.array([bv.labeled for bv in batch])
@@ -305,19 +306,19 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
         supervised = supervised_loss(student_pass(f1[lab], "proposal"),
                                      LabelMaps(*map(np.stack, zip(*maps))), rng=rng)
     if l1 > 0.0:
-        f_shift = np.stack([temporal_shift(f, cfg.mu, rng)[0] for f in f1])
-        shift = consistency_loss(student_pass(f_shift, "proposal"), teacher_pred)
+        shift = consistency_loss(student_pass(temporal_shift(f1, cfg.mu, rng)[0], "proposal"),
+                                 teacher_pred)
     if l2 > 0.0:
         flip = consistency_loss(student_pass(temporal_flip(f1), "proposal"),
                                 align_flip_outputs(teacher_pred))
     if l3 > 0.0:
-        f2, m = map(np.stack, zip(*(pretext.mask_features(f, cfg.omega, rng) for f in f1)))
+        f2, m = pretext.mask_features(f1, cfg.omega, rng)
         recon = pretext.recon_loss(student_pass(f2, "recon").recon, f1,
                                    m if cfg.recon_support == "masked_only" else None)
     if l4 > 0.0:
-        samples = [pretext.make_order_sample(f, cfg.K, rng) for f in f1]
-        out = student_pass(net.pad_to_length(np.stack([s.shuffled for s in samples])), "order")
-        order = pretext.order_loss(out.order_logits, [s.label for s in samples])
+        sample = pretext.make_order_sample(f1, cfg.K, rng)
+        out = student_pass(net.pad_to_length(sample.shuffled), "order")
+        order = pretext.order_loss(out.order_logits, sample.label)
 
     parts = (supervised, shift, flip, recon, order)
     pieces = [term * weight for term, weight in zip(parts, (1.0, l1, l2, l3, l4))
@@ -453,7 +454,10 @@ class Trainer:
         rngs = {}
         for name in RNG_STREAMS:
             rngs[f"rng_{name}"] = np.random.Generator(np.random.PCG64())
-            rngs[f"rng_{name}"].bit_generator.state = extra["rng"][name]
+            try:
+                rngs[f"rng_{name}"].bit_generator.state = extra["rng"][name]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"{path}: bad rng.{name} state: {exc!r}") from exc
         return cls(net=net, cfg=cfg, student=student, teacher=teacher, opt=opt,
                    epoch=extra["epoch"], **rngs)
 
@@ -463,15 +467,24 @@ def _truncate_metrics(path: str, epoch: int) -> None:
 
     A line is written before its epoch's checkpoint, so a run stopped between
     the two writes (or during the line, leaving it without a newline) has
-    lines for an epoch that the resumed run trains and logs again.
+    lines for an epoch that the resumed run trains and logs again. A kept
+    line must hold numeric loss terms, because it may be the last line,
+    which `semiprop train` reports.
     """
+    def kept(line: str) -> bool:
+        rec = json.loads(line)
+        if rec["epoch"] > epoch:
+            return False
+        if not all(isinstance(rec[k], (int, float)) for k in LOSS_TERMS + ("total",)):
+            raise TypeError(f"non-numeric loss term in {line.strip()!r}")
+        return True
+
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        lines = read_text_lines(path)
     except FileNotFoundError:
         return
     try:
-        keep = [ln for ln in lines if ln.endswith("\n") and json.loads(ln)["epoch"] <= epoch]
+        keep = [ln for ln in lines if ln.endswith("\n") and kept(ln)]
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: bad metrics line: {exc!r}") from exc
     if keep != lines:
@@ -490,7 +503,8 @@ def load_training_set(manifest: DatasetManifest, manifest_path, cfg: TrainConfig
     Ts = {v.T for v in manifest.videos}
     Cs = {v.C for v in manifest.videos}
     if len(Ts) != 1 or len(Cs) != 1:
-        raise ValueError("all videos in a training manifest must share T and C")
+        raise FormatError(f"{manifest_path}: all videos in a training manifest must "
+                          "share T and C")
     T, C = Ts.pop(), Cs.pop()
     hyper = hyper_from(cfg, T, C)
     labeled, unlabeled = [], []

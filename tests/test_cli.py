@@ -66,6 +66,7 @@ MALFORMED = {
     "manifest_annotation_strings": _video_case(annotations=[["a", "b"]]),
     "manifest_annotation_triple": _video_case(annotations=[[1, 2, 3]]),
     "manifest_annotation_bool": _video_case(annotations=[[False, 2]]),
+    "manifest_mixed_lengths": _video_case(T=20),
     "manifest_is_directory": lambda dataset, tmp_path: (
         ["train", "--manifest", str(dataset), "--out", str(tmp_path / "run")], 2),
     "checkpoint_is_directory": lambda dataset, tmp_path: (
@@ -182,6 +183,104 @@ class TestExitCodes:
         assert rc == 2
         assert f"{path}:2" in capsys.readouterr().err
 
+    def test_rising_proposal_score_is_data_error(self, dataset, tmp_path, capsys):
+        """Scores may tie but not rise down the file."""
+        props_dir = tmp_path / "props"
+        props_dir.mkdir()
+        path = props_dir / "v00000.props.tsv"
+        path.write_text("# start end score\n1.0 2.0 0.5\n1.0 3.0 0.5\n2.0 3.0 0.6\n")
+        rc = run_cli(["eval", "--proposals", str(props_dir),
+                      "--manifest", str(dataset / "manifest.json")])
+        assert rc == 2
+        assert f"{path}:4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["proposals", "metrics"])
+    def test_non_utf8_text_file_is_data_error(self, dataset, checkpoint, tmp_path, capsys,
+                                              which):
+        if which == "proposals":
+            props_dir = tmp_path / "props"
+            props_dir.mkdir()
+            path = props_dir / "v00000.props.tsv"
+            path.write_bytes(b"# start end score\n1.0 2.0 0.5\xff\n")
+            argv = ["eval", "--proposals", str(props_dir),
+                    "--manifest", str(dataset / "manifest.json")]
+        else:
+            path = checkpoint.parent / "metrics.jsonl"
+            path.write_bytes(path.read_bytes() + b"\xff\n")
+            argv = ["train", "--manifest", str(dataset / "manifest.json"),
+                    "--out", str(checkpoint.parent), "--mode", "supervised",
+                    "--resume", str(checkpoint)] + TRAIN_FLAGS
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8" in err and "Traceback" not in err
+
+    def test_resume_of_finished_run_with_bad_metrics_line_is_data_error(
+            self, dataset, checkpoint, capsys):
+        """With no epoch left to train, the kept line is the one reported,
+        so it must hold numeric loss terms."""
+        path = checkpoint.parent / "metrics.jsonl"
+        path.write_text(path.read_text().replace('"total"', '"totam"'))
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(checkpoint.parent), "--mode", "supervised",
+                      "--resume", str(checkpoint)] + TRAIN_FLAGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}: bad metrics line" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["infer", "resume"])
+    def test_non_finite_checkpoint_tensor_is_data_error(self, dataset, checkpoint, tmp_path,
+                                                        capsys, value, command):
+        header, tensors = load_checkpoint(checkpoint)
+        tensors["student.base.conv1.w"].flat[0] = value
+        save_checkpoint(checkpoint, HyperShape(**header["hyper"]), header["seed"],
+                        header["step"], header["precision"], tensors, extra=header["extra"])
+        if command == "infer":
+            rc = self._infer(checkpoint, dataset, tmp_path)
+        else:
+            rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                          "--out", str(tmp_path / "resumed"), "--mode", "supervised",
+                          "--resume", str(checkpoint)] + TRAIN_FLAGS)
+        assert rc == 2
+        assert "student.base.conv1.w holds a non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_checkpoint_is_numeric_error(self, dataset, checkpoint, tmp_path,
+                                                     capsys):
+        header, tensors = load_checkpoint(checkpoint)
+        tensors["student.base.conv1.w"][...] = 1.7e308
+        save_checkpoint(checkpoint, HyperShape(**header["hyper"]), header["seed"],
+                        header["step"], header["precision"], tensors, extra=header["extra"])
+        assert self._infer(checkpoint, dataset, tmp_path) == 3
+        assert "non-finite activation" in capsys.readouterr().err
+
+    def test_checkpoint_missing_a_tensor_is_data_error(self, dataset, checkpoint, tmp_path,
+                                                       capsys):
+        header, tensors = load_checkpoint(checkpoint)
+        del tensors["student.pem.reduce.w"]
+        save_checkpoint(checkpoint, HyperShape(**header["hyper"]), header["seed"],
+                        header["step"], header["precision"], tensors, extra=header["extra"])
+        assert self._infer(checkpoint, dataset, tmp_path) == 2
+        assert "pem.reduce.w" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["precision", "rng"])
+    def test_resume_with_bad_header_field_is_data_error(self, dataset, checkpoint,
+                                                        tmp_path, capsys, field):
+        header, tensors = load_checkpoint(checkpoint)
+        if field == "rng":
+            header["extra"]["rng"]["aux"]["bit_generator"] = "MT19937"
+        else:
+            header["precision"] = "float65"
+        save_checkpoint(checkpoint, HyperShape(**header["hyper"]), header["seed"],
+                        header["step"], header["precision"], tensors, extra=header["extra"])
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(tmp_path / "resumed"), "--mode", "supervised",
+                      "--resume", str(checkpoint)] + TRAIN_FLAGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert ("rng.aux" if field == "rng" else "float65") in err and "Traceback" not in err
+
     def test_eval_with_zero_an_max_is_usage_error(self, dataset, tmp_path, capsys):
         props_dir = tmp_path / "props"
         props_dir.mkdir()
@@ -224,9 +323,11 @@ class TestExitCodes:
         assert flag[2:].replace("-", "_") in err and "Traceback" not in err
         assert not list(out.glob("*.props.tsv"))
 
-    @pytest.mark.parametrize("lr,good_epochs", [("1e5", 0), ("3e4", 1)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lr,good_epochs", [("1e5", 0), ("3e4", 1), ("1e8", 0)])
     def test_diverging_training_is_numeric_error(self, tmp_path, capsys, lr, good_epochs):
-        """An update that overflows stops the run before its metrics line or
+        """An update that overflows, or a forward pass that overflows after it
+        (lr 1e8), stops the run with no warning before its metrics line or
         checkpoint: every line left is strict JSON, and the checkpoint is the
         last good epoch's, every tensor finite."""
         data, run_dir = tmp_path / "data", tmp_path / "run"
@@ -237,7 +338,9 @@ class TestExitCodes:
                       "--pem-hidden", "4", "--max-duration", "20",
                       "--precision", "float32", "--epochs", "3"])
         assert rc == 3
-        assert f"epoch {good_epochs + 1}, step" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"epoch {good_epochs + 1}, step" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
         def strict(token):
             raise ValueError(f"non-standard JSON constant {token}")

@@ -218,6 +218,13 @@ class TestFeatureIO:
         with pytest.raises(FormatError, match="non-finite"):
             read_features(path)
 
+    def test_header_without_video_id_rejected(self, tmp_path):
+        path = tmp_path / "a.feat"
+        write_features(FeatureSequence("vid", np.ones((4, 2), dtype=np.float32)), path)
+        path.write_bytes(path.read_bytes().replace(b'"video_id"', b'"video_iD"'))
+        with pytest.raises(FormatError, match="video_id"):
+            read_features(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"not a feature file at all")

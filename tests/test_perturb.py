@@ -60,6 +60,25 @@ class TestTemporalShift:
                 assert np.array_equal(out[:, c], f[:, c])
 
 
+    def test_stack_rows_draw_their_own_channels(self):
+        """Row b of a (3, T, C) stack is row b shifted by its own plan row,
+        as the slice-by-slice definition shifts a single sequence."""
+        rng = np.random.default_rng(7)
+        f = rng.normal(size=(3, 12, 16))
+        out, plan = temporal_shift(f, mu=0.5, rng=rng)
+        fwd, bwd = plan.forward_channels, plan.backward_channels
+        assert fwd.shape == bwd.shape == (3, 4)
+        for b in range(3):
+            g, fw, bw = f[b], fwd[b], bwd[b]
+            assert len(set(fw) | set(bw)) == 8
+            expect = g.copy()
+            expect[1:, fw], expect[0, fw] = g[:-1, fw], 0.0
+            expect[:-1, bw], expect[-1, bw] = g[1:, bw], 0.0
+            assert np.array_equal(out[b], expect)
+            assert np.array_equal(out[b], apply_shift_plan(g, ShiftPlan(fw, bw)))
+        assert len({(tuple(fwd[b]), tuple(bwd[b])) for b in range(3)}) == 3
+
+
 class TestTemporalFlip:
     def test_definition(self):
         f = np.array([[0.0], [1.0], [2.0]])

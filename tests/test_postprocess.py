@@ -326,16 +326,16 @@ class TestSoftNms:
 class TestProposalIO:
     def test_golden_bytes(self, tmp_path):
         # 1/3 and 2/3 do not terminate; .8g prints a score below 1e-4 with an exponent
-        props = Proposals([1.0, 0.0, 2.0], [2.5, 3.0, 3.0], [0.72, 3.5e-05, 0.123456789])
+        props = Proposals([1.0, 2.0, 0.0], [2.5, 3.0, 3.0], [0.72, 0.123456789, 3.5e-05])
         path = tmp_path / "v.props.tsv"
         write_proposals(props, T=3, path=path)
         assert path.read_bytes() == (
             b"# start end score start_norm end_norm\n"
             b"1.000000 2.500000 0.72 0.333333 0.833333\n"
-            b"0.000000 3.000000 3.5e-05 0.000000 1.000000\n"
-            b"2.000000 3.000000 0.12345679 0.666667 1.000000\n")
-        assert rows(read_proposals(path)) == [(1.0, 2.5, 0.72), (0.0, 3.0, 3.5e-05),
-                                              (2.0, 3.0, 0.12345679)]
+            b"2.000000 3.000000 0.12345679 0.666667 1.000000\n"
+            b"0.000000 3.000000 3.5e-05 0.000000 1.000000\n")
+        assert rows(read_proposals(path)) == [(1.0, 2.5, 0.72), (2.0, 3.0, 0.12345679),
+                                              (0.0, 3.0, 3.5e-05)]
 
     def test_roundtrip(self, tmp_path):
         props = [Proposal(3.0, 10.0, 0.72), Proposal(0.0, 4.0, 0.11)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -104,6 +105,41 @@ class TestOrderSample:
         n = 1200
         for _ in range(n):
             counts[make_order_sample(f, 3, rng).label] += 1
+        chi2 = ((counts - n / 6) ** 2 / (n / 6)).sum()
+        assert chi2 < stats.chi2.ppf(0.999, df=5)
+
+
+class TestStackedDraws:
+    """Each sequence of a (3, T, C) stack gets its own draw, applied as the
+    one-sequence definition applies it."""
+
+    def test_mask_rows(self):
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=(3, 10, 4))
+        f2, mask = mask_features(f, 0.3, rng)
+        assert mask.shape == (3, 10) and mask.dtype == bool
+        assert (mask.sum(axis=-1) == 3).all()
+        for b in range(3):
+            expect = f[b].copy()
+            expect[mask[b]] = 0.0
+            assert np.array_equal(f2[b], expect)
+        assert len({tuple(m) for m in mask}) == 3
+
+    def test_order_rows(self):
+        rng = np.random.default_rng(5)
+        f = rng.normal(size=(3, 10, 2))
+        s = make_order_sample(f, 3, rng)
+        perms = list(itertools.permutations(range(3)))
+        assert s.shuffled.shape == (3, 9, 2) and s.label.shape == (3,)
+        for b in range(3):
+            clips = [f[b, j * 3:(j + 1) * 3] for j in perms[s.label[b]]]
+            assert np.array_equal(s.shuffled[b], np.concatenate(clips))
+        assert len(set(s.label.tolist())) > 1
+
+    def test_stacked_label_distribution_uniform(self):
+        n = 1200
+        s = make_order_sample(np.zeros((n, 12, 2)), 3, np.random.default_rng(1))
+        counts = np.bincount(s.label, minlength=6)
         chi2 = ((counts - n / 6) ** 2 / (n / 6)).sum()
         assert chi2 < stats.chi2.ppf(0.999, df=5)
 
