@@ -20,8 +20,7 @@ from . import metrics as metrics_mod
 from . import postprocess
 from .data import (AnnotationSet, DatasetManifest, FormatError,
                    gen_synthetic_dataset, load_video, read_manifest)
-from .model import (HyperShape, ParamStore, ProposalNetwork, grad_check,
-                    load_checkpoint, param_shapes, unprefixed)
+from .model import HyperShape, ParamStore, ProposalNetwork, grad_check, load_stores
 from .trainer import TrainConfig, train_run
 
 
@@ -37,22 +36,25 @@ def config_hash(cfg: TrainConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:8]
 
 
+# training mode -> config patch. `supervised` zeroes every auxiliary weight
+# and drops unlabeled data, the vanilla fully-supervised baseline; `sstap`
+# keeps the config as is; `no_shift`/`no_flip`/`no_recon`/`no_order` zero a
+# single term.
+MODES = {
+    "sstap": {},
+    "supervised": {"lambda1": 0.0, "lambda2": 0.0, "lambda3": 0.0,
+                   "lambda4": 0.0, "batch_unlabeled": 0},
+    "no_shift": {"lambda1": 0.0},
+    "no_flip": {"lambda2": 0.0},
+    "no_recon": {"lambda3": 0.0},
+    "no_order": {"lambda4": 0.0},
+}
+
+
 def apply_mode(cfg: TrainConfig, mode: str) -> TrainConfig:
-    """`supervised` zeroes every auxiliary weight and drops unlabeled data,
-    the vanilla fully-supervised baseline; `sstap` keeps the config as is.
-    `no_shift`/`no_flip`/`no_recon`/`no_order` zero a single term."""
-    patch = {
-        "sstap": {},
-        "supervised": {"lambda1": 0.0, "lambda2": 0.0, "lambda3": 0.0,
-                       "lambda4": 0.0, "batch_unlabeled": 0},
-        "no_shift": {"lambda1": 0.0},
-        "no_flip": {"lambda2": 0.0},
-        "no_recon": {"lambda3": 0.0},
-        "no_order": {"lambda4": 0.0},
-    }
-    if mode not in patch:
+    if mode not in MODES:
         raise ValueError(f"unknown training mode {mode!r}")
-    return dataclasses.replace(cfg, **patch[mode])
+    return dataclasses.replace(cfg, **MODES[mode])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -97,12 +99,7 @@ def evaluate_proposals(all_props: dict, manifest: DatasetManifest,
 
 
 def params_from_checkpoint(path, which: str = "student"):
-    header, tensors = load_checkpoint(path)
-    hyper = HyperShape(**header["hyper"])
-    params = unprefixed(tensors, which)
-    missing = [k for k in param_shapes(hyper) if k not in params]
-    if missing:
-        raise FormatError(f"{path}: no '{which}' tensors {missing[:4]} in checkpoint")
+    _, hyper, (params,) = load_stores(path, (which,), which)
     return hyper, params
 
 
@@ -252,9 +249,7 @@ def build_parser() -> _Parser:
     t = sub.add_parser("train", help="train a model on a dataset manifest")
     t.add_argument("--manifest", required=True)
     t.add_argument("--config", help="JSON config file; flags override it")
-    t.add_argument("--mode", default="sstap",
-                   choices=["sstap", "supervised", "no_shift", "no_flip",
-                            "no_recon", "no_order"])
+    t.add_argument("--mode", default="sstap", choices=list(MODES))
     t.add_argument("--out", help="run directory (default: runs/<hash>-s<seed>)")
     t.add_argument("--resume", help="checkpoint to resume from")
     for name, typ in (("alpha", float), ("lambda1", float), ("lambda2", float),
@@ -266,8 +261,6 @@ def build_parser() -> _Parser:
                       ("max_duration", int)):
         t.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
     t.add_argument("--precision", choices=["float32", "float64"])
-    t.add_argument("--recon-support", dest="recon_support",
-                   choices=["all", "masked_only"])
     t.set_defaults(func=cmd_train)
 
     i = sub.add_parser("infer", help="emit proposals from a checkpoint")

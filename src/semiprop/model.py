@@ -445,13 +445,6 @@ def prefixed(*stores: ParamStore) -> dict[str, np.ndarray]:
             for k, v in params.items()}
 
 
-def unprefixed(tensors: dict[str, np.ndarray], store: str) -> ParamStore:
-    """Copy the tensors of one store out of a checkpoint, names unprefixed."""
-    prefix = store + "."
-    return ParamStore({k[len(prefix):]: v.copy() for k, v in tensors.items()
-                       if k.startswith(prefix)})
-
-
 def save_checkpoint(path, hyper: HyperShape, seed: int, step: int,
                     precision: str, tensors: dict[str, np.ndarray],
                     extra: dict | None = None) -> None:
@@ -501,8 +494,22 @@ def load_checkpoint(path):
     if header.get("precision") not in ("float32", "float64"):
         raise FormatError(f"{path}: bad precision {header.get('precision')!r}")
     for name, shape in param_shapes(hyper).items():
-        for key in [name] + [f"{store}.{name}" for store in CHECKPOINT_STORES]:
+        for key in (f"{store}.{name}" for store in CHECKPOINT_STORES):
             if key in tensors and tensors[key].shape != shape:
                 raise FormatError(f"{path}: tensor {key} has shape "
                                   f"{tensors[key].shape}, expected {shape}")
     return header, tensors
+
+
+def load_stores(path, stores: tuple[str, ...], kind: str):
+    """Read a checkpoint as (header, hyper shape, one ParamStore per named
+    store). A store lacking a tensor raises `FormatError` naming it, as not
+    a `kind` checkpoint."""
+    header, tensors = load_checkpoint(path)
+    hyper = HyperShape(**header["hyper"])
+    try:
+        params = [ParamStore({k: tensors[f"{store}.{k}"] for k in param_shapes(hyper)})
+                  for store in stores]
+    except KeyError as exc:
+        raise FormatError(f"{path}: not a {kind} checkpoint; it lacks {exc.args[0]}") from None
+    return header, hyper, params

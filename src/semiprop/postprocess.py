@@ -145,8 +145,12 @@ def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
 
 def write_proposals(props, T: int, path: str | os.PathLike) -> None:
     """One line per proposal: start, end, score in snippet coordinates, then
-    the segment normalized to [0, 1] by the video length."""
+    the segment normalized to [0, 1] by the video length. A score above the
+    previous proposal's raises `ValueError`, as `read_proposals` would
+    reject the file."""
     props = Proposals.of(props)
+    if np.any(props.score[:-1] < props.score[1:]):
+        raise ValueError("proposals must be sorted by descending score")
     rows = zip(props.start.tolist(), props.end.tolist(), props.score.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# start end score start_norm end_norm\n" + "".join(

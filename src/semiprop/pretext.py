@@ -27,16 +27,14 @@ def mask_features(f1: np.ndarray, omega: float, rng: np.random.Generator):
     return np.where(mask[..., None], 0.0, f1), mask
 
 
-def recon_loss(pred, f1, mask: np.ndarray | None = None) -> ad.Tensor:
-    """Mean squared error between (..., T, C) reconstructions and features.
-
-    With a row mask (masked_only support), only masked rows enter the mean.
-    """
+def recon_loss(pred, f1) -> ad.Tensor:
+    """Mean squared error between (..., T, C) reconstructions and features,
+    over every row."""
     pred = ad.as_tensor(pred)
     f1 = np.asarray(f1)
     if pred.shape != f1.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {f1.shape}")
-    return ad.mse(pred, f1, None if mask is None else mask[..., None])
+    return ad.mse(pred, f1)
 
 
 def make_order_sample(f1: np.ndarray, K: int, rng: np.random.Generator) -> OrderSample:

@@ -27,8 +27,8 @@ from . import pretext
 from .data import (DatasetManifest, FormatError, LabelMaps, build_label_maps,
                    load_video, read_text_lines)
 from .model import (CHECKPOINT_STORES, HyperShape, ModelOutputs, ParamStore,
-                    ProposalNetwork, backward, load_checkpoint, param_shapes,
-                    prefixed, save_checkpoint, unprefixed, wrap_params)
+                    ProposalNetwork, backward, load_stores, prefixed,
+                    save_checkpoint, wrap_params)
 from .perturb import Predictions, align_flip_outputs, temporal_flip, temporal_shift
 
 log = logging.getLogger(__name__)
@@ -65,7 +65,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 1
     precision: str = "float64"
-    recon_support: str = "all"  # or "masked_only"
     hidden: int = 32
     pem_hidden: int = 16
     n_samples: int = 8
@@ -90,8 +89,6 @@ class TrainConfig:
             raise ValueError("batch_unlabeled must be >= 0")
         if self.precision not in ("float32", "float64"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.recon_support not in ("all", "masked_only"):
-            raise ValueError(f"unknown recon_support {self.recon_support!r}")
 
     @property
     def dtype(self):
@@ -125,7 +122,6 @@ class TrainConfig:
 @dataclass
 class TeacherState:
     params: ParamStore
-    step: int = 0
 
 
 def ema_update(teacher: TeacherState, student: ParamStore, alpha: float) -> TeacherState:
@@ -136,7 +132,6 @@ def ema_update(teacher: TeacherState, student: ParamStore, alpha: float) -> Teac
             raise ValueError(f"shape mismatch for {name}: {tv.shape} vs {sv.shape}")
         tv *= alpha
         tv += (1.0 - alpha) * sv
-    teacher.step += 1
     return teacher
 
 
@@ -312,9 +307,8 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
         flip = consistency_loss(student_pass(temporal_flip(f1), "proposal"),
                                 align_flip_outputs(teacher_pred))
     if l3 > 0.0:
-        f2, m = pretext.mask_features(f1, cfg.omega, rng)
-        recon = pretext.recon_loss(student_pass(f2, "recon").recon, f1,
-                                   m if cfg.recon_support == "masked_only" else None)
+        f2, _ = pretext.mask_features(f1, cfg.omega, rng)
+        recon = pretext.recon_loss(student_pass(f2, "recon").recon, f1)
     if l4 > 0.0:
         sample = pretext.make_order_sample(f1, cfg.K, rng)
         out = student_pass(net.pad_to_length(sample.shuffled), "order")
@@ -420,8 +414,6 @@ class Trainer:
         tensors = prefixed(self.student, self.teacher.params, self.opt.m, self.opt.v)
         extra = {
             "epoch": self.epoch,
-            "adam_t": self.opt.t,
-            "teacher_step": self.teacher.step,
             "config": dataclasses.asdict(self.cfg),
             "rng": {name: getattr(self, f"rng_{name}").bit_generator.state
                     for name in RNG_STREAMS},
@@ -431,26 +423,23 @@ class Trainer:
 
     @classmethod
     def load(cls, path, cfg: TrainConfig | None = None) -> "Trainer":
-        header, tensors = load_checkpoint(path)
-        hyper = HyperShape(**header["hyper"])
-        extra = header["extra"]
-        stores = [unprefixed(tensors, name) for name in CHECKPOINT_STORES]
-        fields = ("epoch", "adam_t", "teacher_step") + (("config",) if cfg is None else ())
-        missing = [k for k in fields if k not in extra]
-        missing += [f"rng.{name}" for name in RNG_STREAMS if name not in extra.get("rng", {})]
-        missing += [f"{store}.{k}" for store, params in zip(CHECKPOINT_STORES, stores)
-                    for k in param_shapes(hyper) if k not in params]
-        if missing:
-            raise FormatError(f"{path}: not a training checkpoint; it lacks {missing[:4]}")
+        """Resume from a checkpoint `save` wrote. The header's `step` is the
+        Adam step count; the config is the checkpoint's unless `cfg` is given."""
+        header, hyper, (student, teacher, m, v) = load_stores(path, CHECKPOINT_STORES,
+                                                              "training")
+        extra = header.get("extra")
+        epoch = extra.get("epoch") if isinstance(extra, dict) else None
+        for name, value in (("step", header.get("step")), ("epoch", epoch)):
+            if type(value) is not int or value < 0:
+                raise FormatError(f"{path}: bad {name} {value!r}; expected an integer >= 0")
         if cfg is None:
-            cfg = TrainConfig(**extra["config"])
+            try:
+                cfg = TrainConfig(**extra["config"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"{path}: bad config: {exc!r}") from exc
         elif cfg.precision != header["precision"]:
             raise ValueError(f"{path}: checkpoint precision {header['precision']!r} "
                              f"differs from the configured precision {cfg.precision!r}")
-        net = ProposalNetwork(hyper)
-        student, teacher, m, v = stores
-        teacher = TeacherState(params=teacher, step=extra["teacher_step"])
-        opt = AdamState(m=m, v=v, t=extra["adam_t"])
         rngs = {}
         for name in RNG_STREAMS:
             rngs[f"rng_{name}"] = np.random.Generator(np.random.PCG64())
@@ -458,8 +447,9 @@ class Trainer:
                 rngs[f"rng_{name}"].bit_generator.state = extra["rng"][name]
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}: bad rng.{name} state: {exc!r}") from exc
-        return cls(net=net, cfg=cfg, student=student, teacher=teacher, opt=opt,
-                   epoch=extra["epoch"], **rngs)
+        return cls(net=ProposalNetwork(hyper), cfg=cfg, student=student,
+                   teacher=TeacherState(params=teacher),
+                   opt=AdamState(m=m, v=v, t=header["step"]), epoch=epoch, **rngs)
 
 
 def _truncate_metrics(path: str, epoch: int) -> None:

@@ -45,6 +45,21 @@ def _video_case(**fields):
     return _manifest_case(lambda doc: doc["videos"][0].update(fields))
 
 
+# case -> (header field, value); `epoch` is the one in the header's extra block
+BAD_HEADER_FIELDS = {
+    "precision": ("precision", "float65"),
+    "rng": ("rng", "MT19937"),
+    "step_string": ("step", "2"),
+    "step_negative": ("step", -1),
+    "step_null": ("step", None),
+    "epoch_string": ("epoch", "1"),
+    "epoch_float": ("epoch", 1.5),
+    "epoch_null": ("epoch", None),
+    "epoch_negative": ("epoch", -3),
+    "epoch_bool": ("epoch", True),
+}
+
+
 def _config_case(doc):
     """Train with `doc` as the config file; a usage error."""
     def make(dataset, tmp_path):
@@ -264,14 +279,18 @@ class TestExitCodes:
         assert self._infer(checkpoint, dataset, tmp_path) == 2
         assert "pem.reduce.w" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["precision", "rng"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(BAD_HEADER_FIELDS))
     def test_resume_with_bad_header_field_is_data_error(self, dataset, checkpoint,
-                                                        tmp_path, capsys, field):
+                                                        tmp_path, capsys, case):
+        field, value = BAD_HEADER_FIELDS[case]
         header, tensors = load_checkpoint(checkpoint)
         if field == "rng":
-            header["extra"]["rng"]["aux"]["bit_generator"] = "MT19937"
+            header["extra"]["rng"]["aux"]["bit_generator"] = value
+        elif field == "epoch":
+            header["extra"]["epoch"] = value
         else:
-            header["precision"] = "float65"
+            header[field] = value
         save_checkpoint(checkpoint, HyperShape(**header["hyper"]), header["seed"],
                         header["step"], header["precision"], tensors, extra=header["extra"])
         rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
@@ -279,7 +298,8 @@ class TestExitCodes:
                       "--resume", str(checkpoint)] + TRAIN_FLAGS)
         assert rc == 2
         err = capsys.readouterr().err
-        assert ("rng.aux" if field == "rng" else "float65") in err and "Traceback" not in err
+        expect = {"rng": "rng.aux", "precision": "float65"}.get(field, f"bad {field}")
+        assert expect in err and "Traceback" not in err
 
     def test_eval_with_zero_an_max_is_usage_error(self, dataset, tmp_path, capsys):
         props_dir = tmp_path / "props"
@@ -405,7 +425,7 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "not a training checkpoint" in err and "Traceback" not in err
-        assert ("teacher_step" if partial == "student_only" else "adam.v.") in err
+        assert ("teacher." if partial == "student_only" else "adam.v.") in err
 
     def test_resume_with_other_precision_is_usage_error(self, dataset, checkpoint,
                                                         capsys):

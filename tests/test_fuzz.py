@@ -48,6 +48,7 @@ def _resume(root):
 FORMATS = {
     "features": ("data/v00000.feat", _infer, {0, 2}),
     "checkpoint": ("run/checkpoint.bin", _infer, {0, 2, 3}),
+    "checkpoint_resume": ("run/checkpoint.bin", _resume, {0, 2, 3}),
     "manifest": ("data/manifest.json", _train, {0, 2}),
     "proposals": ("props/v00000.props.tsv", _eval, {0, 2}),
     "metrics": ("run/metrics.jsonl", _resume, {0, 2}),

@@ -149,27 +149,3 @@ def test_supervised_loss_regression_term_matches_old_expression(dtype, instances
     old.backward()
     assert same(new.data, old.data)
     assert same(new_g, out.m_cr.grad)
-
-
-def old_masked_recon_loss(pred, f1, mask):
-    sq = ad.square(pred - f1)
-    w = mask.astype(f1.dtype)[:, None]
-    denom = max(float(w.sum()) * f1.shape[1], 1.0)
-    return ad.tsum(ad.mul(sq, w)) / denom
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-def test_masked_recon_loss_matches_old_expression(dtype):
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        T, C = int(rng.integers(1, 30)), int(rng.integers(1, 9))
-        f1 = rng.normal(size=(T, C)).astype(dtype)
-        mask = (rng.random(T) < 0.3).astype(np.int8)
-        pred = ad.Tensor(rng.normal(size=(T, C)).astype(dtype), requires_grad=True)
-        new = pretext.recon_loss(pred, f1, mask)
-        new.backward()
-        new_g, pred.grad = pred.grad, None
-        old = old_masked_recon_loss(pred, f1, mask)
-        old.backward()
-        assert same(new.data, old.data)
-        assert same(new_g, pred.grad)

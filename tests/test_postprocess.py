@@ -337,6 +337,14 @@ class TestProposalIO:
         assert rows(read_proposals(path)) == [(1.0, 2.5, 0.72), (2.0, 3.0, 0.12345679),
                                               (0.0, 3.0, 3.5e-05)]
 
+    def test_rising_score_is_rejected_before_writing(self, tmp_path):
+        """`read_proposals` rejects a score above the previous line's, so the
+        writer refuses to write one."""
+        path = tmp_path / "v.props.tsv"
+        with pytest.raises(ValueError, match="descending score"):
+            write_proposals(Proposals([0.0, 1.0], [2.0, 3.0], [0.1, 0.5]), T=3, path=path)
+        assert not path.exists()
+
     def test_roundtrip(self, tmp_path):
         props = [Proposal(3.0, 10.0, 0.72), Proposal(0.0, 4.0, 0.11)]
         path = tmp_path / "v.props.tsv"

@@ -62,13 +62,6 @@ class TestReconLoss:
         with pytest.raises(ValueError):
             recon_loss(np.zeros((3, 2)), np.zeros((2, 3)))
 
-    def test_masked_only_support(self):
-        rng = np.random.default_rng(3)
-        pred, f = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-        mask = np.array([1, 0, 0, 1, 0, 0])
-        expect = ((pred[[0, 3]] - f[[0, 3]]) ** 2).mean()
-        assert recon_loss(pred, f, mask=mask).item() == pytest.approx(expect)
-
     def test_nonnegative_zero_iff_equal(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=(5, 3))
