@@ -298,13 +298,16 @@ def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None):
     `extent` and zero-padded by `pad`, with a (kd, kt, Cin, Cout) kernel:
     the sum over taps of shifted slices times the tap's (Cin, Cout) matrix,
     plus `bias`, giving a (*shape, Cout) grid that is computed inside the
-    row blocks of `out_extent` and zero elsewhere. Each block runs its
-    kd * kt products as one batched matmul."""
+    row blocks of `out_extent` and zero elsewhere. Each block adds its
+    kd * kt tap products into one accumulator, in tap order."""
     kd, kt, _, cout = w.shape
     out = np.zeros((*src.shape[:-3], *shape, cout), dtype=src.dtype)
     for d0, d1, t1 in out_extent:
         taps = _block_taps(src, extent, (d0, d1, t1), (kd, kt), pad)
-        acc = np.matmul(taps, w).sum(axis=(-4, -3))
+        acc = taps[..., 0, 0, :, :] @ w[0, 0]
+        for i, j in np.ndindex(kd, kt):
+            if i or j:
+                acc += taps[..., i, j, :, :] @ w[i, j]
         if bias is not None:
             acc += bias
         out[..., d0:d1, :t1, :] = acc.reshape(*acc.shape[:-2], d1 - d0, -1, cout)[..., :t1, :]

@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import postprocess
 from .data import (AnnotationSet, DatasetManifest, FormatError,
-                   gen_synthetic_dataset, load_video, read_manifest)
+                   gen_synthetic_dataset, load_video, read_manifest, replacing)
 from .model import HyperShape, ParamStore, ProposalNetwork, grad_check, load_stores
 from .trainer import TrainConfig, train_run
 
@@ -128,8 +128,6 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     manifest = read_manifest(args.manifest)
     out_dir = args.out or os.path.join("runs", f"{config_hash(cfg)}-s{cfg.seed}")
-    os.makedirs(out_dir, exist_ok=True)
-    cfg.to_file(os.path.join(out_dir, "config.json"))
     ckpt, trainer = train_run(manifest, args.manifest, cfg, out_dir,
                               resume_from=args.resume)
     last = None
@@ -222,7 +220,7 @@ def cmd_ablate(args) -> int:
             print(f"{mode} seed={seed}: AUC={row['AUC']:.3f} "
                   f"AR@10={row['AR@10']:.3f}")
     csv_path = os.path.join(args.out, "ablation.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with replacing(csv_path) as fh:
         fh.write(",".join(("config", "seed") + ABLATION_METRICS) + "\n")
         for r in rows:
             cells = [r["config"], str(r["seed"])] + [f"{r[k]:.4f}" for k in ABLATION_METRICS]

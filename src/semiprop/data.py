@@ -12,6 +12,7 @@ every video with its annotations (annotations are always written, the
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -28,25 +29,32 @@ class FormatError(ValueError):
     """Malformed feature file, checkpoint, manifest, proposal or metrics file."""
 
 
-def write_framed(path, magic: bytes, prefix: bytes, header: dict, payload) -> None:
-    """Write magic, prefix, header length, JSON header, then each payload array.
-
-    The bytes go to `<path>.tmp` first, which then replaces `path`, so a
-    write that fails or is killed part way leaves any earlier file intact.
-    """
-    hbytes = json.dumps(header).encode("utf-8")
+@contextlib.contextmanager
+def replacing(path, binary: bool = False):
+    """Open `<path>.tmp` for writing (UTF-8 text unless `binary`); when the
+    block ends without an error the temporary file replaces `path`, and when
+    it raises the temporary file is removed. So a write that fails or is
+    killed part way leaves any earlier file at `path` intact."""
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic + prefix + struct.pack("<I", len(hbytes)))
-            fh.write(hbytes)
-            for arr in payload:
-                fh.write(arr.tobytes())
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_framed(path, magic: bytes, prefix: bytes, header: dict, payload) -> None:
+    """Write magic, prefix, header length, JSON header, then each payload
+    array, through `replacing`."""
+    hbytes = json.dumps(header).encode("utf-8")
+    with replacing(path, binary=True) as fh:
+        fh.write(magic + prefix + struct.pack("<I", len(hbytes)))
+        fh.write(hbytes)
+        for arr in payload:
+            fh.write(arr.tobytes())
 
 
 def read_framed(path, magic: bytes, prefix: bytes, kind: str, payload_layout):
@@ -313,7 +321,7 @@ def write_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:
             for v in manifest.videos
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

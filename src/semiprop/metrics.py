@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from .data import AnnotationSet, segment_iou
+from .data import AnnotationSet, replacing, segment_iou
 from .postprocess import Proposals
 
 THUMOS_THRESHOLDS = tuple(np.arange(0.5, 1.0 + 1e-9, 0.05).round(2))
@@ -96,7 +96,7 @@ def evaluate_dataset(per_video: dict[str, tuple[Proposals, AnnotationSet]],
 
 
 def write_report(result: dict, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("proposal quality report\n")
         fh.write(f"eligible videos: {result.get('eligible_videos', 0)}\n")
         for key in ("AR@10", "AR@50", "AR@100", "AUC"):
@@ -109,7 +109,7 @@ def write_report(result: dict, path: str | os.PathLike) -> None:
 
 
 def write_ar_curve_csv(result: dict, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("an,ar\n")
         for an, ar in zip(result["an_values"], result["ar_curve"]):
             fh.write(f"{an},{ar:.6f}\n")

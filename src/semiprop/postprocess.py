@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FormatError, read_text_lines
+from .data import FormatError, read_text_lines, replacing
 from .perturb import Predictions
 
 
@@ -152,7 +152,7 @@ def write_proposals(props, T: int, path: str | os.PathLike) -> None:
     if np.any(props.score[:-1] < props.score[1:]):
         raise ValueError("proposals must be sorted by descending score")
     rows = zip(props.start.tolist(), props.end.tolist(), props.score.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write("# start end score start_norm end_norm\n" + "".join(
             f"{s:.6f} {e:.6f} {c:.8g} {s / T:.6f} {e / T:.6f}\n" for s, e, c in rows))
 

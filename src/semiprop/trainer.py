@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import pretext
 from .data import (DatasetManifest, FormatError, LabelMaps, build_label_maps,
-                   load_video, read_text_lines)
+                   load_video, read_text_lines, replacing)
 from .model import (CHECKPOINT_STORES, HyperShape, ModelOutputs, ParamStore,
                     ProposalNetwork, backward, load_stores, prefixed,
                     save_checkpoint, wrap_params)
@@ -98,7 +98,7 @@ class TrainConfig:
         return (self.lambda1, self.lambda2, self.lambda3, self.lambda4)
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path) as fh:
             json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -478,9 +478,8 @@ def _truncate_metrics(path: str, epoch: int) -> None:
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: bad metrics line: {exc!r}") from exc
     if keep != lines:
-        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+        with replacing(path) as fh:
             fh.writelines(keep)
-        os.replace(path + ".tmp", path)
 
 
 def hyper_from(cfg: TrainConfig, T: int, C: int) -> HyperShape:
@@ -511,13 +510,25 @@ def load_training_set(manifest: DatasetManifest, manifest_path, cfg: TrainConfig
 
 def train_run(manifest: DatasetManifest, manifest_path, cfg: TrainConfig,
               out_dir, resume_from=None) -> tuple[str, Trainer]:
-    """Full training entry point: epoch loop, metrics log, checkpointing."""
+    """Full training entry point: `config.json`, then the epoch loop,
+    metrics log and checkpoints, all in `out_dir`.
+
+    A resumed checkpoint whose epoch already reaches `cfg.epochs` trains
+    nothing, so it is a `ValueError` unless `out_dir` holds a checkpoint,
+    raised before anything is written there."""
     hyper, labeled, unlabeled = load_training_set(manifest, manifest_path, cfg)
+    ckpt = os.path.join(os.fspath(out_dir), "checkpoint.bin")
     if resume_from:
         trainer = Trainer.load(resume_from, cfg=cfg)
         if trainer.net.hyper != hyper:
             raise ValueError("checkpoint hyper shape does not match dataset")
+        if trainer.epoch >= cfg.epochs and not os.path.exists(ckpt):
+            raise ValueError(f"{resume_from} is at epoch {trainer.epoch} and the run asks for "
+                             f"{cfg.epochs} epochs: nothing to train, and {out_dir} "
+                             f"holds no checkpoint")
     else:
         trainer = Trainer.create(hyper, cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    cfg.to_file(os.path.join(out_dir, "config.json"))
     trainer.run(labeled, unlabeled, out_dir)
-    return os.path.join(os.fspath(out_dir), "checkpoint.bin"), trainer
+    return ckpt, trainer

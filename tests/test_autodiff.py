@@ -620,3 +620,30 @@ def test_strip_conv_bit_equal_to_padded_grid_kernel(T, D, conv2a, dtype):
         g = np.resize(gy, y.shape).astype(dtype)
         for new, old in zip(grads(g), grads_old(g), strict=True):
             assert new.dtype == old.dtype and np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [2, 4])
+@pytest.mark.parametrize("conv2a", [True, False])
+@pytest.mark.parametrize("T,D", STAIRCASE_SHAPES)
+def test_tap_loop_on_a_batch_axis_matches_per_video_kernel(T, D, conv2a, B, dtype):
+    """On a (B, D, T, C) stack the output and the input gradient are the
+    per-video padded-grid kernel's bit for bit. The weight and bias
+    gradients sum the videos inside each block (and the bias over all cells
+    at once) where the reference sums each video's whole gradient, so they
+    differ by rounding only: within 16 ulps of the largest entry (at most
+    7 seen)."""
+    _, w, b, _, out_ext, grad_ext = staircase_case(T, D, conv2a)
+    rng = np.random.default_rng(B * 1000 + T * 10 + D)
+    x = rng.normal(size=(B, D, T, w.shape[2])).astype(dtype)
+    gy = rng.normal(size=(B, D, T, w.shape[3])).astype(dtype)
+    w, b = w.astype(dtype), b.astype(dtype)
+    y, grads = ad._conv_grid(x, w, b, (1, 1), out_ext, grad_ext)
+    gx, gw, gb = grads(gy)
+    refs = [padded_conv_grid(x[v], w, b, (1, 1), out_ext, grad_ext) for v in range(B)]
+    per_video = [grads_v(gy[v]) for v, (_, grads_v) in enumerate(refs)]
+    assert np.array_equal(y, np.stack([y_v for y_v, _ in refs]))
+    assert np.array_equal(gx, np.stack([g[0] for g in per_video]))
+    for got, parts in ((gw, [g[1] for g in per_video]), (gb, [g[2] for g in per_video])):
+        assert got.dtype == dtype
+        assert rel_err(got, np.sum(parts, axis=0)) <= 16 * np.finfo(dtype).eps

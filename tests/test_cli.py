@@ -242,6 +242,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}: bad metrics line" in err and "Traceback" not in err
 
+    def test_resume_of_finished_run_into_new_dir_is_usage_error(
+            self, dataset, checkpoint, tmp_path, capsys):
+        """With no epoch left to train, a new run directory would get no
+        checkpoint, so the run stops before writing anything there."""
+        out = tmp_path / "resumed"
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(out), "--mode", "supervised",
+                      "--resume", str(checkpoint)] + TRAIN_FLAGS)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "trained" not in captured.out
+        assert (f"{checkpoint} is at epoch 1 and the run asks for 1 epochs" in captured.err
+                and "Traceback" not in captured.err)
+        assert not out.exists()
+
+    def test_resume_of_finished_run_into_its_own_dir_reports_it(
+            self, dataset, checkpoint, capsys):
+        before = checkpoint.read_bytes()
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(checkpoint.parent), "--mode", "supervised",
+                      "--resume", str(checkpoint)] + TRAIN_FLAGS)
+        assert rc == 0
+        assert f"trained 1 epochs; checkpoint at {checkpoint}" in capsys.readouterr().out
+        assert checkpoint.read_bytes() == before
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("command", ["infer", "resume"])

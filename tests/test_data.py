@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from semiprop.data import (AnnotationSet, FeatureSequence, FormatError,
-                           build_label_maps, candidate_mask,
+from semiprop import data
+from semiprop.data import (AnnotationSet, DatasetManifest, FeatureSequence,
+                           FormatError, build_label_maps, candidate_mask,
                            gen_synthetic_dataset, iou_1d, load_video,
                            read_features, read_manifest, write_features,
-                           write_framed)
+                           write_framed, write_manifest)
+from semiprop.metrics import write_ar_curve_csv, write_report
 from semiprop.model import HyperShape, ProposalNetwork, build_bm_mask
 from semiprop.perturb import Predictions, align_flip_outputs
+from semiprop.postprocess import Proposals, write_proposals
+from semiprop.trainer import LOSS_TERMS, TrainConfig, _truncate_metrics
 
 
 class TestIou:
@@ -280,6 +284,59 @@ class TestFramedWrite:
             write_framed(path, b"MAGICxyz", b"", {"n": 2}, [np.ones(1), Boom()])
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["checkpoint.bin"]
+
+
+def _metrics_writer(path, version):
+    """Version 1 writes two epochs' lines; version 2 cuts them back to one."""
+    if version == 1:
+        path.write_text("".join(json.dumps({"epoch": e, "total": 0.5, **dict.fromkeys(
+            LOSS_TERMS, 0.1)}) + "\n" for e in (1, 2)))
+    else:
+        _truncate_metrics(str(path), 1)
+
+
+# every text artifact writer (`write_framed` has its own test above), each
+# writing a different file for version 1 and 2
+WRITERS = {
+    "config": lambda path, v: TrainConfig(seed=v).to_file(path),
+    "manifest": lambda path, v: write_manifest(DatasetManifest([], v, {"n": v}), path),
+    "report": lambda path, v: write_report({"eligible_videos": v, "AUC": 0.5}, path),
+    "ar_curve": lambda path, v: write_ar_curve_csv(
+        {"an_values": [1, 2], "ar_curve": [0.1 * v, 0.5]}, path),
+    "proposals": lambda path, v: write_proposals(
+        Proposals([0.0, 1.0], [2.0, 3.0], [0.9, 0.5]), 8 + v, path),
+    "metrics": _metrics_writer,
+}
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_write_failing_part_way_leaves_earlier_file(tmp_path, monkeypatch, kind):
+    """Each writer goes through `data.replacing`: its first `write` call puts half
+    its bytes in the file and then raises, and the file written before is
+    left as it was, with no temporary file beside it."""
+    def failing_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        real = fh.write
+
+        def write(chunk):
+            real(chunk[:len(chunk) // 2])
+            fh.flush()
+            raise OSError("no space left on device")
+
+        fh.write = write
+        return fh
+
+    path = tmp_path / "artifact"
+    WRITERS[kind](path, 1)
+    before = path.read_bytes()
+    monkeypatch.setattr(data, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        WRITERS[kind](path, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact"]
+    WRITERS[kind](path, 2)
+    assert path.read_bytes() != before
 
 
 class TestGenerator:

@@ -1,11 +1,15 @@
+import ctypes
 import gc
 import json
 import logging
 import math
+import platform
+import resource
 
 import numpy as np
 import pytest
 
+import semiprop
 from semiprop import autodiff as ad
 from semiprop import pretext
 from semiprop.cli import apply_mode
@@ -16,7 +20,8 @@ from semiprop.model import (HyperShape, ModelOutputs, ProposalNetwork, load_chec
 from semiprop.perturb import Predictions
 from semiprop.trainer import (AdamState, BatchVideo, TeacherState, TrainConfig,
                               Trainer, consistency_loss, ema_update,
-                              supervised_loss, train_run, train_step)
+                              load_training_set, supervised_loss, train_run,
+                              train_step)
 
 TINY = HyperShape(T=16, C=4, H=4, Hp=4, D=8, N=4, K=2)
 
@@ -510,3 +515,39 @@ class TestTrainerRun:
                 train_step(trainer.net, trainer.student, trainer.teacher, labeled[:2],
                            cfg, np.random.default_rng(1), trainer.opt)
         assert len([r for r in caplog.records if "no positive" in r.getMessage()]) == 6
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the package raises glibc's malloc thresholds only")
+def test_training_step_faults_in_no_memory(tmp_path):
+    """A warm 2 + 2 SSTAP step at the benchmark's shape (T = 100, C = 16,
+    float32) reuses the memory the step before it freed. With glibc's default
+    thresholds it faults thousands of pages back in per step."""
+    gen_synthetic_dataset(tmp_path, n_videos=8, T=100, C=16, label_fraction=0.5, seed=1)
+    mpath = tmp_path / "manifest.json"
+    cfg = TrainConfig(precision="float32", mu=0.125, seed=1, batch_labeled=2,
+                      batch_unlabeled=2)
+    hyper, labeled, unlabeled = load_training_set(read_manifest(mpath), mpath, cfg)
+    trainer = Trainer.create(hyper, cfg)
+    batch = next(trainer.epoch_batches(labeled, unlabeled))
+    assert [v.labeled for v in batch] == [True, True, False, False]
+
+    def steps(n):
+        for _ in range(n):
+            train_step(trainer.net, trainer.student, trainer.teacher, batch, cfg,
+                       trainer.rng_aux, trainer.opt)
+
+    steps(2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    steps(5)
+    per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
+    assert per_step < 50, f"{per_step:.0f} minor page faults per step"
+
+
+def test_malloc_thresholds_are_left_alone_on_other_libcs(monkeypatch):
+    def no_libc(*args, **kwargs):
+        raise AssertionError("the C library was opened")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("", ""))
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    semiprop._keep_freed_memory()
