@@ -56,12 +56,24 @@ class HyperShape:
 
 
 class ParamStore(dict):
-    """Named parameter tensors; insertion order is declaration order."""
+    """Named parameter tensors, each a view of one contiguous 1-D buffer `flat`
+    in declaration order. Update them in place: assigning a new array detaches it."""
+
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        self.flat, self.shapes, offset = flat, shapes, 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+
+    @classmethod
+    def pack(cls, tensors: dict[str, np.ndarray]) -> "ParamStore":
+        """A store holding a copy of each tensor, in the order given."""
+        return cls(np.concatenate([v.ravel() for v in tensors.values()]),
+                   {k: v.shape for k, v in tensors.items()})
 
     def copy_store(self) -> "ParamStore":
-        out = ParamStore()
-        out.update({k: v.copy() for k, v in self.items()})
-        return out
+        return ParamStore(self.flat.copy(), self.shapes)
 
 
 @dataclass
@@ -171,13 +183,12 @@ def init_params(hyper: HyperShape, seed: int, dtype=np.float64) -> ParamStore:
     """Uniform(-s, s) kernels with s = sqrt(1/fan_in); zero biases."""
     hyper.validate()
     rng = np.random.Generator(np.random.PCG64(seed))
-    store = ParamStore()
-    for name, shape in param_shapes(hyper).items():
-        if name.endswith(".b"):
-            store[name] = np.zeros(shape, dtype=dtype)
-        else:
-            s = math.sqrt(1.0 / _fan_in(name, shape))
-            store[name] = rng.uniform(-s, s, size=shape).astype(dtype)
+    shapes = param_shapes(hyper)
+    store = ParamStore(np.zeros(sum(map(math.prod, shapes.values())), dtype=dtype), shapes)
+    for name, view in store.items():
+        if not name.endswith(".b"):
+            s = math.sqrt(1.0 / _fan_in(name, view.shape))
+            view[...] = rng.uniform(-s, s, size=view.shape)
     return store
 
 
@@ -338,12 +349,10 @@ def _check_finite(arr: np.ndarray, layer: str) -> None:
 
 
 def backward(loss: ad.Tensor, param_tensors: dict[str, ad.Tensor]) -> ParamStore:
-    """Run reverse mode from a scalar loss and collect per-parameter grads."""
+    """Run reverse mode from a scalar loss and collect the grads into one store."""
     loss.backward()
-    grads = ParamStore()
-    for name, t in param_tensors.items():
-        grads[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
-    return grads
+    return ParamStore.pack({name: t.grad if t.grad is not None else np.zeros_like(t.data)
+                            for name, t in param_tensors.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +517,7 @@ def load_stores(path, stores: tuple[str, ...], kind: str):
     header, tensors = load_checkpoint(path)
     hyper = HyperShape(**header["hyper"])
     try:
-        params = [ParamStore({k: tensors[f"{store}.{k}"] for k in param_shapes(hyper)})
+        params = [ParamStore.pack({k: tensors[f"{store}.{k}"] for k in param_shapes(hyper)})
                   for store in stores]
     except KeyError as exc:
         raise FormatError(f"{path}: not a {kind} checkpoint; it lacks {exc.args[0]}") from None

@@ -119,19 +119,12 @@ class TrainConfig:
         return cls(**doc)
 
 
-@dataclass
-class TeacherState:
-    params: ParamStore
-
-
-def ema_update(teacher: TeacherState, student: ParamStore, alpha: float) -> TeacherState:
-    """theta' <- alpha * theta' + (1 - alpha) * theta, in place."""
-    for name, tv in teacher.params.items():
-        sv = student[name]
-        if sv.shape != tv.shape:
-            raise ValueError(f"shape mismatch for {name}: {tv.shape} vs {sv.shape}")
-        tv *= alpha
-        tv += (1.0 - alpha) * sv
+def ema_update(teacher: np.ndarray, student: np.ndarray, alpha: float) -> np.ndarray:
+    """theta' <- alpha * theta' + (1 - alpha) * theta, in place on a teacher buffer."""
+    if teacher.shape != student.shape:
+        raise ValueError(f"shape mismatch: teacher {teacher.shape} vs student {student.shape}")
+    teacher *= alpha
+    teacher += (1.0 - alpha) * student
     return teacher
 
 
@@ -236,28 +229,25 @@ class AdamState:
 
     @classmethod
     def like(cls, params: ParamStore) -> "AdamState":
-        zeros = lambda: ParamStore({k: np.zeros_like(v) for k, v in params.items()})
+        zeros = lambda: ParamStore(np.zeros_like(params.flat), params.shapes)
         return cls(m=zeros(), v=zeros())
 
 
 def adam_step(params: ParamStore, grads: ParamStore, state: AdamState,
               cfg: TrainConfig) -> None:
-    """One Adam update in place. An overflow leaves inf or NaN in the
-    parameters or moments; `train_step`, which runs with overflow warnings
-    off, checks them."""
+    """One Adam update in place, on the stores' whole buffers. An overflow
+    leaves inf or NaN in the parameters or moments; `train_step`, which runs
+    with overflow warnings off, checks them."""
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    params.flat -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
 @dataclass
@@ -269,7 +259,7 @@ class BatchVideo:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
+def train_step(net: ProposalNetwork, student: ParamStore, teacher: ParamStore,
                batch: list[BatchVideo], cfg: TrainConfig, rng: np.random.Generator,
                opt: AdamState) -> dict:
     """One optimizer step over a mixed batch, then the EMA update.
@@ -294,7 +284,7 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
     f1 = np.stack([bv.features for bv in batch])
     supervised = shift = flip = recon = order = None
     if l1 > 0.0 or l2 > 0.0:
-        teacher_pred = net.forward(teacher.params, f1, heads={"proposal"},
+        teacher_pred = net.forward(teacher, f1, heads={"proposal"},
                                    train_mode=False, requires_grad=False).detach()
     if lab.any():  # label maps stacked field by field
         maps = [vars(bv.label_maps).values() for bv in batch if bv.labeled]
@@ -322,10 +312,10 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: TeacherState,
         raise FloatingPointError(f"non-finite total loss {total.item()}")
     grads = backward(total, wrapped)
     adam_step(student, grads, opt, cfg)
-    ema_update(teacher, student, cfg.alpha)
-    state = prefixed(student, teacher.params, opt.m, opt.v)
-    if not np.isfinite(np.concatenate([v.ravel() for v in state.values()])).all():
-        bad = next(k for k, v in state.items() if not np.isfinite(v).all())
+    ema_update(teacher.flat, student.flat, cfg.alpha)
+    stores = (student, teacher, opt.m, opt.v)
+    if not all(np.isfinite(s.flat).all() for s in stores):
+        bad = next(k for k, v in prefixed(*stores).items() if not np.isfinite(v).all())
         raise FloatingPointError(f"non-finite {bad} after the Adam update")
 
     report = {k: (v.item() if v is not None else 0.0) for k, v in zip(LOSS_TERMS, parts)}
@@ -340,7 +330,7 @@ class Trainer:
     net: ProposalNetwork
     cfg: TrainConfig
     student: ParamStore
-    teacher: TeacherState
+    teacher: ParamStore
     opt: AdamState
     rng_labeled: np.random.Generator
     rng_unlabeled: np.random.Generator
@@ -351,7 +341,7 @@ class Trainer:
     def create(cls, hyper: HyperShape, cfg: TrainConfig) -> "Trainer":
         net = ProposalNetwork(hyper)
         student = net.init_params(cfg.seed, dtype=cfg.dtype)
-        teacher = TeacherState(params=student.copy_store())
+        teacher = student.copy_store()
         seqs = np.random.SeedSequence(cfg.seed).spawn(len(RNG_STREAMS))
         rngs = {f"rng_{name}": np.random.Generator(np.random.PCG64(seq))
                 for name, seq in zip(RNG_STREAMS, seqs)}
@@ -411,7 +401,7 @@ class Trainer:
         return records
 
     def save(self, path) -> None:
-        tensors = prefixed(self.student, self.teacher.params, self.opt.m, self.opt.v)
+        tensors = prefixed(self.student, self.teacher, self.opt.m, self.opt.v)
         extra = {
             "epoch": self.epoch,
             "config": dataclasses.asdict(self.cfg),
@@ -447,8 +437,7 @@ class Trainer:
                 rngs[f"rng_{name}"].bit_generator.state = extra["rng"][name]
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}: bad rng.{name} state: {exc!r}") from exc
-        return cls(net=ProposalNetwork(hyper), cfg=cfg, student=student,
-                   teacher=TeacherState(params=teacher),
+        return cls(net=ProposalNetwork(hyper), cfg=cfg, student=student, teacher=teacher,
                    opt=AdamState(m=m, v=v, t=header["step"]), epoch=epoch, **rngs)
 
 

@@ -22,8 +22,8 @@ from semiprop.model import HyperShape, grad_check
 from semiprop.perturb import (Predictions, align_flip_outputs, temporal_flip,
                               temporal_shift)
 from semiprop.postprocess import Proposal, read_proposals, soft_nms
-from semiprop.trainer import (BatchVideo, TeacherState, TrainConfig, Trainer,
-                              load_training_set, train_run, train_step)
+from semiprop.trainer import (BatchVideo, TrainConfig, Trainer, load_training_set,
+                              train_run, train_step)
 
 
 def report(name, passed, detail=""):
@@ -130,12 +130,12 @@ def test_gradient_check():
 def test_ema_closed_form():
     alpha, k = 0.999, 50
     theta0, theta = 2.5, -1.25
-    teacher = TeacherState(params={"w": np.full(8, theta0)})
+    teacher = np.full(8, theta0)
     for _ in range(k):
         from semiprop.trainer import ema_update
-        ema_update(teacher, {"w": np.full(8, theta)}, alpha)
+        ema_update(teacher, np.full(8, theta), alpha)
     expect = alpha ** k * theta0 + (1 - alpha ** k) * theta
-    err = float(np.abs(teacher.params["w"] - expect).max())
+    err = float(np.abs(teacher - expect).max())
     report("EMA closed form", err <= 1e-10, f"abs_err={err:.2e}")
 
 

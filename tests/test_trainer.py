@@ -15,10 +15,10 @@ from semiprop import pretext
 from semiprop.cli import apply_mode
 from semiprop.data import (AnnotationSet, FormatError, build_label_maps,
                            gen_synthetic_dataset, read_manifest)
-from semiprop.model import (HyperShape, ModelOutputs, ProposalNetwork, load_checkpoint,
-                            save_checkpoint)
+from semiprop.model import (HyperShape, ModelOutputs, ParamStore, ProposalNetwork,
+                            load_checkpoint, save_checkpoint)
 from semiprop.perturb import Predictions
-from semiprop.trainer import (AdamState, BatchVideo, TeacherState, TrainConfig,
+from semiprop.trainer import (AdamState, BatchVideo, TrainConfig,
                               Trainer, consistency_loss, ema_update,
                               load_training_set, supervised_loss, train_run,
                               train_step)
@@ -86,41 +86,48 @@ class TestTrainConfig:
 
 class TestEmaUpdate:
     def test_single_step_arithmetic(self):
-        teacher = TeacherState(params={"w": np.zeros(3)})
-        ema_update(teacher, {"w": np.ones(3)}, alpha=0.999)
-        assert np.allclose(teacher.params["w"], 0.001)
+        teacher = np.zeros(3)
+        ema_update(teacher, np.ones(3), alpha=0.999)
+        assert np.allclose(teacher, 0.001)
 
     def test_alpha_zero_copies_student(self):
-        teacher = TeacherState(params={"w": np.full(3, 5.0)})
-        student = {"w": np.array([1.0, 2.0, 3.0])}
+        teacher = np.full(3, 5.0)
+        student = np.array([1.0, 2.0, 3.0])
         ema_update(teacher, student, alpha=0.0)
-        assert np.array_equal(teacher.params["w"], student["w"])
+        assert np.array_equal(teacher, student)
 
     def test_constant_student_matches_closed_form_k50(self):
         alpha = 0.999
         theta0, theta = 3.0, -2.0
-        teacher = TeacherState(params={"w": np.full(4, theta0)})
-        student = {"w": np.full(4, theta)}
+        teacher = np.full(4, theta0)
+        student = np.full(4, theta)
         for _ in range(50):
             ema_update(teacher, student, alpha)
         expect = alpha ** 50 * theta0 + (1 - alpha ** 50) * theta
-        assert np.abs(teacher.params["w"] - expect).max() <= 1e-10
+        assert np.abs(teacher - expect).max() <= 1e-10
 
     def test_varying_student_matches_recurrence_oracle(self):
         rng = np.random.default_rng(0)
         alpha = 0.9
-        teacher = TeacherState(params={"w": rng.normal(size=5)})
-        expect = teacher.params["w"].copy()
+        teacher = rng.normal(size=5)
+        expect = teacher.copy()
         for _ in range(20):
             s = rng.normal(size=5)
-            ema_update(teacher, {"w": s}, alpha)
+            ema_update(teacher, s, alpha)
             expect = alpha * expect + (1 - alpha) * s
-        assert np.abs(teacher.params["w"] - expect).max() <= 1e-12
+        assert np.abs(teacher - expect).max() <= 1e-12
+
+    def test_moves_every_tensor_of_a_store_through_its_buffer(self):
+        shapes = {"a.w": (2, 3), "a.b": (3,)}
+        teacher = ParamStore(np.zeros(9), shapes)
+        student = ParamStore(np.arange(9.0), shapes)
+        ema_update(teacher.flat, student.flat, alpha=0.5)
+        for name in shapes:
+            assert np.array_equal(teacher[name], 0.5 * student[name])
 
     def test_shape_mismatch(self):
-        teacher = TeacherState(params={"w": np.zeros(3)})
         with pytest.raises(ValueError):
-            ema_update(teacher, {"w": np.zeros(4)}, 0.5)
+            ema_update(np.zeros(3), np.zeros(4), 0.5)
 
 
 def const_outputs(T, D, value=0.5):
@@ -247,7 +254,7 @@ class TestConsistencyLoss:
 def fresh_state(cfg, seed_data=0, n_labeled=2, n_unlabeled=2):
     net = ProposalNetwork(TINY)
     student = net.init_params(cfg.seed, dtype=cfg.dtype)
-    teacher = TeacherState(params=student.copy_store())
+    teacher = student.copy_store()
     opt = AdamState.like(student)
     batch = make_batch(net, np.random.default_rng(seed_data),
                        n_labeled, n_unlabeled)
@@ -314,7 +321,7 @@ class TestTrainStep:
         s_only, t_only = run(n_unlabeled=0)
         for k in s_mixed:
             assert np.array_equal(s_mixed[k], s_only[k])
-            assert np.array_equal(t_mixed.params[k], t_only.params[k])
+            assert np.array_equal(t_mixed[k], t_only[k])
 
     def test_teacher_tracks_ema_closed_form(self):
         cfg = tiny_cfg(alpha=0.9)
@@ -327,7 +334,7 @@ class TestTrainStep:
             for k in expect:
                 expect[k] = 0.9 * expect[k] + 0.1 * student[k]
         for k in expect:
-            assert np.abs(teacher.params[k] - expect[k]).max() <= 1e-8
+            assert np.abs(teacher[k] - expect[k]).max() <= 1e-8
 
 
     @pytest.mark.parametrize("mode, n_unlabeled, passes",
@@ -426,8 +433,7 @@ class TestTrainerRun:
                                resume_from=ckpt)
         for k in straight.student:
             assert np.array_equal(straight.student[k], resumed.student[k])
-            assert np.array_equal(straight.teacher.params[k],
-                                  resumed.teacher.params[k])
+            assert np.array_equal(straight.teacher[k], resumed.teacher[k])
         assert straight.opt.t == resumed.opt.t
 
     def _rewrite(self, ckpt, step=None, **extra):
