@@ -76,7 +76,7 @@ def run_inference(net: ProposalNetwork, params: ParamStore,
     all_props = {}
     for entry in manifest.videos:
         seq = load_video(manifest_path, entry)
-        feats = seq.values.astype(next(iter(params.values())).dtype)
+        feats = seq.values.astype(params.flat.dtype)
         out = net.forward(params, feats, heads={"proposal"},
                           train_mode=False, requires_grad=False)
         cands = postprocess.decode_candidates(out.detach(), max_duration=net.hyper.D)

@@ -398,8 +398,7 @@ def grad_check(hyper: HyperShape, seed: int) -> dict:
     # jitter to a generic point: zero-initialized biases put ReLU
     # pre-activations exactly on the kink, where finite differences are
     # meaningless regardless of step size
-    for v in params.values():
-        v += rng.uniform(-0.1, 0.1, size=v.shape)
+    params.flat += rng.uniform(-0.1, 0.1, size=params.flat.size)
     f = rng.normal(size=(hyper.T, hyper.C))
     targets = {
         "p_s": rng.random(hyper.T), "p_e": rng.random(hyper.T),
@@ -419,22 +418,22 @@ def grad_check(hyper: HyperShape, seed: int) -> dict:
         tape.rewind()
         return composite_loss(net, w, f, targets, copy.deepcopy(rng), gate_tape=tape).item()
 
-    report = {"tensors": {}, "tolerance": GRAD_CHECK_TOLERANCE}
-    for name in params:
-        g = grads[name]
-        fd = np.zeros_like(g)
-        flat = params[name].ravel()
-        fd_flat = fd.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + GRAD_CHECK_STEP
-            up = value_at()
-            flat[j] = orig - GRAD_CHECK_STEP
-            dn = value_at()
-            flat[j] = orig
-            fd_flat[j] = (up - dn) / (2.0 * GRAD_CHECK_STEP)
-        scale = max(np.abs(g).max(), np.abs(fd).max(), 1e-8)
-        report["tensors"][name] = float(np.abs(g - fd).max() / scale)
+    fd = ParamStore(np.zeros_like(params.flat), params.shapes)
+    flat = params.flat
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + GRAD_CHECK_STEP
+        up = value_at()
+        flat[j] = orig - GRAD_CHECK_STEP
+        dn = value_at()
+        flat[j] = orig
+        fd.flat[j] = (up - dn) / (2.0 * GRAD_CHECK_STEP)
+
+    def rel_error(g, d):
+        return float(np.abs(g - d).max() / max(np.abs(g).max(), np.abs(d).max(), 1e-8))
+
+    report = {"tensors": {name: rel_error(grads[name], fd[name]) for name in params},
+              "tolerance": GRAD_CHECK_TOLERANCE}
     report["max_rel_error"] = max(report["tensors"].values())
     report["passed"] = all(rel <= GRAD_CHECK_TOLERANCE for rel in report["tensors"].values())
     return report
@@ -512,13 +511,17 @@ def load_checkpoint(path):
 
 def load_stores(path, stores: tuple[str, ...], kind: str):
     """Read a checkpoint as (header, hyper shape, one ParamStore per named
-    store). A store lacking a tensor raises `FormatError` naming it, as not
-    a `kind` checkpoint."""
+    store, in the header's precision). A store lacking a tensor raises
+    `FormatError` naming it, as not a `kind` checkpoint, and so does a store
+    tensor of another dtype."""
     header, tensors = load_checkpoint(path)
     hyper = HyperShape(**header["hyper"])
-    try:
-        params = [ParamStore.pack({k: tensors[f"{store}.{k}"] for k in param_shapes(hyper)})
-                  for store in stores]
-    except KeyError as exc:
-        raise FormatError(f"{path}: not a {kind} checkpoint; it lacks {exc.args[0]}") from None
-    return header, hyper, params
+    shapes = param_shapes(hyper)
+    for key in (f"{store}.{k}" for store in stores for k in shapes):
+        if key not in tensors:
+            raise FormatError(f"{path}: not a {kind} checkpoint; it lacks {key}")
+        if tensors[key].dtype != header["precision"]:
+            raise FormatError(f"{path}: tensor {key} is {tensors[key].dtype}, not the "
+                              f"header's precision {header['precision']}")
+    return header, hyper, [ParamStore.pack({k: tensors[f"{store}.{k}"] for k in shapes})
+                           for store in stores]

@@ -45,6 +45,28 @@ LOSS_TERMS = ("supervised", "shift", "flip", "recon", "order")
 _JSON_TYPES = {float: (float, int), int: (int,), str: (str,), type(None): (type(None), int)}
 
 
+def _at_least(lo):
+    return (lambda x: x >= lo), f">= {lo}"
+
+
+_UNIT = (lambda x: 0 <= x < 1), "in [0, 1)"
+_POSITIVE = (lambda x: x > 0), "> 0"
+# field -> (check, the range it asks for); `TrainConfig` checks each at
+# construction, after finding every float field finite
+_FIELD_RANGES = {
+    "alpha": ((lambda x: 0 < x < 1), "in (0, 1)"),
+    "mu": ((lambda x: 0 < x <= 1), "in (0, 1]"),
+    **dict.fromkeys(("lambda1", "lambda2", "lambda3", "lambda4", "batch_unlabeled",
+                     "seed"), _at_least(0)),
+    **dict.fromkeys(("omega", "p_drop", "beta1", "beta2"), _UNIT),
+    **dict.fromkeys(("lr", "eps"), _POSITIVE),
+    **dict.fromkeys(("batch_labeled", "epochs", "hidden", "pem_hidden"), _at_least(1)),
+    **dict.fromkeys(("K", "n_samples"), _at_least(2)),
+    "precision": ((lambda x: x in ("float32", "float64")), "float32 or float64"),
+    "max_duration": ((lambda x: x is None or x >= 1), "null or >= 1"),
+}
+
+
 @dataclass
 class TrainConfig:
     alpha: float = 0.999
@@ -71,24 +93,12 @@ class TrainConfig:
     max_duration: int | None = None  # None -> D = T
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if min(self.lambda1, self.lambda2, self.lambda3, self.lambda4) < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 <= self.p_drop < 1.0:
-            raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
-        if not self.lr > 0.0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.max_duration is not None and self.max_duration < 1:
-            raise ValueError(f"max_duration must be >= 1, got {self.max_duration}")
-        if self.batch_labeled < 1:
-            raise ValueError("batch_labeled must be >= 1")
-        if self.batch_unlabeled < 0:
-            raise ValueError("batch_unlabeled must be >= 0")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError(f"unknown precision {self.precision!r}")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name, (ok, want) in _FIELD_RANGES.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
 
     @property
     def dtype(self):
@@ -99,7 +109,7 @@ class TrainConfig:
 
     def to_file(self, path) -> None:
         with replacing(path) as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
     @classmethod

@@ -99,6 +99,12 @@ MALFORMED = {
     "config_bool_epochs": _config_case({"epochs": True}),
     "config_null_lr": _config_case({"lr": None}),
     "config_string_max_duration": _config_case({"max_duration": "8"}),
+    "config_beta1_2": _config_case({"beta1": 2.0}),
+    "config_beta2_negative": _config_case({"beta2": -1}),
+    "config_eps_negative": _config_case({"eps": -1}),
+    "config_eps_0": _config_case({"eps": 0}),
+    "config_K_1": _config_case({"K": 1}),
+    "config_lambda2_nan": _config_case({"lambda2": float("nan")}),  # a bare NaN
 }
 
 
@@ -285,6 +291,37 @@ class TestExitCodes:
         assert rc == 2
         assert "student.base.conv1.w holds a non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["int64_student", "float64_in_float32"])
+    @pytest.mark.parametrize("command", ["infer", "resume"])
+    def test_store_tensor_of_other_dtype_is_data_error(self, dataset, checkpoint, tmp_path,
+                                                       capsys, case, command):
+        """A store's tensors must be in the header's precision: int64 student
+        weights would cast the features to integers inside the network, and a
+        float64 tensor among float32 ones would run a pass in mixed precision."""
+        header, tensors = load_checkpoint(checkpoint)
+        if case == "int64_student":
+            precision, bad = "float64", "student.base.conv1.w"
+            tensors = {k: v.astype(np.int64) if k.startswith("student.") else v
+                       for k, v in tensors.items()}
+        else:
+            precision, bad = "float32", "student.pem.conv2a.w"
+            tensors = {k: v.astype(np.float32) for k, v in tensors.items()}
+            tensors[bad] = tensors[bad].astype(np.float64)
+        header["extra"]["config"]["precision"] = precision
+        save_checkpoint(checkpoint, HyperShape(**header["hyper"]), header["seed"],
+                        header["step"], precision, tensors, extra=header["extra"])
+        if command == "infer":
+            rc = self._infer(checkpoint, dataset, tmp_path)
+        else:
+            rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                          "--out", str(tmp_path / "resumed"), "--mode", "supervised",
+                          "--resume", str(checkpoint), "--precision", precision]
+                         + TRAIN_FLAGS)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"tensor {bad} is" in err and precision in err and "Traceback" not in err
+        assert not (tmp_path / "props").exists() and not (tmp_path / "resumed").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_checkpoint_is_numeric_error(self, dataset, checkpoint, tmp_path,
                                                      capsys):
@@ -341,19 +378,24 @@ class TestExitCodes:
         argv, code = MALFORMED[case](dataset, tmp_path)
         assert run_cli(argv + TRAIN_FLAGS if argv[0] == "train" else argv) == code
         assert "error" in capsys.readouterr().err
-        assert not (tmp_path / "missing").exists()
+        assert not (tmp_path / "missing").exists() and not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--p-drop", "1.0"),
                                             ("--p-drop", "-0.1"), ("--lr", "-1"),
-                                            ("--lr", "0"), ("--max-duration", "0")])
+                                            ("--lr", "0"), ("--max-duration", "0"),
+                                            ("--lambda1", "nan"), ("--lr", "inf"),
+                                            ("--omega", "1.5"), ("--mu", "5.0"),
+                                            ("--hidden", "0"), ("--n-samples", "1")])
     def test_out_of_range_train_flag_is_usage_error(self, dataset, tmp_path, capsys,
                                                     flag, value):
+        """Every config field is checked when the config is built, before the
+        run directory or its `config.json` exists."""
         run_dir = tmp_path / "run"
         rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
                       "--out", str(run_dir)] + TRAIN_FLAGS + [flag, value])
         assert rc == 1
         assert "error" in capsys.readouterr().err
-        assert not (run_dir / "checkpoint.bin").exists()
+        assert not (run_dir / "checkpoint.bin").exists() and not run_dir.exists()
 
     @pytest.mark.parametrize("flag,value", [("--sigma", "nan"), ("--score-floor", "nan"),
                                             ("--max-out", "0"), ("--max-out", "-1")])

@@ -5,14 +5,31 @@ import pytest
 
 from semiprop import autodiff as ad
 from semiprop.data import FormatError
-from semiprop.model import (HyperShape, ProposalNetwork, backward,
+from semiprop.model import (HyperShape, ParamStore, ProposalNetwork, backward,
                             build_bm_mask, composite_loss, grad_check, init_params,
-                            load_checkpoint, param_shapes, save_checkpoint,
-                            wrap_params)
+                            load_checkpoint, load_stores, param_shapes,
+                            save_checkpoint, wrap_params)
 from semiprop.perturb import temporal_flip
 from semiprop.pretext import recon_loss
 
 TINY = HyperShape(T=12, C=3, H=4, Hp=4, D=6, N=4, K=2)
+
+
+def assert_views_of_flat(store: ParamStore) -> None:
+    """Every tensor of `store` is a view of its one contiguous 1-D buffer, in
+    declaration order: a write through either shows in the other."""
+    assert store.flat.ndim == 1 and store.flat.flags.c_contiguous
+    offset = 0
+    for name, v in store.items():
+        assert v.shape == store.shapes[name]
+        before = store.flat.copy()
+        store.flat[offset] = 123.0
+        assert v.ravel()[0] == 123.0, name
+        v.ravel()[-1] = -7.0
+        assert store.flat[offset + v.size - 1] == -7.0, name
+        store.flat[...] = before
+        offset += v.size
+    assert offset == store.flat.size
 
 
 def column_weights(bm, n: int, d: int, i: int) -> np.ndarray:
@@ -163,6 +180,50 @@ class TestForward:
                           requires_grad=False)
         assert out.recon.data.shape == (TINY.T, TINY.C)
         assert out.order_logits.data.shape == (TINY.n_orders,)
+
+
+class TestParamStoreLayout:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_params_tensors_are_views_of_flat(self, dtype):
+        params = init_params(TINY, seed=2, dtype=dtype)
+        assert list(params) == list(param_shapes(TINY)) and params.flat.dtype == dtype
+        assert_views_of_flat(params)
+
+    def test_copy_store_is_independent_of_its_source(self):
+        src = init_params(TINY, seed=2)
+        dup = src.copy_store()
+        assert_views_of_flat(dup)
+        assert not np.shares_memory(dup.flat, src.flat)
+        assert np.array_equal(dup.flat, src.flat) and list(dup) == list(src)
+        dup["base.conv1.w"][...] = 5.0
+        src.flat[-1] = 9.0
+        assert not (src["base.conv1.w"] == 5.0).any() and dup.flat[-1] != 9.0
+
+    def test_backward_gradients_are_views_of_one_flat(self):
+        net = ProposalNetwork(TINY)
+        wrapped = wrap_params(init_params(TINY, seed=2))
+        out = net.forward(wrapped, np.random.default_rng(0).normal(size=(TINY.T, TINY.C)))
+        grads = backward(ad.tsum(out.m_cc) + ad.tsum(out.p_s), wrapped)
+        assert list(grads) == list(wrapped)
+        for name, t in wrapped.items():  # recon and order heads get no gradient
+            assert np.array_equal(grads[name], t.grad if t.grad is not None else 0 * t.data)
+        assert not grads["recon.conv.w"].any() and grads["base.conv1.w"].any()
+        assert_views_of_flat(grads)
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_load_stores_packs_each_store_into_one_flat(self, tmp_path, precision):
+        student = init_params(TINY, seed=2, dtype=precision)
+        teacher = init_params(TINY, seed=3, dtype=precision)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, TINY, 2, 0, precision,
+                        {f"{name}.{k}": v for name, store in (("student", student),
+                                                              ("teacher", teacher))
+                         for k, v in store.items()})
+        _, hyper, stores = load_stores(path, ("student", "teacher"), "test")
+        assert hyper == TINY
+        for back, orig in zip(stores, (student, teacher)):
+            assert back.flat.dtype == precision and np.array_equal(back.flat, orig.flat)
+            assert_views_of_flat(back)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -4,6 +4,8 @@ API (`ProposalNetwork.forward(..., heads=, train_mode=, requires_grad=)`,
 `Trainer.run`, the post-processing and the evaluation), so a change to that
 API that the benchmark does not follow fails here."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +14,24 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_traced_layer_names_resolve():
+    """Every (module, attribute) the tracer times names a function or method
+    in semiprop: a renamed one would leave its per-layer metrics at zero
+    rather than fail the benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, attr in tracer.LAYER_FUNCTIONS:
+        obj = importlib.import_module(f"semiprop.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr}")
+    assert tracer.LAYER_FUNCTIONS and not missing, missing
 
 
 @pytest.mark.slow

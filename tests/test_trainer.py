@@ -61,10 +61,21 @@ class TestTrainConfig:
                                     dict(p_drop=1.0), dict(p_drop=-0.1),
                                     dict(p_drop=float("nan")), dict(lr=-1.0),
                                     dict(lr=0.0), dict(lr=float("nan")),
-                                    dict(max_duration=0)])
+                                    dict(max_duration=0), dict(lambda1=float("nan")),
+                                    dict(beta1=2.0), dict(eps=-1.0), dict(mu=5.0),
+                                    dict(beta2=-1.0), dict(omega=1.5), dict(K=1),
+                                    dict(hidden=0), dict(n_samples=1),
+                                    dict(lr=float("inf")), dict(eps=0.0), dict(mu=0.0),
+                                    dict(beta1=1.0), dict(omega=-0.1),
+                                    dict(pem_hidden=0), dict(seed=-1),
+                                    dict(lambda4=float("inf")), dict(alpha=float("nan"))])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+
+    def test_range_ends_accepted(self):
+        TrainConfig(beta1=0.0, beta2=0.0, omega=0.0, mu=1.0, K=2, hidden=1, pem_hidden=1,
+                    n_samples=2, seed=0, lambda1=0.0, batch_unlabeled=0)
 
     def test_file_roundtrip_and_unknown_key(self, tmp_path):
         cfg = tiny_cfg(lr=0.5)
