@@ -67,6 +67,7 @@ def run_inference(net: ProposalNetwork, params: ParamStore,
     `FloatingPointError` on a non-finite output."""
     if max_out < 1:
         raise ValueError(f"max_out must be >= 1, got {max_out}")
+    postprocess.check_nms_params(sigma, score_floor)
     for entry in manifest.videos:
         if (entry.T, entry.C) != (net.hyper.T, net.hyper.C):
             raise FormatError(f"{manifest_path}: video {entry.video_id} has "

@@ -86,6 +86,7 @@ class BMSamplingMask:
     """
 
     W: sparse.csr_matrix  # (T, N * n_valid)
+    valid_mask: np.ndarray  # (D, T) 0/1 map of the candidates
     d_idx: np.ndarray  # (n_valid,)
     i_idx: np.ndarray  # (n_valid,)
     T: int
@@ -103,7 +104,8 @@ def build_bm_mask(T: int, D: int, N: int) -> BMSamplingMask:
     interpolated linearly between neighboring snippets."""
     if D > T or N < 2:
         raise ValueError(f"need D <= T and N >= 2, got T={T}, D={D}, N={N}")
-    d_idx, i_idx = np.nonzero(candidate_mask(T, D))
+    valid_mask = candidate_mask(T, D)
+    d_idx, i_idx = np.nonzero(valid_mask)
     n_valid = d_idx.shape[0]
 
     dur = (d_idx + 1).astype(np.float64)
@@ -113,16 +115,21 @@ def build_bm_mask(T: int, D: int, N: int) -> BMSamplingMask:
     locs = lo[None, :] + (hi - lo)[None, :] * steps[:, None]  # (N, n_valid)
     locs = np.clip(locs, 0.0, T - 1.0)
 
-    base = np.floor(locs).astype(np.int64)
-    frac = locs - base
-    cols = np.arange(N)[:, None] * n_valid + np.arange(n_valid)[None, :]
-
+    base = np.floor(locs).astype(np.int64).ravel()  # column n*n_valid + j
+    frac = locs.ravel() - base
+    # each column holds row base and, when frac > 0, row base + 1: written
+    # column by column the entries are already in order, so the CSC -> CSR
+    # transpose below is one linear pass and nothing is sorted
     up = frac > 0
-    rows = np.concatenate([base.ravel(), (base[up] + 1).ravel()])
-    ccols = np.concatenate([cols.ravel(), cols[up].ravel()])
-    vals = np.concatenate([(1.0 - frac).ravel(), frac[up].ravel()])
-    W = sparse.coo_matrix((vals, (rows, ccols)), shape=(T, N * n_valid)).tocsr()
-    return BMSamplingMask(W=W, d_idx=d_idx, i_idx=i_idx, T=T, D=D, N=N)
+    indptr = np.zeros(base.size + 1, dtype=np.int64)
+    np.cumsum(1 + up, out=indptr[1:])
+    rows = np.empty(indptr[-1], dtype=np.int64)
+    vals = np.empty(indptr[-1])
+    first, second = indptr[:-1], indptr[:-1][up] + 1
+    rows[first], vals[first] = base, 1.0 - frac
+    rows[second], vals[second] = base[up] + 1, frac[up]
+    W = sparse.csc_matrix((vals, rows, indptr), shape=(T, N * n_valid)).tocsr()
+    return BMSamplingMask(W=W, valid_mask=valid_mask, d_idx=d_idx, i_idx=i_idx, T=T, D=D, N=N)
 
 
 def sample_entries(W: sparse.csr_matrix, n_valid: int):
@@ -248,7 +255,7 @@ class ProposalNetwork:
         hyper.validate()
         self.hyper = hyper
         self.bm = build_bm_mask(hyper.T, hyper.D, hyper.N)
-        self.valid_mask = candidate_mask(hyper.T, hyper.D)
+        self.valid_mask = self.bm.valid_mask
         # conv2b's output is masked to the candidates, so it is needed there
         # only; those cells read conv2a's output on the one-cell halo, and
         # scatter_grid reads conv2a's input gradient on the candidates only

@@ -96,6 +96,15 @@ def decode_candidates(out: Predictions, max_duration: int | None = None) -> Prop
                      score[order])
 
 
+def check_nms_params(sigma: float, score_floor: float) -> None:
+    """Raise `ValueError` for a Soft-NMS `sigma` that is not finite and
+    positive, or a `score_floor` that is NaN."""
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    if math.isnan(score_floor):
+        raise ValueError("score_floor must be a number, got nan")
+
+
 def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
              max_out: int = 100) -> Proposals:
     """Gaussian Soft-NMS: keep the best proposal, decay the rest by
@@ -104,10 +113,7 @@ def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
     `props` is a `Proposals` or a sequence of `Proposal` rows; it is not
     modified. The IoU is `iou_1d`'s, operation for operation.
     """
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-    if math.isnan(score_floor):
-        raise ValueError("score_floor must be a number, got nan")
+    check_nms_params(sigma, score_floor)
     props = Proposals.of(props)
     # in (start, end) order, argmax's first maximum is the tie-break winner,
     # and the candidates that start before a pick's end are a prefix
@@ -136,8 +142,7 @@ def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
         u -= o
         o /= u
         o *= o
-        np.negative(o, out=o)
-        o /= sigma
+        np.divide(o, -sigma, out=o)
         score[:k] *= np.exp(o, out=o)
     picks = np.array(picks, dtype=np.intp)
     return Proposals(start[picks], end[picks], np.array(kept, dtype=np.float64))

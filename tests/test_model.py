@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from semiprop import autodiff as ad
 from semiprop.data import FormatError
@@ -11,6 +12,7 @@ from semiprop.model import (HyperShape, ParamStore, ProposalNetwork, backward,
                             save_checkpoint, wrap_params)
 from semiprop.perturb import temporal_flip
 from semiprop.pretext import recon_loss
+from test_data import loop_bm_mask
 
 TINY = HyperShape(T=12, C=3, H=4, Hp=4, D=6, N=4, K=2)
 
@@ -108,6 +110,25 @@ class TestBMSamplingMask:
             build_bm_mask(T=4, D=5, N=4)
         with pytest.raises(ValueError):
             build_bm_mask(T=4, D=4, N=1)
+
+    @pytest.mark.parametrize("T,D,N", [(100, 100, 8), (100, 60, 8), (100, 100, 32),
+                                       (100, 60, 32)])
+    def test_matches_coo_build_at_benchmark_shapes(self, T, D, N):
+        """The matrix written in CSR order is the COO build's, byte for byte
+        and dtype for dtype, in canonical format."""
+        want, _, _ = loop_bm_mask(T, D, N)
+        W = build_bm_mask(T, D, N).W
+        assert W.shape == want.shape and W.has_canonical_format
+        for attr in ("data", "indices", "indptr"):
+            got, ref = getattr(W, attr), getattr(want, attr)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), attr
+
+    def test_network_build_sorts_nothing(self, monkeypatch):
+        def no_sort(self):
+            raise AssertionError("sort_indices called")
+        monkeypatch.setattr(sparse._compressed._cs_matrix, "sort_indices", no_sort)
+        net = ProposalNetwork(HyperShape())
+        assert net.bm.W.has_canonical_format
 
 
 class TestForward:
