@@ -204,22 +204,23 @@ def cmd_ablate(args) -> int:
     train_manifest = read_manifest(args.train_manifest)
     test_manifest = read_manifest(args.test_manifest)
     base = TrainConfig.from_file(args.config) if args.config else TrainConfig()
+    # every run's config is checked before anything is written
+    grid = [(mode, dataclasses.replace(apply_mode(base, mode), seed=seed))
+            for mode in modes for seed in seeds]
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for mode in modes:
-        for seed in seeds:
-            cfg = dataclasses.replace(apply_mode(base, mode), seed=seed)
-            run_dir = os.path.join(args.out, f"{mode}-{config_hash(cfg)}-s{seed}")
-            _, trainer = train_run(train_manifest, args.train_manifest, cfg, run_dir)
-            props = run_inference(trainer.net, trainer.student, test_manifest,
-                                  args.test_manifest, os.path.join(run_dir, "proposals"))
-            result = evaluate_proposals(props, test_manifest,
-                                        metrics_mod.threshold_set(args.thresholds))
-            row = {"config": mode, "seed": seed,
-                   **{k: result.get(k, float("nan")) for k in ABLATION_METRICS}}
-            rows.append(row)
-            print(f"{mode} seed={seed}: AUC={row['AUC']:.3f} "
-                  f"AR@10={row['AR@10']:.3f}")
+    for mode, cfg in grid:
+        run_dir = os.path.join(args.out, f"{mode}-{config_hash(cfg)}-s{cfg.seed}")
+        _, trainer = train_run(train_manifest, args.train_manifest, cfg, run_dir)
+        props = run_inference(trainer.net, trainer.student, test_manifest,
+                              args.test_manifest, os.path.join(run_dir, "proposals"))
+        result = evaluate_proposals(props, test_manifest,
+                                    metrics_mod.threshold_set(args.thresholds))
+        row = {"config": mode, "seed": cfg.seed,
+               **{k: result.get(k, float("nan")) for k in ABLATION_METRICS}}
+        rows.append(row)
+        print(f"{mode} seed={cfg.seed}: AUC={row['AUC']:.3f} "
+              f"AR@10={row['AR@10']:.3f}")
     csv_path = os.path.join(args.out, "ablation.csv")
     with replacing(csv_path) as fh:
         fh.write(",".join(("config", "seed") + ABLATION_METRICS) + "\n")

@@ -135,8 +135,7 @@ class FeatureSequence:
 class LabelMaps:
     g_start: np.ndarray  # (T,)
     g_end: np.ndarray  # (T,)
-    g_iou: np.ndarray  # (D, T)
-    valid_mask: np.ndarray  # (D, T) of 0/1
+    g_iou: np.ndarray  # (D, T), zero outside `candidate_mask(T, D)`
 
 
 @dataclass
@@ -195,21 +194,16 @@ def build_label_maps(ann: AnnotationSet, T: int, D: int) -> LabelMaps:
     g_iou = np.zeros((D, T))
     t = np.arange(T, dtype=np.float64)  # snippet and candidate start indices
     ends = t + np.arange(D)[:, None] + 1.0
-    valid = candidate_mask(T, D)
 
     for ts, te in ann.instances:
-        dur = te - ts
-        half = dur / 10.0
+        half = (te - ts) / 10.0
         # overlap of each snippet [t, t+1] with the regions around ts and te
         g_start = np.maximum(g_start, np.minimum(t + 1, ts + half) - np.maximum(t, ts - half))
         g_end = np.maximum(g_end, np.minimum(t + 1, te + half) - np.maximum(t, te - half))
-        inter = np.minimum(ends, te) - np.maximum(t, ts)
-        inter = np.maximum(inter, 0.0)
-        union = (ends - t) + dur - inter
-        g_iou = np.maximum(g_iou, inter / union)
+        g_iou = np.maximum(g_iou, segment_iou(t, ends, ts, te))
 
-    g_iou *= valid
-    return LabelMaps(g_start=g_start, g_end=g_end, g_iou=g_iou, valid_mask=valid)
+    g_iou *= candidate_mask(T, D)
+    return LabelMaps(g_start=g_start, g_end=g_end, g_iou=g_iou)
 
 
 FEATURE_PREFIX = struct.pack("<II", FORMAT_VERSION, 0)

@@ -81,11 +81,12 @@ def evaluate_dataset(per_video: dict[str, tuple[Proposals, AnnotationSet]],
         "an_values": an_values,
         "ar_curve": [ar_at_an(mats, j) for j in range(len(an_values))],
     }
+    curve = result["ar_curve"]  # `ar_at_an` of each AN column; AN = j + 1
     for an in (10, 50, 100):
         if an <= an_max:
-            result[f"AR@{an}"] = ar_at_an(mats, an_values.index(an))
+            result[f"AR@{an}"] = curve[an - 1]
     if an_max >= 100:
-        result["AUC"] = auc(mats, an_values)
+        result["AUC"] = 100.0 * float(np.mean(curve[:100]))
     # per-threshold recall at the largest AN
     last = len(an_values) - 1
     result["recall_at_max_an"] = {

@@ -230,7 +230,9 @@ class GateTape:
 
 @dataclass
 class ModelOutputs:
-    """Head outputs of one pass; heads that were not requested stay None."""
+    """Head outputs of one pass; heads that were not requested stay None.
+    `valid_mask` is the network's own (D, T) candidate mask, held by
+    reference and shared by every pass: the one copy the losses read."""
 
     valid_mask: np.ndarray
     p_s: ad.Tensor | None = None
@@ -241,11 +243,8 @@ class ModelOutputs:
     order_logits: ad.Tensor | None = None
 
     def detach(self) -> Predictions:
-        return Predictions(
-            p_s=self.p_s.data.copy(), p_e=self.p_e.data.copy(),
-            m_cc=self.m_cc.data.copy(), m_cr=self.m_cr.data.copy(),
-            valid_mask=self.valid_mask.copy(),
-        )
+        return Predictions(p_s=self.p_s.data.copy(), p_e=self.p_e.data.copy(),
+                           m_cc=self.m_cc.data.copy(), m_cr=self.m_cr.data.copy())
 
 
 class ProposalNetwork:
@@ -383,8 +382,7 @@ def composite_loss(net: ProposalNetwork, wrapped: dict[str, ad.Tensor],
     out = net.forward(wrapped, f, heads={"proposal", "recon", "order"},
                       train_mode=True, rng=rng, p_drop=GRAD_CHECK_P_DROP,
                       gate_tape=gate_tape)
-    maps = Predictions(targets["p_s"], targets["p_e"], targets["m_cc"], targets["m_cr"],
-                       net.valid_mask)
+    maps = Predictions(targets["p_s"], targets["p_e"], targets["m_cc"], targets["m_cr"])
     return (consistency_loss(out, maps)
             + pretext.recon_loss(out.recon, targets["recon"])
             + pretext.order_loss(out.order_logits, targets["order_label"]))

@@ -26,18 +26,24 @@ class Predictions:
     p_e: np.ndarray  # (..., T)
     m_cc: np.ndarray  # (..., D, T)
     m_cr: np.ndarray  # (..., D, T)
-    valid_mask: np.ndarray  # (D, T)
 
 
-def temporal_shift(f: np.ndarray, mu: float, rng: np.random.Generator):
-    """Shift k = 2*floor(C*mu/2) random channels of each (T, C) sequence in
-    (..., T, C) features by one time step, half forward (zero-fill row 0) and
-    half backward (zero-fill row T-1). Each sequence draws its own channels,
-    so the plan's fields have shape (..., k/2)."""
-    *lead, _, C = f.shape
+def shift_count(C: int, mu: float) -> int:
+    """k = 2*floor(C*mu/2), the number of channels `temporal_shift` moves;
+    a `ValueError` when that is zero."""
     k = 2 * int(C * mu / 2)
     if k == 0:
         raise ValueError(f"mu={mu} selects zero channels for C={C}")
+    return k
+
+
+def temporal_shift(f: np.ndarray, mu: float, rng: np.random.Generator):
+    """Shift k = `shift_count(C, mu)` random channels of each (T, C) sequence
+    in (..., T, C) features by one time step, half forward (zero-fill row 0)
+    and half backward (zero-fill row T-1). Each sequence draws its own
+    channels, so the plan's fields have shape (..., k/2)."""
+    *lead, _, C = f.shape
+    k = shift_count(C, mu)
     chans = rng.random((*lead, C)).argsort(-1)[..., :k]
     plan = ShiftPlan(forward_channels=chans[..., : k // 2], backward_channels=chans[..., k // 2:])
     return apply_shift_plan(f, plan), plan
@@ -81,5 +87,4 @@ def align_flip_outputs(out: Predictions) -> Predictions:
         p_e=out.p_s[..., ::-1].copy(),
         m_cc=flip_map(out.m_cc),
         m_cr=flip_map(out.m_cr),
-        valid_mask=flip_map(out.valid_mask),
     )

@@ -29,7 +29,8 @@ from .data import (DatasetManifest, FormatError, LabelMaps, build_label_maps,
 from .model import (CHECKPOINT_STORES, HyperShape, ModelOutputs, ParamStore,
                     ProposalNetwork, backward, load_stores, prefixed,
                     save_checkpoint, wrap_params)
-from .perturb import Predictions, align_flip_outputs, temporal_flip, temporal_shift
+from .perturb import (Predictions, align_flip_outputs, shift_count, temporal_flip,
+                      temporal_shift)
 
 log = logging.getLogger(__name__)
 
@@ -198,7 +199,7 @@ def supervised_loss(out: ModelOutputs, labels: LabelMaps,
     loss = _balanced_bce(out.p_s, labels.g_start, None, "start boundaries")
     loss = loss + _balanced_bce(out.p_e, labels.g_end, None, "end boundaries")
 
-    valid = labels.valid_mask.astype(bool)
+    valid = out.valid_mask.astype(bool)  # (D, T), broadcast over a stack
     cls_mask = valid & ((labels.g_iou > 0.9) | (labels.g_iou < 0.3))
     loss = loss + _balanced_bce(out.m_cc, labels.g_iou, cls_mask, "confidence map")
 
@@ -221,14 +222,16 @@ def supervised_loss(out: ModelOutputs, labels: LabelMaps,
 
 def consistency_loss(student_out: ModelOutputs, teacher_aligned: Predictions) -> ad.Tensor:
     """Sum of per-field mean squared differences; maps restricted to the
-    intersection of valid masks. Teacher values are constants."""
+    student's candidates. Teacher values are constants. The student's mask
+    is the teacher's too, aligned or not: a flip maps each candidate (d, i)
+    to (d, T-(d+1)-i), so it maps the candidates onto themselves."""
     if student_out.p_s.data.shape != teacher_aligned.p_s.shape:
         raise ValueError("student/teacher shape mismatch")
-    inter = student_out.valid_mask * teacher_aligned.valid_mask
+    valid = student_out.valid_mask
     loss = ad.mse(student_out.p_s, teacher_aligned.p_s)
     loss = loss + ad.mse(student_out.p_e, teacher_aligned.p_e)
-    loss = loss + ad.mse(student_out.m_cc, teacher_aligned.m_cc, inter)
-    return loss + ad.mse(student_out.m_cr, teacher_aligned.m_cr, inter)
+    loss = loss + ad.mse(student_out.m_cc, teacher_aligned.m_cc, valid)
+    return loss + ad.mse(student_out.m_cr, teacher_aligned.m_cr, valid)
 
 
 @dataclass
@@ -494,6 +497,8 @@ def load_training_set(manifest: DatasetManifest, manifest_path, cfg: TrainConfig
         raise FormatError(f"{manifest_path}: all videos in a training manifest must "
                           "share T and C")
     T, C = Ts.pop(), Cs.pop()
+    if cfg.lambda1 > 0.0:
+        shift_count(C, cfg.mu)  # fails before anything is written
     hyper = hyper_from(cfg, T, C)
     labeled, unlabeled = [], []
     for entry in manifest.videos:

@@ -161,7 +161,7 @@ def test_perturbation_algebra():
             vm[d, : T - d] = 1.0
         pred = Predictions(p_s=rng.random(T), p_e=rng.random(T),
                            m_cc=rng.random((D, T)) * vm,
-                           m_cr=rng.random((D, T)) * vm, valid_mask=vm)
+                           m_cr=rng.random((D, T)) * vm)
         twice = align_flip_outputs(align_flip_outputs(pred))
         v = vm.astype(bool)
         ok &= np.array_equal(twice.p_s, pred.p_s)

@@ -397,6 +397,20 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
         assert not (run_dir / "checkpoint.bin").exists() and not run_dir.exists()
 
+    def test_shift_selecting_no_channel_is_usage_error(self, dataset, tmp_path, capsys):
+        """A mu that shifts no channel of the data's C fails before the run
+        directory exists; with the shift branch off, the same mu trains."""
+        flags = TRAIN_FLAGS + ["--mu", "0.0625"]  # the last --mu wins
+        run_dir = tmp_path / "run"
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(run_dir)] + flags)
+        assert rc == 1
+        assert "selects zero channels for C=4" in capsys.readouterr().err
+        assert not run_dir.exists()
+        for mode in ("supervised", "no_shift"):
+            assert run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                            "--out", str(tmp_path / mode), "--mode", mode] + flags) == 0
+
     @pytest.mark.parametrize("flag,value", [("--sigma", "nan"), ("--sigma", "0"),
                                             ("--sigma", "-1"), ("--sigma", "inf"),
                                             ("--score-floor", "nan"),
@@ -568,6 +582,15 @@ class TestGradCheckCommand:
 
 
 class TestAblate:
+    def test_bad_seed_is_usage_error_before_out_exists(self, dataset, tmp_path, capsys):
+        out_dir = tmp_path / "ablation"
+        manifest = str(dataset / "manifest.json")
+        rc = run_cli(["ablate", "--seeds", "1,-1", "--train-manifest", manifest,
+                      "--test-manifest", manifest, "--out", str(out_dir)])
+        assert rc == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_grid_emits_csv(self, tmp_path, capsys):
         train_dir, test_dir = tmp_path / "train", tmp_path / "test"
         for d, seed, frac in ((train_dir, 3, 0.5), (test_dir, 4, 1.0)):

@@ -66,7 +66,6 @@ class TestLabelMaps:
     def test_empty_annotations_all_zero(self):
         lm = build_label_maps(AnnotationSet([]), T=20, D=10)
         assert lm.g_start.sum() == 0 and lm.g_end.sum() == 0 and lm.g_iou.sum() == 0
-        assert lm.valid_mask.sum() > 0
 
     def test_exact_candidate_scores_one(self):
         lm = build_label_maps(AnnotationSet([(4, 12)]), T=20, D=10)
@@ -86,7 +85,7 @@ class TestLabelMaps:
 
     def test_valid_mask_zeroes_invalid(self):
         lm = build_label_maps(AnnotationSet([(0, 20)]), T=20, D=10)
-        assert np.all(lm.g_iou[lm.valid_mask == 0] == 0)
+        assert np.all(lm.g_iou[candidate_mask(20, 10) == 0] == 0)
         assert np.all((lm.g_iou >= 0) & (lm.g_iou <= 1))
         assert np.all((lm.g_start >= 0) & (lm.g_start <= 1))
 
@@ -150,7 +149,7 @@ def loop_label_maps(instances, T, D):
         ends = starts + d_grid + 1.0
         inter = np.maximum(np.minimum(ends, te) - np.maximum(starts, ts), 0.0)
         g_iou = np.maximum(g_iou, inter / ((ends - starts) + dur - inter))
-    return g_start, g_end, g_iou * valid, valid
+    return g_start, g_end, g_iou * valid
 
 
 def loop_flip_map(m, T, D):
@@ -183,13 +182,12 @@ def test_candidate_grid_matches_loops(T):
                 s = rng.uniform(0, T - 0.5)
                 inst.append((s, min(float(T), s + rng.uniform(0.2, T))))
             lm = build_label_maps(AnnotationSet(inst), T, D)
-            for got, want in zip((lm.g_start, lm.g_end, lm.g_iou, lm.valid_mask),
-                                 loop_label_maps(inst, T, D)):
+            for got, want in zip((lm.g_start, lm.g_end, lm.g_iou), loop_label_maps(inst, T, D)):
                 assert np.array_equal(got, want)
             pred = Predictions(p_s=rng.random(T), p_e=rng.random(T), m_cc=rng.random((D, T)),
-                               m_cr=rng.random((D, T)) * vm, valid_mask=vm)
+                               m_cr=rng.random((D, T)) * vm)
             al = align_flip_outputs(pred)
-            for m in ("m_cc", "m_cr", "valid_mask"):
+            for m in ("m_cc", "m_cr"):
                 assert np.array_equal(getattr(al, m), loop_flip_map(getattr(pred, m), T, D))
 
 

@@ -179,6 +179,28 @@ class TestEvaluateDataset:
         assert result["AUC"] == pytest.approx(100.0)
         assert len(result["ar_curve"]) == 100
 
+    @pytest.mark.parametrize("an_max", [100, 150])
+    def test_summary_equals_ar_at_an_and_auc(self, an_max):
+        """AR@10/50/100 and AUC, read off the AR curve, equal `ar_at_an`
+        and `auc` over the same recall matrices to the bit."""
+        rng = np.random.default_rng(11)
+        per_video = {}
+        for v in range(7):
+            starts = rng.uniform(0, 50, int(rng.integers(1, 130)))
+            props = [Proposal(s, s + length, score) for s, length, score in
+                     zip(starts, rng.uniform(0.5, 30, starts.size),
+                         np.sort(rng.random(starts.size))[::-1])]
+            g = rng.uniform(0, 60, int(rng.integers(0, 5)))
+            per_video[f"v{v}"] = (props, AnnotationSet([(s, s + 5.0) for s in g]))
+        result = evaluate_dataset(per_video, ANET_THRESHOLDS, an_max=an_max)
+        an_values = list(range(1, an_max + 1))
+        mats = [recall_matrix(p, gt, ANET_THRESHOLDS, an_values)
+                for p, gt in per_video.values() if gt.instances]
+        assert result["eligible_videos"] == len(mats) > 1
+        for an in (10, 50, 100):
+            assert result[f"AR@{an}"] == ar_at_an(mats, an - 1)
+        assert result["AUC"] == auc(mats, an_values)
+
     def test_all_empty_gt(self):
         result = evaluate_dataset({"a": ([], AnnotationSet([]))}, [0.5])
         assert result == {"eligible_videos": 0}

@@ -9,10 +9,10 @@ import pytest
 
 from semiprop import autodiff as ad
 from semiprop import pretext
-from semiprop.data import AnnotationSet, build_label_maps
+from semiprop.data import AnnotationSet, build_label_maps, candidate_mask
 from semiprop.model import (HyperShape, ModelOutputs, ProposalNetwork, backward,
                             composite_loss, wrap_params)
-from semiprop.perturb import align_flip_outputs
+from semiprop.perturb import Predictions, align_flip_outputs
 from semiprop.trainer import _balanced_bce, consistency_loss, supervised_loss
 
 DTYPES = [np.float32, np.float64]
@@ -67,11 +67,13 @@ def test_composite_loss_matches_old_expression(dtype):
         assert new.item() == pytest.approx(old.item(), rel=1e-6)
 
 
-def old_consistency_loss(student_out, teacher_aligned):
+def old_consistency_loss(student_out, teacher_aligned, teacher_mask):
+    """The old expression, which weighted the maps by the intersection of
+    the student's mask and the teacher's (aligned) mask."""
     dt = student_out.p_s.data.dtype
     loss = ad.tmean(ad.square(student_out.p_s - teacher_aligned.p_s.astype(dt)))
     loss = loss + ad.tmean(ad.square(student_out.p_e - teacher_aligned.p_e.astype(dt)))
-    inter = (student_out.valid_mask * teacher_aligned.valid_mask).astype(dt)
+    inter = (student_out.valid_mask * teacher_mask).astype(dt)
     denom = max(float(inter.sum()), 1.0)
     for s_map, t_map in ((student_out.m_cc, teacher_aligned.m_cc),
                          (student_out.m_cr, teacher_aligned.m_cr)):
@@ -94,8 +96,12 @@ def random_outputs(rng, dtype, T=12, D=6):
 def test_consistency_loss_matches_old_expression(dtype, flip):
     rng = np.random.default_rng(7)
     teacher = random_outputs(rng, np.float64).detach()
+    teacher_mask = candidate_mask(12, 6)
     if flip:
         teacher = align_flip_outputs(teacher)
+        # the teacher's mask, flipped as its maps are
+        teacher_mask = align_flip_outputs(
+            Predictions(teacher.p_s, teacher.p_e, teacher_mask, teacher_mask)).m_cc
     student = random_outputs(rng, dtype)
     fields = ("p_s", "p_e", "m_cc", "m_cr")
     new = consistency_loss(student, teacher)
@@ -103,7 +109,7 @@ def test_consistency_loss_matches_old_expression(dtype, flip):
     new_g = [getattr(student, k).grad.copy() for k in fields]
     for k in fields:
         getattr(student, k).grad = None
-    old = old_consistency_loss(student, teacher)
+    old = old_consistency_loss(student, teacher, teacher_mask)
     old.backward()
     assert same(new.data, old.data)
     for k, g in zip(fields, new_g):
@@ -113,7 +119,7 @@ def test_consistency_loss_matches_old_expression(dtype, flip):
 def old_supervised_loss(out, labels, rng):
     loss = _balanced_bce(out.p_s, labels.g_start, None, "start boundaries")
     loss = loss + _balanced_bce(out.p_e, labels.g_end, None, "end boundaries")
-    valid = labels.valid_mask.astype(bool)
+    valid = candidate_mask(labels.g_start.shape[-1], labels.g_iou.shape[-2]).astype(bool)
     cls_mask = valid & ((labels.g_iou > 0.9) | (labels.g_iou < 0.3))
     loss = loss + _balanced_bce(out.m_cc, labels.g_iou, cls_mask, "confidence map")
     pos = valid & (labels.g_iou > 0.0)

@@ -34,7 +34,6 @@ def test_traced_layer_names_resolve():
     assert tracer.LAYER_FUNCTIONS and not missing, missing
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["train_sstap", "train_supervised", "infer_dense"])
 def test_benchmark_workload_runs_clean(workload):
     cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,

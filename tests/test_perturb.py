@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiprop.data import candidate_mask
 from semiprop.perturb import (Predictions, align_flip_outputs, apply_shift_plan,
-                              ShiftPlan, temporal_flip, temporal_shift)
+                              ShiftPlan, shift_count, temporal_flip, temporal_shift)
 
 
 def rand_predictions(rng, T, D):
@@ -14,7 +15,6 @@ def rand_predictions(rng, T, D):
     return Predictions(
         p_s=rng.random(T), p_e=rng.random(T),
         m_cc=rng.random((D, T)) * vm, m_cr=rng.random((D, T)) * vm,
-        valid_mask=vm,
     )
 
 
@@ -37,6 +37,9 @@ class TestTemporalShift:
     def test_zero_channels_rejected(self):
         with pytest.raises(ValueError):
             temporal_shift(np.zeros((8, 4)), mu=0.1, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="zero channels"):
+            shift_count(16, 2 ** -4)
+        assert shift_count(16, 2 ** -3) == 2 and shift_count(5, 1.0) == 4
 
     def test_inverted_plan_restores_interior(self):
         rng = np.random.default_rng(1)
@@ -136,7 +139,6 @@ class TestAlignFlipOutputs:
         al = align_flip_outputs(pred)
         assert np.array_equal(al.m_cc, loop_flip_map(pred.m_cc))
         assert np.array_equal(al.m_cr, loop_flip_map(pred.m_cr))
-        assert np.array_equal(al.valid_mask, loop_flip_map(pred.valid_mask))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -146,9 +148,22 @@ class TestAlignFlipOutputs:
         D = int(rng.integers(1, T + 1))
         pred = rand_predictions(rng, T, D)
         twice = align_flip_outputs(align_flip_outputs(pred))
-        vm = pred.valid_mask.astype(bool)
+        vm = candidate_mask(T, D).astype(bool)
         assert np.array_equal(twice.p_s, pred.p_s)
         assert np.array_equal(twice.p_e, pred.p_e)
         assert np.array_equal(twice.m_cc[vm], pred.m_cc[vm])
         assert np.array_equal(twice.m_cr[vm], pred.m_cr[vm])
-        assert np.array_equal(twice.valid_mask, pred.valid_mask)
+
+    def test_flip_maps_candidates_onto_themselves(self):
+        """Every candidate's reflection is a candidate, so flipping the
+        candidate mask gives it back: the student's mask is the aligned
+        teacher's, and the losses need no second copy."""
+        for T in range(1, 41):
+            for D in range(1, T + 1):
+                vm = candidate_mask(T, D)
+                d, i = np.nonzero(vm)
+                src = T - (d + 1) - i
+                assert (src >= 0).all() and vm[d, src].all()
+                one = np.ones(T)
+                al = align_flip_outputs(Predictions(p_s=one, p_e=one, m_cc=vm, m_cr=vm))
+                assert np.array_equal(al.m_cc, vm) and np.array_equal(al.m_cr, vm)

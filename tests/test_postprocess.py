@@ -73,8 +73,7 @@ def dense_predictions(draw):
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     elements = st.one_of(TIED, st.floats(0.0, 1.0, width=32))
     vec, mat = arrays(dtype, T, elements=elements), arrays(dtype, (T, T), elements=elements)
-    return Predictions(p_s=draw(vec), p_e=draw(vec), m_cc=draw(mat), m_cr=draw(mat),
-                       valid_mask=np.ones((T, T)))
+    return Predictions(p_s=draw(vec), p_e=draw(vec), m_cc=draw(mat), m_cr=draw(mat))
 
 
 @st.composite
@@ -103,7 +102,7 @@ def predictions(p_s, p_e, m_cc=None, m_cr=None):
     if m_cr is None:
         m_cr = vm.copy()
     return Predictions(p_s=p_s, p_e=p_e, m_cc=np.asarray(m_cc, dtype=float),
-                       m_cr=np.asarray(m_cr, dtype=float), valid_mask=vm)
+                       m_cr=np.asarray(m_cr, dtype=float))
 
 
 class TestDecodeCandidates:
@@ -174,7 +173,7 @@ class TestDecodeCandidates:
         pred = predictions(rng.uniform(0.1, 1, T), rng.uniform(0.1, 1, T),
                            m_cc=rng.uniform(0.1, 1, (T, T)), m_cr=rng.uniform(0.1, 1, (T, T)))
         pred = Predictions(*(a.astype(np.float32) for a in (
-            pred.p_s, pred.p_e, pred.m_cc, pred.m_cr, pred.valid_mask)))
+            pred.p_s, pred.p_e, pred.m_cc, pred.m_cr)))
         got = decode_candidates(pred)
         assert got.score.dtype == np.float64
         assert rows(got) == rows(list_decode_candidates(pred))

@@ -13,7 +13,7 @@ import semiprop
 from semiprop import autodiff as ad
 from semiprop import pretext
 from semiprop.cli import apply_mode
-from semiprop.data import (AnnotationSet, FormatError, build_label_maps,
+from semiprop.data import (AnnotationSet, FormatError, build_label_maps, candidate_mask,
                            gen_synthetic_dataset, read_manifest)
 from semiprop.model import (HyperShape, ModelOutputs, ParamStore, ProposalNetwork,
                             load_checkpoint, save_checkpoint)
@@ -173,7 +173,7 @@ def naive_supervised_loss(p_s, p_e, m_cc, m_cr, labels):
         return -total / n
 
     ones = np.ones_like(labels.g_start)
-    valid = labels.valid_mask.astype(bool)
+    valid = candidate_mask(*labels.g_iou.shape[::-1]).astype(bool)
     loss = balanced_bce(p_s, labels.g_start, ones.astype(bool))
     loss += balanced_bce(p_e, labels.g_end, ones.astype(bool))
     cls_mask = valid & ((labels.g_iou > 0.9) | (labels.g_iou < 0.3))
@@ -225,8 +225,8 @@ class TestSupervisedLoss:
             out = const_outputs(T, D)
             out.p_s.data[:] = rng.uniform(0.05, 0.95, T)
             out.p_e.data[:] = rng.uniform(0.05, 0.95, T)
-            out.m_cc.data[:] = rng.uniform(0.05, 0.95, (D, T)) * labels.valid_mask
-            out.m_cr.data[:] = rng.uniform(0.05, 0.95, (D, T)) * labels.valid_mask
+            out.m_cc.data[:] = rng.uniform(0.05, 0.95, (D, T)) * out.valid_mask
+            out.m_cr.data[:] = rng.uniform(0.05, 0.95, (D, T)) * out.valid_mask
             got = supervised_loss(out, labels).item()
             want = naive_supervised_loss(out.p_s.data, out.p_e.data,
                                          out.m_cc.data, out.m_cr.data, labels)
