@@ -314,19 +314,102 @@ def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None):
     return out
 
 
+def _conv2d_planes(src, w, pad, shape, out_extent, bias=None):
+    """`_conv2d_taps` over the whole of `src` in the output-side order, for
+    a kernel narrower at its output: each block's strip meets all kd * kt
+    taps in one product, stored tap-major as one contiguous plane of the
+    strip's cells per (tap, output channel), and then the planes, each
+    shifted by its tap's offset into the strip, are added in tap order."""
+    kd, kt, cin, cout = w.shape
+    pd, pt = pad
+    w_all = w.transpose(0, 1, 3, 2).reshape(kd * kt * cout, cin)
+    out = np.zeros((*src.shape[:-3], *shape, cout), dtype=src.dtype)
+    whole = ((0, *src.shape[-3:-1]),)
+    for d0, d1, t1 in out_extent:
+        width = t1 + kt - 1
+        n = (d1 - d0) * width
+        strip = _strip(src, whole, (d0 - pd, d1 + kd - pd), (-pt, width - pt))
+        planes = w_all @ strip.reshape(*strip.shape[:-3], -1, cin).swapaxes(-2, -1)
+        planes = planes.reshape(*planes.shape[:-2], kd * kt, cout, -1)
+        acc = planes[..., 0, :, :n].copy()
+        for i, j in np.ndindex(kd, kt):
+            if i or j:
+                acc += planes[..., i * kt + j, :, i * width + j:i * width + j + n]
+        if bias is not None:
+            acc += bias[:, None]
+        acc = acc.reshape(*acc.shape[:-1], d1 - d0, width)[..., :t1]
+        out[..., d0:d1, :t1, :] = np.moveaxis(acc, -3, -1)
+    return out
+
+
+def _narrow_grads(x, w, pad, out_extent, grad_extent, gy):
+    """The gradients of x, w and b for `_conv2d_planes`, as the adjoint of
+    its order. The output gradient is copied once, channel first and
+    zero-padded by k-1-pad, from inside `out_extent`. The input rows that
+    extent reads are cut into bands, one per output block; each band's
+    im2col G holds the kd * kt * Cout gradient planes that meet its input
+    cells, and gives the input gradient as G^T times the flipped kernel
+    (kept inside `grad_extent`) and the weight gradient as G times the
+    band's input, one product each."""
+    D, T, cin = x.shape[-3:]
+    kd, kt, _, cout = w.shape
+    pd, pt = pad
+    qd, qt = kd - 1 - pd, kt - 1 - pt
+    lead = x.shape[:-3]
+    gyp = np.zeros((*lead, cout, D + kd - 1, T + kt - 1), dtype=gy.dtype)
+    gb = np.zeros(cout, dtype=gy.dtype)
+    reach = np.zeros(D, dtype=np.int64)  # columns of each input row the output reads
+    for d0, d1, t1 in out_extent:
+        block = np.moveaxis(gy[..., d0:d1, :t1, :], -1, 0)
+        gyp[..., qd + d0:qd + d1, qt:qt + t1] = np.moveaxis(block, 0, -3)
+        # cell by cell, the order of the tap loop's per-block sum
+        gb += np.cumsum(block.reshape(cout, -1), axis=1)[:, -1]
+        r0, r1 = max(d0 - pd, 0), min(d1 - pd + kd - 1, D)
+        np.maximum(reach[r0:r1], min(t1 - pt + kt - 1, T), out=reach[r0:r1])
+    w_flip = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kd * kt * cout, cin)
+    gx = np.zeros(x.shape, dtype=gy.dtype)
+    gw = np.zeros((kd * kt * cout, cin), dtype=w.dtype)
+    start = 0
+    for d0, d1, _ in out_extent:
+        r0, r1 = max(start, d0 - pd, 0), min(d1 - pd + kd - 1, D)
+        if r0 >= r1:
+            continue
+        start, width = r1, int(reach[r0:r1].max())
+        # (flipped tap, output channel, *lead, band cell): the planes of gyp
+        # that meet input cell (r, c) at tap (kd-1-i, kt-1-j) start at (r+i, c+j)
+        *ls, sc, sr, st = gyp.strides
+        view = np.ndarray((kd, kt, cout, *lead, r1 - r0, width), gyp.dtype, gyp,
+                          r0 * sr, (sr, st, sc, *ls, sr, st))
+        g = view.reshape(kd * kt * cout, -1)
+        band = (g.T @ w_flip).reshape(*lead, r1 - r0, width, cin)
+        for e0, e1, u1 in grad_extent:
+            a0, a1, c1 = max(e0, r0), min(e1, r1), min(u1, width)
+            if a0 < a1 and c1 > 0:
+                gx[..., a0:a1, :c1, :] = band[..., a0 - r0:a1 - r0, :c1, :]
+        gw += g @ x[..., r0:r1, :width, :].reshape(-1, cin)
+    gw = gw.reshape(kd, kt, cout, cin)[::-1, ::-1].transpose(0, 1, 3, 2)
+    return gx, np.ascontiguousarray(gw), gb
+
+
 def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
     """Stride-1 convolution of a (D, T, Cin) array with a (kd, kt, Cin, Cout)
     kernel, zero-padded by pad = (pd, pt) with 0 <= pd <= kd-1 and
     0 <= pt <= kt-1.
 
     Returns the (d_out, t_out, Cout) output and a function from its gradient
-    to the gradients of x, w and b. The input gradient is the same tap loop
-    over the output gradient, padded by k-1-pad on each axis, with the kernel
-    flipped in both spatial axes and its in/out axes swapped; the weight
-    gradient is one (cells, Cin)^T (cells, Cout) product per tap and block,
-    with the output gradient zero on the dropped cells of `_block_taps`.
-    Padding exists only in the per-block strips, so neither direction keeps
-    or makes a padded copy of a whole grid.
+    to the gradients of x, w and b. Two evaluation orders, picked from the
+    shapes alone:
+    - the tap loop (`_conv2d_taps`), for Cout >= Cin and for every 1-row
+      kernel (conv1d). The input gradient is the same tap loop over the
+      output gradient, padded by k-1-pad on each axis, with the kernel
+      flipped in both spatial axes and its in/out axes swapped; the weight
+      gradient is one (cells, Cin)^T (cells, Cout) product per tap and
+      block, with the output gradient zero on the dropped cells of
+      `_block_taps`. Padding exists only in the per-block strips.
+    - the output-side order (`_conv2d_planes`, `_narrow_grads`), for
+      Cout < Cin and kd > 1. Per output cell the tap loop reads the Cin
+      input channels kd * kt times; this order reads them once and writes
+      kd * kt * Cout values, which is less when the output is narrow.
 
     An extent is a staircase of row blocks (d0, d1, t1), each covering rows
     [d0, d1) and columns [0, t1). The output is computed only inside
@@ -345,6 +428,9 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
     whole = ((0, D, T),)
     out_extent = out_extent or ((0, d_out, t_out),)
     grad_extent = grad_extent or whole
+    if cout < cin and kd > 1:
+        y = _conv2d_planes(x, w, pad, (d_out, t_out), out_extent, b)
+        return y, lambda gy: _narrow_grads(x, w, pad, out_extent, grad_extent, gy)
     y = _conv2d_taps(x, whole, w, pad, (d_out, t_out), out_extent, b)
 
     def grads(gy):

@@ -21,7 +21,7 @@ from . import postprocess
 from .data import (AnnotationSet, DatasetManifest, FormatError,
                    gen_synthetic_dataset, load_video, read_manifest, replacing)
 from .model import HyperShape, ParamStore, ProposalNetwork, grad_check, load_stores
-from .trainer import TrainConfig, train_run
+from .trainer import TrainConfig, train_run, training_hyper
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +57,17 @@ def apply_mode(cfg: TrainConfig, mode: str) -> TrainConfig:
     return dataclasses.replace(cfg, **MODES[mode])
 
 
+def check_video_shapes(manifest: DatasetManifest, manifest_path, hyper: HyperShape,
+                       source: str) -> None:
+    """A `FormatError` unless every video of the manifest has the (T, C)
+    of `hyper`, which `source` names in the message."""
+    for entry in manifest.videos:
+        if (entry.T, entry.C) != (hyper.T, hyper.C):
+            raise FormatError(f"{manifest_path}: video {entry.video_id} has "
+                              f"T={entry.T}, C={entry.C}; {source} expects "
+                              f"T={hyper.T}, C={hyper.C}")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def run_inference(net: ProposalNetwork, params: ParamStore,
                   manifest: DatasetManifest, manifest_path, out_dir,
@@ -68,11 +79,7 @@ def run_inference(net: ProposalNetwork, params: ParamStore,
     if max_out < 1:
         raise ValueError(f"max_out must be >= 1, got {max_out}")
     postprocess.check_nms_params(sigma, score_floor)
-    for entry in manifest.videos:
-        if (entry.T, entry.C) != (net.hyper.T, net.hyper.C):
-            raise FormatError(f"{manifest_path}: video {entry.video_id} has "
-                              f"T={entry.T}, C={entry.C}; the checkpoint expects "
-                              f"T={net.hyper.T}, C={net.hyper.C}")
+    check_video_shapes(manifest, manifest_path, net.hyper, "the checkpoint")
     os.makedirs(out_dir, exist_ok=True)
     all_props = {}
     for entry in manifest.videos:
@@ -200,13 +207,18 @@ GRIDS = {
 
 def cmd_ablate(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"--seeds repeats a seed: {args.seeds}")
     modes = GRIDS[args.grid]
     train_manifest = read_manifest(args.train_manifest)
     test_manifest = read_manifest(args.test_manifest)
     base = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    # every run's config is checked before anything is written
+    # every run's config, with the data's shape, is checked before anything is written
     grid = [(mode, dataclasses.replace(apply_mode(base, mode), seed=seed))
             for mode in modes for seed in seeds]
+    for _, cfg in grid:
+        hyper = training_hyper(train_manifest, args.train_manifest, cfg)
+    check_video_shapes(test_manifest, args.test_manifest, hyper, "the training manifest")
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for mode, cfg in grid:

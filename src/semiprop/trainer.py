@@ -489,8 +489,11 @@ def hyper_from(cfg: TrainConfig, T: int, C: int) -> HyperShape:
                       D=cfg.max_duration or T, N=cfg.n_samples, K=cfg.K)
 
 
-def load_training_set(manifest: DatasetManifest, manifest_path, cfg: TrainConfig):
-    """Read all videos into memory and build label maps for the labeled ones."""
+def training_hyper(manifest: DatasetManifest, manifest_path, cfg: TrainConfig) -> HyperShape:
+    """The network shape that `cfg` trains on a manifest, checked before
+    anything is written: every video shares one T and C (else
+    `FormatError`); the shape is valid and, with the shift loss on, mu
+    shifts at least one of the C channels (else `ValueError`)."""
     Ts = {v.T for v in manifest.videos}
     Cs = {v.C for v in manifest.videos}
     if len(Ts) != 1 or len(Cs) != 1:
@@ -498,14 +501,21 @@ def load_training_set(manifest: DatasetManifest, manifest_path, cfg: TrainConfig
                           "share T and C")
     T, C = Ts.pop(), Cs.pop()
     if cfg.lambda1 > 0.0:
-        shift_count(C, cfg.mu)  # fails before anything is written
+        shift_count(C, cfg.mu)
     hyper = hyper_from(cfg, T, C)
+    hyper.validate()
+    return hyper
+
+
+def load_training_set(manifest: DatasetManifest, manifest_path, cfg: TrainConfig):
+    """Read all videos into memory and build label maps for the labeled ones."""
+    hyper = training_hyper(manifest, manifest_path, cfg)
     labeled, unlabeled = [], []
     for entry in manifest.videos:
         seq = load_video(manifest_path, entry)
         feats = seq.values.astype(cfg.dtype)
         if entry.labeled:
-            lm = build_label_maps(seq.annotations, T, hyper.D)
+            lm = build_label_maps(seq.annotations, hyper.T, hyper.D)
             labeled.append(BatchVideo(entry.video_id, feats, True, lm))
         else:
             unlabeled.append(BatchVideo(entry.video_id, feats, False))

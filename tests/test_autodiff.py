@@ -647,3 +647,80 @@ def test_tap_loop_on_a_batch_axis_matches_per_video_kernel(T, D, conv2a, B, dtyp
     for got, parts in ((gw, [g[1] for g in per_video]), (gb, [g[2] for g in per_video])):
         assert got.dtype == dtype
         assert rel_err(got, np.sum(parts, axis=0)) <= 16 * np.finfo(dtype).eps
+
+
+# ---------------------------------------------------------------------------
+# the output-side order, which a kernel narrower at its output (Cout < Cin
+# and kd > 1) takes: conv2b's 16 -> 2 and a 4 -> 2 kernel, on both staircase
+# cases, unbatched (B None) and on a batch axis
+
+NARROW_KERNELS = [(16, 2), (4, 2)]
+
+
+def narrow_case(T, D, conv2a, cin, cout, B, dtype):
+    *_, out_ext, grad_ext = staircase_case(T, D, conv2a)
+    rng = np.random.default_rng([T, D, cin, B or 0])
+    lead = () if B is None else (B,)
+    x, gy = rng.normal(size=(*lead, D, T, cin)), rng.normal(size=(*lead, D, T, cout))
+    w, b = rng.normal(size=(3, 3, cin, cout)), rng.normal(size=cout)
+    return *(a.astype(dtype) for a in (x, w, b, gy)), out_ext, grad_ext
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [None, 1, 2, 4])
+@pytest.mark.parametrize("cin,cout", NARROW_KERNELS)
+@pytest.mark.parametrize("conv2a", [True, False])
+@pytest.mark.parametrize("T,D", STAIRCASE_SHAPES)
+def test_narrow_conv_matches_padded_grid_kernel(T, D, conv2a, cin, cout, B, dtype):
+    """The output and input gradient match the per-video padded-grid kernel,
+    and the weight and bias gradients its per-video sum."""
+    x, w, b, gy, out_ext, grad_ext = narrow_case(T, D, conv2a, cin, cout, B, dtype)
+    y, grads = ad._conv_grid(x, w, b, (1, 1), out_ext, grad_ext)
+    videos = zip(x.reshape(-1, D, T, cin), gy.reshape(-1, D, T, cout))
+    refs = []
+    for x_v, gy_v in videos:
+        y_v, grads_v = padded_conv_grid(x_v, w, b, (1, 1), out_ext, grad_ext)
+        refs.append((y_v, *grads_v(gy_v)))
+    y_ref, gx_ref = (np.stack([r[i] for r in refs]).reshape(a.shape)
+                     for i, a in ((0, y), (1, x)))
+    gw_ref, gb_ref = (np.sum([r[i] for r in refs], axis=0) for i in (2, 3))
+    assert_close([y, *grads(gy)], [y_ref, gx_ref, gw_ref, gb_ref], PARITY_RTOL[dtype])
+
+
+@pytest.mark.parametrize("B", [None, 2])
+@pytest.mark.parametrize("cin,cout", NARROW_KERNELS)
+@pytest.mark.parametrize("conv2a", [True, False])
+@pytest.mark.parametrize("T,D", STAIRCASE_SHAPES)
+def test_narrow_conv_keeps_the_extent_contract(T, D, conv2a, cin, cout, B):
+    """The output is zero outside the output extent, NaN in the output
+    gradient there changes no gradient, and the input gradient is zero
+    outside the input-gradient extent."""
+    x, w, b, gy, out_ext, grad_ext = narrow_case(T, D, conv2a, cin, cout, B, np.float64)
+    out_cells, grad_cells = inside(out_ext, (D, T)), inside(grad_ext, (D, T))
+    y, grads = ad._conv_grid(x, w, b, (1, 1), out_ext, grad_ext)
+    assert not y[..., ~out_cells, :].any()
+    clean = grads(np.where(out_cells[..., None], gy, 0.0))
+    poisoned = grads(np.where(out_cells[..., None], gy, np.nan))
+    for a, c in zip(poisoned, clean, strict=True):
+        assert np.isfinite(a).all() and np.array_equal(a, c)
+    assert clean[0][..., grad_cells, :].any() and not clean[0][..., ~grad_cells, :].any()
+
+
+@pytest.mark.parametrize("w_shape,narrow", [
+    ((3, 3, 16, 2), True), ((2, 3, 4, 2), True), ((3, 3, 16, 16), False),
+    ((3, 3, 2, 16), False), ((1, 3, 32, 2), False), ((1, 1, 32, 2), False)])
+def test_evaluation_order_is_picked_from_the_shapes(w_shape, narrow, monkeypatch):
+    """Cout < Cin with more than one kernel row takes the output-side order;
+    Cout >= Cin and every one-row kernel (each conv1d) the tap loop."""
+    called = []
+    for name in ("_conv2d_taps", "_conv2d_planes", "_narrow_grads"):
+        def spy(*args, _f=getattr(ad, name), _name=name):
+            called.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(ad, name, spy)
+    x = np.ones((6, 7, w_shape[2]))
+    y, grads = ad._conv_grid(x, np.ones(w_shape), np.ones(w_shape[3]),
+                             (w_shape[0] // 2, w_shape[1] // 2))
+    grads(np.ones_like(y))
+    expect = ["_conv2d_planes", "_narrow_grads"] if narrow else ["_conv2d_taps"] * 2
+    assert called == expect

@@ -615,3 +615,47 @@ class TestAblate:
         for r in rows:
             assert np.isfinite(float(r["AUC"]))
             assert np.isfinite(float(r["AR@10"]))
+
+    def test_repeated_seed_is_usage_error_before_out_exists(self, dataset, tmp_path, capsys):
+        out_dir = tmp_path / "ablation"
+        manifest = str(dataset / "manifest.json")
+        rc = run_cli(["ablate", "--seeds", "2,1,2", "--train-manifest", manifest,
+                      "--test-manifest", manifest, "--out", str(out_dir)])
+        assert rc == 1
+        assert "repeats a seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config,message", [
+        ({}, "selects zero channels for C=16"),  # the default mu = 1/16 on gen-data's C
+        ({"mu": 0.5, "max_duration": 40}, "must not exceed T=16")])
+    def test_grid_that_cannot_train_is_usage_error_before_out_exists(
+            self, tmp_path, capsys, config, message):
+        data = tmp_path / "data"
+        assert run_cli(["gen-data", "--out", str(data), "--videos", "2",
+                        "--snippets", "16", "--seed", "3"]) == 0
+        cfg_path, out_dir = tmp_path / "config.json", tmp_path / "ablation"
+        TrainConfig(**config).to_file(cfg_path)
+        manifest = str(data / "manifest.json")
+        rc = run_cli(["ablate", "--seeds", "1", "--train-manifest", manifest,
+                      "--test-manifest", manifest, "--config", str(cfg_path),
+                      "--out", str(out_dir)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [["--snippets", "20"], ["--channels", "6"]])
+    def test_test_manifest_of_other_shape_is_data_error_before_out_exists(
+            self, dataset, tmp_path, capsys, flags):
+        test_dir = tmp_path / "test"
+        assert run_cli(["gen-data", "--out", str(test_dir), "--videos", "2",
+                        "--snippets", "16", "--channels", "4", *flags]) == 0
+        cfg_path, out_dir = tmp_path / "config.json", tmp_path / "ablation"
+        TrainConfig(hidden=4, pem_hidden=4, n_samples=4, max_duration=8, mu=0.5,
+                    epochs=1).to_file(cfg_path)
+        rc = run_cli(["ablate", "--seeds", "1", "--config", str(cfg_path),
+                      "--train-manifest", str(dataset / "manifest.json"),
+                      "--test-manifest", str(test_dir / "manifest.json"),
+                      "--out", str(out_dir)])
+        assert rc == 2
+        assert "the training manifest expects T=16, C=4" in capsys.readouterr().err
+        assert not out_dir.exists()
