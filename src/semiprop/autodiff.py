@@ -16,7 +16,6 @@ the closure has run. A released node has `_parents` None, and a second
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 
 class Tensor:
@@ -486,37 +485,37 @@ def conv2d(x, w, b, pad, out_extent=None, grad_extent=None):
     return out
 
 
-def sparse_sample(x, W, w, b, entries):
+def sparse_sample(x, S, w, b):
     """Boundary-matching sampling fused with its weighted N-reduction.
 
-    `W` is a scipy CSR matrix of shape (T, N*J) whose column n*J + j holds
-    the interpolation weights of sample point n of candidate j; `entries` is
-    the (n, j, row*J + j) index triple of each stored entry of W, in storage
-    order (`model.sample_entries`). For a (T, C) sequence x the result is
+    `S` is a point-stacked scipy sparse matrix of shape (N*T, J): row
+    n*T + t, column j holds the weight of snippet t in sample point n of
+    candidate j (`model.point_stacked`). For a (T, C) sequence x the result,
+    shape (J, C), is
 
-        y[j, c] = sum_n w[n] * (x.T @ W)[c, n*J + j] + b[c],  shape (J, C),
+        y = S.T @ (w ⊗ x) + b,  with w ⊗ x the N copies w[n] * x as (N*T, C),
 
-    computed as W_comb.T @ x + b with W_comb = sum_n w[n] * W_n, a (T, J) CSR
-    matrix that reuses W's row pointers; its duplicate entries are summed by
-    the sparse product, so the (C, N*J) samples are never formed. Leading
-    axes ride along the columns: the product runs once, on x as (T, ...*C).
+    so the (C, N*J) samples are never formed; the backward's one product
+    Z = S @ gy gives gx = sum_n w[n] * Z_n and g_w[n] = <Z_n, x>. Leading
+    axes ride along the columns: each product runs once, on x as (T, ...*C).
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    n, j, flat = entries
-    T, NJ = W.shape
-    N = w.data.shape[0]
-    Wc = sparse.csr_matrix((W.data * w.data[n], j, W.indptr), shape=(T, NJ // N))
+    N, T = w.data.shape[0], x.data.shape[-2]
+    if S.shape[0] != N * T:
+        raise ValueError(f"sampling matrix of shape {S.shape} does not fit x of shape "
+                         f"{x.data.shape} with N={N} sample points: need ({N * T}, J)")
     columns = lambda a: np.moveaxis(a, -2, 0).reshape(a.shape[-2], -1)  # (T or J, ...*C)
     stacked = lambda a: np.moveaxis(a.reshape(a.shape[0], *x.data.shape[:-2], -1), 0, -2)
+    xs = columns(x.data)
 
     def bwd():
         gy = columns(out.grad)
-        _accum(x, stacked(Wc @ gy))
-        per_entry = W.data * (columns(x.data) @ gy.T).ravel().take(flat)
-        _accum(w, np.bincount(n, per_entry, minlength=N).astype(w.data.dtype))
+        z = (S @ gy).reshape(N, -1)
+        _accum(x, stacked((w.data @ z).reshape(T, -1)))
+        _accum(w, z @ xs.ravel())
         _accum(b, gy.reshape(-1, b.data.shape[0]).sum(axis=0))
 
-    y = stacked(Wc.T @ columns(x.data))
+    y = stacked(S.T @ (w.data[:, None, None] * xs).reshape(N * T, -1))
     y += b.data
     out = Tensor(y, _parents=(x, w, b), _backward=bwd)
     return out
@@ -524,13 +523,16 @@ def sparse_sample(x, W, w, b, entries):
 
 def scatter_grid(x, d_idx, i_idx, grid_shape):
     """Scatter per-candidate features (J, C) into a dense (D, T, C) grid,
-    zero outside the candidate index lists."""
+    zero outside the candidate index lists; both directions index the
+    grid's cells d * T + i on one flat axis."""
     x = as_tensor(x)
+    cells = np.ravel_multi_index((d_idx, i_idx), grid_shape)
     y = np.zeros((*x.data.shape[:-2], *grid_shape, x.data.shape[-1]), dtype=x.data.dtype)
-    y[..., d_idx, i_idx, :] = x.data
+    flat = y.reshape(*y.shape[:-3], -1, y.shape[-1])  # (..., D*T, C) view
+    flat[..., cells, :] = x.data
 
     def bwd():
-        _accum(x, out.grad[..., d_idx, i_idx, :])
+        _accum(x, out.grad.reshape(flat.shape).take(cells, axis=-2))
 
     out = Tensor(y, _parents=(x,), _backward=bwd)
     return out

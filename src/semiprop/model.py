@@ -3,8 +3,9 @@
 Three heads share a two-layer temporal-conv base:
   * boundary head: per-snippet start/end probabilities,
   * confidence head: dense D x T candidate maps produced through a
-    precomputed sparse boundary-matching sampler (one sparse matmul, with
-    the weighted reduction over sample points folded into the matrix),
+    precomputed sparse boundary-matching sampler (one fixed point-stacked
+    matrix; the learned weights over sample points scale the input rows,
+    so one sparse product each way),
   * auxiliary heads: feature reconstruction and clip-order logits.
 
 Forward passes build an autodiff graph; `backward` extracts parameter
@@ -132,13 +133,15 @@ def build_bm_mask(T: int, D: int, N: int) -> BMSamplingMask:
     return BMSamplingMask(W=W, valid_mask=valid_mask, d_idx=d_idx, i_idx=i_idx, T=T, D=D, N=N)
 
 
-def sample_entries(W: sparse.csr_matrix, n_valid: int):
-    """(n, j, row * n_valid + j) of each stored entry of a (T, N * n_valid)
-    sampling matrix in storage order: its sample point, its candidate, and
-    its position in a row-major (T, n_valid) array."""
-    row = np.repeat(np.arange(W.shape[0]), np.diff(W.indptr))
-    n, j = np.divmod(W.indices, n_valid)
-    return n, j, row * n_valid + j
+def point_stacked(W: sparse.spmatrix, N: int) -> sparse.csc_matrix:
+    """The (N*T, J) point-stacked form of a (T, N*J) sampling matrix, as
+    CSC: row n*T + t, column j holds W[t, n*J + j]. A linear reorder with no
+    sort: W's columns taken in (candidate, point) order, and each
+    candidate's N columns stacked into one, its rows already ascending."""
+    T, NJ = W.shape
+    P = W.tocsc()[:, np.arange(NJ).reshape(N, -1).T.ravel()]  # column j*N + n
+    n = np.repeat(np.tile(np.arange(N), NJ // N), np.diff(P.indptr))
+    return sparse.csc_matrix((P.data, P.indices + T * n, P.indptr[::N]), shape=(N * T, NJ // N))
 
 
 def halo(mask: np.ndarray) -> np.ndarray:
@@ -260,18 +263,17 @@ class ProposalNetwork:
         # scatter_grid reads conv2a's input gradient on the candidates only
         valid, grown = staircase(self.valid_mask), staircase(halo(self.valid_mask))
         self.extents = {"pem.conv2a": (grown, valid), "pem.conv2b": (valid, grown)}
-        self._W_cache: dict[str, tuple[sparse.csr_matrix, tuple]] = {}
+        self._W_cache: dict[str, sparse.csc_matrix] = {}
 
     def init_params(self, seed: int, dtype=np.float64) -> ParamStore:
         return init_params(self.hyper, seed, dtype=dtype)
 
-    def _W(self, dtype) -> tuple[sparse.csr_matrix, tuple]:
-        """The sampling matrix in `dtype` and its per-entry indices, built on
-        first use (not at construction, which sits on the set-up path)."""
+    def _W(self, dtype) -> sparse.csc_matrix:
+        """The point-stacked sampling matrix in `dtype`, built on first use
+        (not at construction, which sits on the set-up path)."""
         key = np.dtype(dtype).name
         if key not in self._W_cache:
-            W = self.bm.W.astype(dtype)
-            self._W_cache[key] = (W, sample_entries(W, self.bm.n_valid))
+            self._W_cache[key] = point_stacked(self.bm.W, self.hyper.N).astype(dtype, copy=False)
         return self._W_cache[key]
 
     def forward(
@@ -319,8 +321,7 @@ class ProposalNetwork:
             out.p_e = ad.take_last(t, 1)
 
             q = act(ad.conv1d(base_feat, P("pem.conv1.w"), P("pem.conv1.b"), pad=1))
-            W, entries = self._W(dtype)
-            red = act(ad.sparse_sample(q, W, P("pem.reduce.w"), P("pem.reduce.b"), entries))
+            red = act(ad.sparse_sample(q, self._W(dtype), P("pem.reduce.w"), P("pem.reduce.b")))
             g = ad.scatter_grid(red, self.bm.d_idx, self.bm.i_idx, (h.D, h.T))
             ext_a, ext_b = self.extents["pem.conv2a"], self.extents["pem.conv2b"]
             g = act(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), 1, *ext_a))

@@ -1,4 +1,6 @@
 import inspect
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,12 +9,12 @@ from scipy import sparse
 
 from semiprop import autodiff as ad
 from semiprop.data import candidate_mask
-from semiprop.model import (CONV_BLOCKS, build_bm_mask, halo, sample_entries,
-                            staircase)
+from semiprop.model import CONV_BLOCKS, build_bm_mask, halo, point_stacked, staircase
 
-# a random sampling matrix for N=3 sample points of J=5 candidates over T=6
+# a random sampling matrix for N=3 sample points of J=5 candidates over T=6,
+# as a (T, N*J) matrix and in the sampler's point-stacked (N*T, J) form
 SAMPLE_W = sparse.random(6, 3 * 5, density=0.4, random_state=1, format="csr")
-SAMPLE_ENTRIES = sample_entries(SAMPLE_W, 5)
+SAMPLE_S = point_stacked(SAMPLE_W, 3)
 # constant targets and 0/1 weights for the mean square error: a (D, T) map
 # and a (T, C) sequence with a per-row (T, 1) weight
 _mse_rng = np.random.default_rng(2)
@@ -58,7 +60,7 @@ CASES = {
     "conv2d_k2": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(x, w, b, pad=1))),
                   [(4, 5, 3), (2, 2, 3, 2), (2,)]),
     "reduce": (lambda x, w, b: ad.tsum(ad.square(
-        ad.sparse_sample(x, SAMPLE_W, w, b, SAMPLE_ENTRIES))),
+        ad.sparse_sample(x, SAMPLE_S, w, b))),
                [(6, 4), (3,), (4,)]),
     "sigmoid": (lambda x: ad.tmean(ad.sigmoid(x)), [(6, 4)]),
     "dot_vm": (lambda x, w: ad.tsum(ad.square(ad.dot_vm(x, w))), [(5,), (5, 3)]),
@@ -81,7 +83,7 @@ CASES = {
         ad.mul(x, _VALID[:, :, None]), w, b, 1, *HALO_EXTENTS))),
                                  [(3, 5, 6, 2), (3, 3, 2, 2), (2,)]),
     "reduce_batched": (lambda x, w, b: ad.tsum(ad.square(
-        ad.sparse_sample(x, SAMPLE_W, w, b, SAMPLE_ENTRIES))), [(2, 6, 4), (3,), (4,)]),
+        ad.sparse_sample(x, SAMPLE_S, w, b))), [(2, 6, 4), (3,), (4,)]),
     "scatter_batched": (lambda x: ad.tsum(ad.square(ad.scatter_grid(
         x, *SCATTER_IDX, (2, 4)))), [(3, 3, 2)]),
     "dot_vm_batched": (lambda x, w: ad.tsum(ad.square(ad.dot_vm(x, w))), [(4, 5), (5, 3)]),
@@ -269,12 +271,12 @@ def test_sparse_sample_matches_dense():
     rng = np.random.default_rng(0)
     x = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     w, b = rng.normal(size=3), rng.normal(size=3)
-    out = ad.sparse_sample(x, SAMPLE_W, w, b, SAMPLE_ENTRIES)
+    out = ad.sparse_sample(x, SAMPLE_S, w, b)
     samples = (x.data.T @ SAMPLE_W.toarray()).reshape(3, 3, 5)  # (C, N, J)
     assert np.allclose(out.data, np.einsum("cnj,n->jc", samples, w) + b)
     ad.tsum(ad.square(out)).backward()
     fd = numeric_grad(lambda t: ad.tsum(ad.square(
-        ad.sparse_sample(t, SAMPLE_W, w, b, SAMPLE_ENTRIES))), [x.data], 0)
+        ad.sparse_sample(t, SAMPLE_S, w, b))), [x.data], 0)
     assert np.abs(x.grad - fd).max() < 1e-6
 
 
@@ -410,7 +412,7 @@ def old_sample_chain(q, w, b, W, bm):
 
 
 def new_sample_chain(q, w, b, W, bm):
-    out = ad.sparse_sample(q, W, w, b, sample_entries(W, bm.n_valid))
+    out = ad.sparse_sample(q, point_stacked(W, bm.N), w, b)
     return ad.scatter_grid(out, bm.d_idx, bm.i_idx, (bm.D, bm.T))
 
 
@@ -463,6 +465,95 @@ def test_fused_sampler_matches_old_chain(T, D, N, C, dtype):
     new = outputs_and_grads(new_sample_chain, shapes, dtype, 6, W, bm)
     old = outputs_and_grads(old_sample_chain, shapes, dtype, 6, W, bm)
     assert_close(new, old, PARITY_RTOL[dtype])
+
+
+def parent_sparse_sample(x, W, w, b):
+    """The sampler before the point-stacked matrix, on a (T, N*J) CSR W:
+    each call builds the (T, J) matrix W_comb = sum_n w[n] * W_n, and the
+    weight gradient reads the dense (T, J) product x @ gy.T at W's entries."""
+    x, w, b = ad.as_tensor(x), ad.as_tensor(w), ad.as_tensor(b)
+    T, NJ = W.shape
+    N = w.data.shape[0]
+    n, j = np.divmod(W.indices, NJ // N)
+    flat = np.repeat(np.arange(T), np.diff(W.indptr)) * (NJ // N) + j
+    Wc = sparse.csr_matrix((W.data * w.data[n], j, W.indptr), shape=(T, NJ // N))
+    columns = lambda a: np.moveaxis(a, -2, 0).reshape(a.shape[-2], -1)
+    stacked = lambda a: np.moveaxis(a.reshape(a.shape[0], *x.data.shape[:-2], -1), 0, -2)
+
+    def bwd():
+        gy = columns(out.grad)
+        ad._accum(x, stacked(Wc @ gy))
+        per_entry = W.data * (columns(x.data) @ gy.T).ravel().take(flat)
+        ad._accum(w, np.bincount(n, per_entry, minlength=N).astype(w.data.dtype))
+        ad._accum(b, gy.reshape(-1, b.data.shape[0]).sum(axis=0))
+
+    y = stacked(Wc.T @ columns(x.data))
+    y += b.data
+    out = ad.Tensor(y, _parents=(x, w, b), _backward=bwd)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B", [None, 1, 2, 4])
+@pytest.mark.parametrize("T,D,N,C", [(12, 8, 4, 5), (100, 100, 8, 16)])
+def test_point_stacked_sampler_matches_parent_op(T, D, N, C, B, dtype):
+    """The output and the gradients of x, w and b match the (T, J) W_comb
+    op's, unbatched and on a batch axis, at a small and the network's shape."""
+    W = build_bm_mask(T, D, N).W.astype(dtype)
+    shapes = [(T, C) if B is None else (B, T, C), (N,), (C,)]
+    new = outputs_and_grads(lambda x, w, b, S: ad.sparse_sample(x, S, w, b),
+                            shapes, dtype, 8, point_stacked(W, N))
+    old = outputs_and_grads(lambda x, w, b, W: parent_sparse_sample(x, W, w, b),
+                            shapes, dtype, 8, W)
+    assert_close(new, old, PARITY_RTOL[dtype])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B", [1, 2, 4])
+def test_point_stacked_sampler_stack_is_bit_equal_to_single_calls(B, dtype):
+    T, D, N, C = 100, 100, 8, 16
+    S = point_stacked(build_bm_mask(T, D, N).W, N).astype(dtype)
+    rng = np.random.default_rng(B)
+    x, w, b = (rng.normal(size=s).astype(dtype) for s in ((B, T, C), (N,), (C,)))
+    y = ad.sparse_sample(x, S, w, b).data
+    assert y.dtype == dtype and y.shape == (B, S.shape[1], C)
+    assert np.array_equal(y, np.stack([ad.sparse_sample(x[v], S, w, b).data
+                                       for v in range(B)]))
+
+
+@pytest.mark.parametrize("x_shape,N", [((5, 4), 3), ((2, 7, 4), 3), ((6, 4), 2)])
+def test_sparse_sample_rejects_matrix_of_other_shape(x_shape, N):
+    """SAMPLE_S is (N*T, J) = (18, 5) for N = 3 and T = 6: any other T of x
+    or N of w is refused, naming both shapes."""
+    x, w, b = np.ones(x_shape), np.ones(N), np.ones(4)
+    with pytest.raises(ValueError, match=re.escape(f"(18, 5) does not fit x of shape {x_shape}")):
+        ad.sparse_sample(x, SAMPLE_S, w, b)
+
+
+def test_sampler_backward_allocates_under_a_megabyte():
+    """At the network's shape (T = D = 100, N = 8, 16 channels, B = 1,
+    float32) the backward's peak allocation stays under 1 MB; the parent
+    op's, with its dense (T, J) product, is at least 2.0 MB."""
+    T, D, N, C = 100, 100, 8, 16
+    W = build_bm_mask(T, D, N).W.astype(np.float32)
+    rng = np.random.default_rng(9)
+    arrs = [rng.normal(size=s).astype(np.float32) for s in ((1, T, C), (N,), (C,))]
+
+    def backward_peak(op, matrix):
+        x, w, b = (ad.Tensor(a, requires_grad=True) for a in arrs)
+        out = op(x, matrix, w, b)
+        out.grad = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out._backward()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert backward_peak(ad.sparse_sample, point_stacked(W, N)) < 1e6
+    assert backward_peak(parent_sparse_sample, W) >= 2.0e6
 
 
 def test_mse_weighted_mean_and_empty_weight():

@@ -130,6 +130,22 @@ class TestBMSamplingMask:
         net = ProposalNetwork(HyperShape())
         assert net.bm.W.has_canonical_format
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_point_stacked_matrix_is_W_reordered_with_no_sort(self, dtype, monkeypatch):
+        """The sampler's (N*T, J) matrix holds W[t, n*J + j] at row n*T + t,
+        column j, in canonical order, built once per dtype without a sort."""
+        def no_sort(self):
+            raise AssertionError("sort_indices called")
+        monkeypatch.setattr(sparse._compressed._cs_matrix, "sort_indices", no_sort)
+        h = HyperShape()
+        net = ProposalNetwork(h)
+        S = net._W(dtype)
+        J = net.bm.n_valid
+        want = net.bm.W.toarray().reshape(h.T, h.N, J).swapaxes(0, 1).reshape(h.N * h.T, J)
+        assert S.dtype == dtype and S.has_canonical_format and S.nnz == net.bm.W.nnz
+        assert np.array_equal(S.toarray(), want.astype(dtype))
+        assert net._W(dtype) is S
+
 
 class TestForward:
     def test_all_zero_params_give_half(self):
@@ -176,9 +192,9 @@ class TestForward:
         rng = np.random.default_rng(4)
         q = rng.normal(size=(TINY.T, TINY.Hp))
         w, b = rng.normal(size=TINY.N), np.zeros(TINY.Hp)
-        W, entries = net._W(np.float64)
-        s1 = ad.sparse_sample(ad.Tensor(q), W, w, b, entries).data
-        s2 = ad.sparse_sample(ad.Tensor(2.0 * q), W, w, b, entries).data
+        S = net._W(np.float64)
+        s1 = ad.sparse_sample(ad.Tensor(q), S, w, b).data
+        s2 = ad.sparse_sample(ad.Tensor(2.0 * q), S, w, b).data
         assert s1.shape == (net.bm.n_valid, TINY.Hp)
         assert np.allclose(s2, 2.0 * s1)
 
