@@ -490,7 +490,7 @@ def sparse_sample(x, S, w, b):
 
     `S` is a point-stacked scipy sparse matrix of shape (N*T, J): row
     n*T + t, column j holds the weight of snippet t in sample point n of
-    candidate j (`model.point_stacked`). For a (T, C) sequence x the result,
+    candidate j (`model.build_bm_mask`). For a (T, C) sequence x the result,
     shape (J, C), is
 
         y = S.T @ (w ⊗ x) + b,  with w ⊗ x the N copies w[n] * x as (N*T, C),
@@ -521,12 +521,11 @@ def sparse_sample(x, S, w, b):
     return out
 
 
-def scatter_grid(x, d_idx, i_idx, grid_shape):
+def scatter_grid(x, cells, grid_shape):
     """Scatter per-candidate features (J, C) into a dense (D, T, C) grid,
-    zero outside the candidate index lists; both directions index the
-    grid's cells d * T + i on one flat axis."""
+    zero outside the candidates; candidate j sits at the grid's flat cell
+    `cells[j]` = d * T + i, and both directions index that one axis."""
     x = as_tensor(x)
-    cells = np.ravel_multi_index((d_idx, i_idx), grid_shape)
     y = np.zeros((*x.data.shape[:-2], *grid_shape, x.data.shape[-1]), dtype=x.data.dtype)
     flat = y.reshape(*y.shape[:-3], -1, y.shape[-1])  # (..., D*T, C) view
     flat[..., cells, :] = x.data

@@ -281,6 +281,8 @@ def gen_synthetic_dataset(
         raise ValueError(f"label_fraction must be in [0,1], got {label_fraction}")
     if n_videos < 1 or T < 16 or C < 4:
         raise ValueError("need n_videos >= 1, T >= 16, C >= 4")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     os.makedirs(out_dir, exist_ok=True)
     n_labeled = round(label_fraction * n_videos)
     entries = []

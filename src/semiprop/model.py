@@ -77,71 +77,38 @@ class ParamStore(dict):
         return ParamStore(self.flat.copy(), self.shapes)
 
 
-@dataclass
-class BMSamplingMask:
-    """Sparse interpolation weights for boundary-matching feature sampling.
-
-    Conceptually a (T, N*D*T) matrix; only the columns of valid candidates
-    are stored. Column n*n_valid + j holds the two linear-interpolation
-    weights of sample point n of candidate j, and sums to 1.
-    """
-
-    W: sparse.csr_matrix  # (T, N * n_valid)
-    valid_mask: np.ndarray  # (D, T) 0/1 map of the candidates
-    d_idx: np.ndarray  # (n_valid,)
-    i_idx: np.ndarray  # (n_valid,)
-    T: int
-    D: int
-    N: int
-
-    @property
-    def n_valid(self) -> int:
-        return self.d_idx.shape[0]
-
-
-def build_bm_mask(T: int, D: int, N: int) -> BMSamplingMask:
-    """Precompute the sampling matrix: candidate (d, i) covers [i, i+d+1],
+def build_bm_mask(T: int, D: int, N: int) -> sparse.csc_matrix:
+    """The boundary-matching sampling matrix S, (N*T, J) CSC over the J
+    candidates of `candidate_mask(T, D)`: candidate (d, i) covers [i, i+d+1],
     expanded by 0.25*(d+1) on each side, with N uniform sample locations
-    interpolated linearly between neighboring snippets."""
+    interpolated linearly between neighboring snippets. Row n*T + t, column
+    j holds the weight of snippet t in sample point n of candidate j."""
     if D > T or N < 2:
         raise ValueError(f"need D <= T and N >= 2, got T={T}, D={D}, N={N}")
-    valid_mask = candidate_mask(T, D)
-    d_idx, i_idx = np.nonzero(valid_mask)
-    n_valid = d_idx.shape[0]
+    d_idx, i_idx = np.nonzero(candidate_mask(T, D))
 
     dur = (d_idx + 1).astype(np.float64)
     lo = i_idx - 0.25 * dur
     hi = i_idx + 1.25 * dur
     steps = np.arange(N) / (N - 1)
-    locs = lo[None, :] + (hi - lo)[None, :] * steps[:, None]  # (N, n_valid)
+    locs = lo[:, None] + (hi - lo)[:, None] * steps[None, :]  # (J, N)
     locs = np.clip(locs, 0.0, T - 1.0)
 
-    base = np.floor(locs).astype(np.int64).ravel()  # column n*n_valid + j
-    frac = locs.ravel() - base
-    # each column holds row base and, when frac > 0, row base + 1: written
-    # column by column the entries are already in order, so the CSC -> CSR
-    # transpose below is one linear pass and nothing is sorted
+    base = np.floor(locs).astype(np.int64)
+    frac = (locs - base).ravel()  # entry j*N + n
+    rows = (base + T * np.arange(N)).ravel()
+    # point n of column j holds row n*T + base and, when frac > 0, row
+    # n*T + base + 1: taken point by point the rows ascend, so the entries
+    # are written in CSC order and nothing is sorted
     up = frac > 0
-    indptr = np.zeros(base.size + 1, dtype=np.int64)
-    np.cumsum(1 + up, out=indptr[1:])
-    rows = np.empty(indptr[-1], dtype=np.int64)
-    vals = np.empty(indptr[-1])
-    first, second = indptr[:-1], indptr[:-1][up] + 1
-    rows[first], vals[first] = base, 1.0 - frac
-    rows[second], vals[second] = base[up] + 1, frac[up]
-    W = sparse.csc_matrix((vals, rows, indptr), shape=(T, N * n_valid)).tocsr()
-    return BMSamplingMask(W=W, valid_mask=valid_mask, d_idx=d_idx, i_idx=i_idx, T=T, D=D, N=N)
-
-
-def point_stacked(W: sparse.spmatrix, N: int) -> sparse.csc_matrix:
-    """The (N*T, J) point-stacked form of a (T, N*J) sampling matrix, as
-    CSC: row n*T + t, column j holds W[t, n*J + j]. A linear reorder with no
-    sort: W's columns taken in (candidate, point) order, and each
-    candidate's N columns stacked into one, its rows already ascending."""
-    T, NJ = W.shape
-    P = W.tocsc()[:, np.arange(NJ).reshape(N, -1).T.ravel()]  # column j*N + n
-    n = np.repeat(np.tile(np.arange(N), NJ // N), np.diff(P.indptr))
-    return sparse.csc_matrix((P.data, P.indices + T * n, P.indptr[::N]), shape=(N * T, NJ // N))
+    starts = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(1 + up, out=starts[1:])
+    indices = np.empty(starts[-1], dtype=np.int64)
+    data = np.empty(starts[-1])
+    first, second = starts[:-1], starts[:-1][up] + 1
+    indices[first], data[first] = rows, 1.0 - frac
+    indices[second], data[second] = rows[up] + 1, frac[up]
+    return sparse.csc_matrix((data, indices, starts[::N]), shape=(N * T, d_idx.size))
 
 
 def halo(mask: np.ndarray) -> np.ndarray:
@@ -251,13 +218,14 @@ class ModelOutputs:
 
 
 class ProposalNetwork:
-    """Owns the hyper shape and the cached sampling mask; stateless otherwise."""
+    """Owns the hyper shape, the candidate mask and the cached sampling
+    matrices; stateless otherwise."""
 
     def __init__(self, hyper: HyperShape):
         hyper.validate()
         self.hyper = hyper
-        self.bm = build_bm_mask(hyper.T, hyper.D, hyper.N)
-        self.valid_mask = self.bm.valid_mask
+        self.valid_mask = candidate_mask(hyper.T, hyper.D)
+        self.cells = np.flatnonzero(self.valid_mask)  # candidate j's cell d*T + i
         # conv2b's output is masked to the candidates, so it is needed there
         # only; those cells read conv2a's output on the one-cell halo, and
         # scatter_grid reads conv2a's input gradient on the candidates only
@@ -269,11 +237,11 @@ class ProposalNetwork:
         return init_params(self.hyper, seed, dtype=dtype)
 
     def _W(self, dtype) -> sparse.csc_matrix:
-        """The point-stacked sampling matrix in `dtype`, built on first use
-        (not at construction, which sits on the set-up path)."""
-        key = np.dtype(dtype).name
+        """The sampling matrix S in `dtype`, built on first use (not at
+        construction, which sits on the set-up path)."""
+        key, h = np.dtype(dtype).name, self.hyper
         if key not in self._W_cache:
-            self._W_cache[key] = point_stacked(self.bm.W, self.hyper.N).astype(dtype, copy=False)
+            self._W_cache[key] = build_bm_mask(h.T, h.D, h.N).astype(dtype, copy=False)
         return self._W_cache[key]
 
     def forward(
@@ -322,7 +290,7 @@ class ProposalNetwork:
 
             q = act(ad.conv1d(base_feat, P("pem.conv1.w"), P("pem.conv1.b"), pad=1))
             red = act(ad.sparse_sample(q, self._W(dtype), P("pem.reduce.w"), P("pem.reduce.b")))
-            g = ad.scatter_grid(red, self.bm.d_idx, self.bm.i_idx, (h.D, h.T))
+            g = ad.scatter_grid(red, self.cells, (h.D, h.T))
             ext_a, ext_b = self.extents["pem.conv2a"], self.extents["pem.conv2b"]
             g = act(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), 1, *ext_a))
             g = ad.sigmoid(ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), 1, *ext_b))

@@ -9,12 +9,11 @@ from scipy import sparse
 
 from semiprop import autodiff as ad
 from semiprop.data import candidate_mask
-from semiprop.model import CONV_BLOCKS, build_bm_mask, halo, point_stacked, staircase
+from semiprop.model import CONV_BLOCKS, build_bm_mask, halo, staircase
 
 # a random sampling matrix for N=3 sample points of J=5 candidates over T=6,
-# as a (T, N*J) matrix and in the sampler's point-stacked (N*T, J) form
-SAMPLE_W = sparse.random(6, 3 * 5, density=0.4, random_state=1, format="csr")
-SAMPLE_S = point_stacked(SAMPLE_W, 3)
+# in the sampler's point-stacked (N*T, J) form
+SAMPLE_S = sparse.random(3 * 6, 5, density=0.4, random_state=1, format="csc")
 # constant targets and 0/1 weights for the mean square error: a (D, T) map
 # and a (T, C) sequence with a per-row (T, 1) weight
 _mse_rng = np.random.default_rng(2)
@@ -26,7 +25,7 @@ MSE_ROW_W = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0]])
 # its input elsewhere, as scatter_grid does in the network)
 _VALID = candidate_mask(6, 5)
 HALO_EXTENTS = (staircase(halo(_VALID)), staircase(_VALID))
-SCATTER_IDX = (np.array([0, 0, 1]), np.array([0, 2, 1]))
+SCATTER_CELLS = np.array([0, 2, 5])  # cells (0, 0), (0, 2) and (1, 1) of a (2, 4) grid
 
 
 def numeric_grad(build, arrs, i, h=1e-6):
@@ -85,7 +84,7 @@ CASES = {
     "reduce_batched": (lambda x, w, b: ad.tsum(ad.square(
         ad.sparse_sample(x, SAMPLE_S, w, b))), [(2, 6, 4), (3,), (4,)]),
     "scatter_batched": (lambda x: ad.tsum(ad.square(ad.scatter_grid(
-        x, *SCATTER_IDX, (2, 4)))), [(3, 3, 2)]),
+        x, SCATTER_CELLS, (2, 4)))), [(3, 3, 2)]),
     "dot_vm_batched": (lambda x, w: ad.tsum(ad.square(ad.dot_vm(x, w))), [(4, 5), (5, 3)]),
     "cross_entropy_batched": (lambda x: ad.cross_entropy_logits(x, np.array([1, 0, 3])),
                               [(3, 4)]),
@@ -272,7 +271,7 @@ def test_sparse_sample_matches_dense():
     x = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     w, b = rng.normal(size=3), rng.normal(size=3)
     out = ad.sparse_sample(x, SAMPLE_S, w, b)
-    samples = (x.data.T @ SAMPLE_W.toarray()).reshape(3, 3, 5)  # (C, N, J)
+    samples = np.einsum("tc,ntj->cnj", x.data, SAMPLE_S.toarray().reshape(3, 6, 5))
     assert np.allclose(out.data, np.einsum("cnj,n->jc", samples, w) + b)
     ad.tsum(ad.square(out)).backward()
     fd = numeric_grad(lambda t: ad.tsum(ad.square(
@@ -308,10 +307,8 @@ def test_batched_op_matches_per_item_calls(name):
 
 
 def test_scatter_grid_roundtrip_gradient():
-    d_idx = np.array([0, 0, 1])
-    i_idx = np.array([0, 2, 1])
     x = ad.Tensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True)
-    g = ad.scatter_grid(x, d_idx, i_idx, (2, 4))
+    g = ad.scatter_grid(x, SCATTER_CELLS, (2, 4))
     assert g.data.shape == (2, 4, 2)
     assert np.array_equal(g.data[0, 2], x.data[1])
     assert g.data[1, 3].sum() == 0.0
@@ -385,10 +382,20 @@ def old_conv2d(x, w, b, pad):
     return out
 
 
-def old_sample_chain(q, w, b, W, bm):
-    """(T, C) -> (D, T, C) through the separate sampling ops."""
+def wide_matrix(S, N):
+    """The (T, N*J) CSR layout of an (N*T, J) sampling matrix, which the
+    earlier kernels read: S[r, j] moves to row r % T, column (r // T)*J + j."""
+    (T, J), C = (S.shape[0] // N, S.shape[1]), S.tocoo()
+    return sparse.csr_matrix((C.data, (C.row % T, C.row // T * J + C.col)), shape=(T, N * J))
+
+
+def old_sample_chain(q, w, b, W, D):
+    """(T, C) -> (D, T, C) through the separate sampling ops, on the (T, N*J)
+    matrix W."""
     q, w, b = ad.as_tensor(q), ad.as_tensor(w), ad.as_tensor(b)
-    C, N, J = q.data.shape[1], bm.N, bm.n_valid
+    (T, C), N = q.data.shape, w.data.shape[0]
+    J = W.shape[1] // N
+    d_idx, i_idx = np.nonzero(candidate_mask(T, D))
     samp = ad.Tensor(np.asarray(q.data.T @ W), _parents=(q,))
     samp._backward = lambda: ad._accum(q, np.asarray(W @ samp.grad.T))
     x = ad.Tensor(samp.data.reshape(C, N, J), _parents=(samp,))
@@ -403,17 +410,18 @@ def old_sample_chain(q, w, b, W, bm):
         ad._accum(b, gy.sum(axis=1))
 
     red._backward = red_bwd
-    grid = ad.Tensor(np.zeros((C, bm.D, bm.T), dtype=q.data.dtype), _parents=(red,))
-    grid.data[:, bm.d_idx, bm.i_idx] = red.data
-    grid._backward = lambda: ad._accum(red, grid.grad[:, bm.d_idx, bm.i_idx])
+    grid = ad.Tensor(np.zeros((C, D, T), dtype=q.data.dtype), _parents=(red,))
+    grid.data[:, d_idx, i_idx] = red.data
+    grid._backward = lambda: ad._accum(red, grid.grad[:, d_idx, i_idx])
     out = ad.Tensor(np.transpose(grid.data, (1, 2, 0)), _parents=(grid,))
     out._backward = lambda: ad._accum(grid, np.transpose(out.grad, (2, 0, 1)))
     return out
 
 
-def new_sample_chain(q, w, b, W, bm):
-    out = ad.sparse_sample(q, point_stacked(W, bm.N), w, b)
-    return ad.scatter_grid(out, bm.d_idx, bm.i_idx, (bm.D, bm.T))
+def new_sample_chain(q, w, b, S, D):
+    T = q.data.shape[0]
+    out = ad.sparse_sample(q, S, w, b)
+    return ad.scatter_grid(out, np.flatnonzero(candidate_mask(T, D)), (D, T))
 
 
 def outputs_and_grads(op, shapes, dtype, seed, *const):
@@ -459,11 +467,10 @@ def test_conv2d_matches_old_kernel(shapes, pad, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("T,D,N,C", [(12, 8, 4, 5), (16, 16, 8, 3), (5, 1, 2, 2)])
 def test_fused_sampler_matches_old_chain(T, D, N, C, dtype):
-    bm = build_bm_mask(T, D, N)
-    W = bm.W.astype(dtype)
+    S = build_bm_mask(T, D, N).astype(dtype)
     shapes = [(T, C), (N,), (C,)]
-    new = outputs_and_grads(new_sample_chain, shapes, dtype, 6, W, bm)
-    old = outputs_and_grads(old_sample_chain, shapes, dtype, 6, W, bm)
+    new = outputs_and_grads(new_sample_chain, shapes, dtype, 6, S, D)
+    old = outputs_and_grads(old_sample_chain, shapes, dtype, 6, wide_matrix(S, N), D)
     assert_close(new, old, PARITY_RTOL[dtype])
 
 
@@ -499,12 +506,12 @@ def parent_sparse_sample(x, W, w, b):
 def test_point_stacked_sampler_matches_parent_op(T, D, N, C, B, dtype):
     """The output and the gradients of x, w and b match the (T, J) W_comb
     op's, unbatched and on a batch axis, at a small and the network's shape."""
-    W = build_bm_mask(T, D, N).W.astype(dtype)
+    S = build_bm_mask(T, D, N).astype(dtype)
     shapes = [(T, C) if B is None else (B, T, C), (N,), (C,)]
     new = outputs_and_grads(lambda x, w, b, S: ad.sparse_sample(x, S, w, b),
-                            shapes, dtype, 8, point_stacked(W, N))
+                            shapes, dtype, 8, S)
     old = outputs_and_grads(lambda x, w, b, W: parent_sparse_sample(x, W, w, b),
-                            shapes, dtype, 8, W)
+                            shapes, dtype, 8, wide_matrix(S, N))
     assert_close(new, old, PARITY_RTOL[dtype])
 
 
@@ -512,7 +519,7 @@ def test_point_stacked_sampler_matches_parent_op(T, D, N, C, B, dtype):
 @pytest.mark.parametrize("B", [1, 2, 4])
 def test_point_stacked_sampler_stack_is_bit_equal_to_single_calls(B, dtype):
     T, D, N, C = 100, 100, 8, 16
-    S = point_stacked(build_bm_mask(T, D, N).W, N).astype(dtype)
+    S = build_bm_mask(T, D, N).astype(dtype)
     rng = np.random.default_rng(B)
     x, w, b = (rng.normal(size=s).astype(dtype) for s in ((B, T, C), (N,), (C,)))
     y = ad.sparse_sample(x, S, w, b).data
@@ -535,7 +542,7 @@ def test_sampler_backward_allocates_under_a_megabyte():
     float32) the backward's peak allocation stays under 1 MB; the parent
     op's, with its dense (T, J) product, is at least 2.0 MB."""
     T, D, N, C = 100, 100, 8, 16
-    W = build_bm_mask(T, D, N).W.astype(np.float32)
+    S = build_bm_mask(T, D, N).astype(np.float32)
     rng = np.random.default_rng(9)
     arrs = [rng.normal(size=s).astype(np.float32) for s in ((1, T, C), (N,), (C,))]
 
@@ -552,8 +559,8 @@ def test_sampler_backward_allocates_under_a_megabyte():
         finally:
             tracemalloc.stop()
 
-    assert backward_peak(ad.sparse_sample, point_stacked(W, N)) < 1e6
-    assert backward_peak(parent_sparse_sample, W) >= 2.0e6
+    assert backward_peak(ad.sparse_sample, S) < 1e6
+    assert backward_peak(parent_sparse_sample, wide_matrix(S, N)) >= 2.0e6
 
 
 def test_mse_weighted_mean_and_empty_weight():

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from semiprop import cli
 from semiprop.cli import apply_mode, config_hash, main
 from semiprop.data import write_framed
 from semiprop.model import (CHECKPOINT_MAGIC, HyperShape, init_params,
@@ -105,6 +106,8 @@ MALFORMED = {
     "config_eps_0": _config_case({"eps": 0}),
     "config_K_1": _config_case({"K": 1}),
     "config_lambda2_nan": _config_case({"lambda2": float("nan")}),  # a bare NaN
+    "gen_data_negative_seed": lambda dataset, tmp_path: (
+        ["gen-data", "--out", str(tmp_path / "run"), "--videos", "2", "--seed", "-1"], 1),
 }
 
 
@@ -396,6 +399,19 @@ class TestExitCodes:
         assert rc == 1
         assert "error" in capsys.readouterr().err
         assert not (run_dir / "checkpoint.bin").exists() and not run_dir.exists()
+
+    def test_out_of_memory_is_usage_error(self, dataset, tmp_path, capsys, monkeypatch):
+        """A run too large for memory is reported as one error line with exit
+        1; the allocation failure is raised here, never made."""
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+        monkeypatch.setattr(cli, "train_run", too_large)
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(tmp_path / "run")] + TRAIN_FLAGS)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: Unable to allocate 7.45 GiB for an array\n"
+        assert "Traceback" not in err
 
     def test_shift_selecting_no_channel_is_usage_error(self, dataset, tmp_path, capsys):
         """A mu that shifts no channel of the data's C fails before the run

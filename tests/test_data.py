@@ -123,13 +123,15 @@ def loop_bm_mask(T, D, N):
     locs = np.clip(lo[None, :] + (hi - lo)[None, :] * steps[:, None], 0.0, T - 1.0)
     base = np.floor(locs).astype(np.int64)
     frac = locs - base
-    cols = np.arange(N)[:, None] * n_valid + np.arange(n_valid)[None, :]
+    # sample point n of candidate j weighs snippet t at row n*T + t, column j
+    rows = np.arange(N)[:, None] * T + base
+    cols = np.broadcast_to(np.arange(n_valid), base.shape)
     up = frac > 0
-    rows = np.concatenate([base.ravel(), (base[up] + 1).ravel()])
+    rows = np.concatenate([rows.ravel(), (rows[up] + 1).ravel()])
     ccols = np.concatenate([cols.ravel(), cols[up].ravel()])
     vals = np.concatenate([(1.0 - frac).ravel(), frac[up].ravel()])
-    W = sparse.coo_matrix((vals, (rows, ccols)), shape=(T, N * n_valid)).tocsr()
-    return W, d_idx, i_idx
+    S = sparse.coo_matrix((vals, (rows, ccols)), shape=(N * T, n_valid)).tocsc()
+    return S, d_idx, i_idx
 
 
 def loop_label_maps(instances, T, D):
@@ -167,15 +169,18 @@ def test_candidate_grid_matches_loops(T):
     rng = np.random.default_rng(T)
     for D in range(1, T + 1):
         N = 2 + (T + D) % 4
-        W, d_idx, i_idx = loop_bm_mask(T, D, N)
-        bm = build_bm_mask(T, D, N)
-        assert np.array_equal(bm.d_idx, d_idx) and np.array_equal(bm.i_idx, i_idx)
+        want, d_idx, i_idx = loop_bm_mask(T, D, N)
+        S = build_bm_mask(T, D, N)
+        assert S.format == "csc" and S.shape == want.shape
         for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(bm.W, attr), getattr(W, attr))
+            got, ref = getattr(S, attr), getattr(want, attr)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), attr
         vm = np.zeros((D, T))
         vm[d_idx, i_idx] = 1.0
         assert np.array_equal(candidate_mask(T, D), vm)
-        assert np.array_equal(ProposalNetwork(HyperShape(T=T, D=D, N=N)).valid_mask, vm)
+        net = ProposalNetwork(HyperShape(T=T, D=D, N=N))
+        assert np.array_equal(net.valid_mask, vm)
+        assert np.array_equal(net.cells, d_idx * T + i_idx)
         for _ in range(2):
             inst = []
             for _ in range(rng.integers(1, 4)):

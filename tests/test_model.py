@@ -5,7 +5,8 @@ import pytest
 from scipy import sparse
 
 from semiprop import autodiff as ad
-from semiprop.data import FormatError
+from semiprop import model
+from semiprop.data import FormatError, candidate_mask
 from semiprop.model import (HyperShape, ParamStore, ProposalNetwork, backward,
                             build_bm_mask, composite_loss, grad_check, init_params,
                             load_checkpoint, load_stores, param_shapes,
@@ -34,13 +35,13 @@ def assert_views_of_flat(store: ParamStore) -> None:
     assert offset == store.flat.size
 
 
-def column_weights(bm, n: int, d: int, i: int) -> np.ndarray:
-    """Dense weight column for sample n of candidate (d, i); zeros for
-    invalid candidates (the conceptual T x N*D*T layout)."""
-    col = np.zeros(bm.T)
-    j = np.flatnonzero((bm.d_idx == d) & (bm.i_idx == i))
+def column_weights(S, T: int, D: int, n: int, d: int, i: int) -> np.ndarray:
+    """Dense weight column for sample n of candidate (d, i) of the (N*T, J)
+    sampling matrix S; zeros for invalid candidates."""
+    col = np.zeros(T)
+    j = np.flatnonzero(np.flatnonzero(candidate_mask(T, D)) == d * T + i)
     if j.size:
-        col[:] = bm.W[:, n * bm.n_valid + int(j[0])].toarray().ravel()
+        col[:] = S[n * T:(n + 1) * T, int(j[0])].toarray().ravel()
     return col
 
 
@@ -70,40 +71,39 @@ class TestInitParams:
 
 class TestBMSamplingMask:
     def test_valid_columns_sum_to_one(self):
-        bm = build_bm_mask(T=10, D=5, N=4)
-        sums = np.asarray(bm.W.sum(axis=0)).ravel()
+        S = build_bm_mask(T=10, D=5, N=4)
+        sums = S.toarray().reshape(4, 10, -1).sum(axis=1)  # (N, J)
         assert np.allclose(sums, 1.0)
 
     def test_at_most_two_nonzeros_per_column(self):
-        bm = build_bm_mask(T=10, D=5, N=4)
-        counts = np.diff(bm.W.tocsc().indptr)
+        S = build_bm_mask(T=10, D=5, N=4)
+        counts = (S.toarray().reshape(4, 10, -1) != 0).sum(axis=1)  # (N, J)
         assert counts.max() <= 2
 
     def test_integer_location_single_weight(self):
         # candidate (d=3, i=0): region [-1, 5] clips to start at 0, an
         # exact integer, so sample 0 is a single unit weight on snippet 0
-        bm = build_bm_mask(T=8, D=4, N=4)
-        col = column_weights(bm, n=0, d=3, i=0)
+        S = build_bm_mask(T=8, D=4, N=4)
+        col = column_weights(S, 8, 4, n=0, d=3, i=0)
         assert col[0] == 1.0 and col[1:].sum() == 0.0
 
     def test_fractional_location_splits_weights(self):
         # candidate (d=0, i=1): region [0.75, 2.25], N=4 -> second sample
         # at 1.25, interpolating 0.75/0.25 between snippets 1 and 2
-        bm = build_bm_mask(T=8, D=4, N=4)
-        col = column_weights(bm, n=1, d=0, i=1)
+        S = build_bm_mask(T=8, D=4, N=4)
+        col = column_weights(S, 8, 4, n=1, d=0, i=1)
         assert col[1] == pytest.approx(0.75)
         assert col[2] == pytest.approx(0.25)
         assert col.sum() == pytest.approx(1.0)
 
     def test_constant_feature_reproduced_at_every_sample(self):
-        bm = build_bm_mask(T=12, D=6, N=4)
-        x = np.full((12, 1), 3.5)
-        sampled = x.T @ bm.W.toarray()
+        S = build_bm_mask(T=12, D=6, N=4)
+        sampled = np.full(12, 3.5) @ S.toarray().reshape(4, 12, -1)  # (N, J)
         assert np.allclose(sampled, 3.5)
 
     def test_candidate_count(self):
-        bm = build_bm_mask(T=10, D=5, N=4)
-        assert bm.n_valid == sum(10 - d for d in range(5))
+        S = build_bm_mask(T=10, D=5, N=4)
+        assert S.shape == (4 * 10, sum(10 - d for d in range(5)))
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -114,37 +114,44 @@ class TestBMSamplingMask:
     @pytest.mark.parametrize("T,D,N", [(100, 100, 8), (100, 60, 8), (100, 100, 32),
                                        (100, 60, 32)])
     def test_matches_coo_build_at_benchmark_shapes(self, T, D, N):
-        """The matrix written in CSR order is the COO build's, byte for byte
+        """The matrix written in CSC order is the COO build's, byte for byte
         and dtype for dtype, in canonical format."""
         want, _, _ = loop_bm_mask(T, D, N)
-        W = build_bm_mask(T, D, N).W
-        assert W.shape == want.shape and W.has_canonical_format
+        S = build_bm_mask(T, D, N)
+        assert S.format == "csc" and S.shape == want.shape and S.has_canonical_format
         for attr in ("data", "indices", "indptr"):
-            got, ref = getattr(W, attr), getattr(want, attr)
+            got, ref = getattr(S, attr), getattr(want, attr)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), attr
 
     def test_network_build_sorts_nothing(self, monkeypatch):
+        """The network's sampling matrix is canonical, built once per dtype,
+        and never sorted."""
         def no_sort(self):
             raise AssertionError("sort_indices called")
         monkeypatch.setattr(sparse._compressed._cs_matrix, "sort_indices", no_sort)
         net = ProposalNetwork(HyperShape())
-        assert net.bm.W.has_canonical_format
+        S64, S32 = net._W(np.float64), net._W(np.float32)
+        for S, dtype in ((S64, np.float64), (S32, np.float32)):
+            assert S.dtype == dtype and S.has_canonical_format
+            assert net._W(dtype) is S
+        assert np.array_equal(S32.data, S64.data.astype(np.float32))
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_point_stacked_matrix_is_W_reordered_with_no_sort(self, dtype, monkeypatch):
-        """The sampler's (N*T, J) matrix holds W[t, n*J + j] at row n*T + t,
-        column j, in canonical order, built once per dtype without a sort."""
-        def no_sort(self):
-            raise AssertionError("sort_indices called")
-        monkeypatch.setattr(sparse._compressed._cs_matrix, "sort_indices", no_sort)
-        h = HyperShape()
-        net = ProposalNetwork(h)
-        S = net._W(dtype)
-        J = net.bm.n_valid
-        want = net.bm.W.toarray().reshape(h.T, h.N, J).swapaxes(0, 1).reshape(h.N * h.T, J)
-        assert S.dtype == dtype and S.has_canonical_format and S.nnz == net.bm.W.nnz
-        assert np.array_equal(S.toarray(), want.astype(dtype))
-        assert net._W(dtype) is S
+    def test_network_construction_builds_no_sampling_matrix(self, monkeypatch):
+        """Construction sits on the set-up path: the matrix is built by the
+        first forward pass, once per dtype."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_bm_mask(*args)
+        monkeypatch.setattr(model, "build_bm_mask", counted)
+        net = ProposalNetwork(TINY)
+        assert len(calls) == 0
+        params = net.init_params(seed=0, dtype=np.float32)
+        f = np.zeros((TINY.T, TINY.C), dtype=np.float32)
+        for expected in (1, 1):
+            net.forward(params, f, requires_grad=False)
+            assert len(calls) == expected
 
 
 class TestForward:
@@ -195,7 +202,7 @@ class TestForward:
         S = net._W(np.float64)
         s1 = ad.sparse_sample(ad.Tensor(q), S, w, b).data
         s2 = ad.sparse_sample(ad.Tensor(2.0 * q), S, w, b).data
-        assert s1.shape == (net.bm.n_valid, TINY.Hp)
+        assert s1.shape == (net.cells.size, TINY.Hp)
         assert np.allclose(s2, 2.0 * s1)
 
     def test_constant_input_is_flip_fixed_point(self):
