@@ -136,6 +136,37 @@ class TestBMSamplingMask:
             assert net._W(dtype) is S
         assert np.array_equal(S32.data, S64.data.astype(np.float32))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_point_stacked_matrix_is_W_reordered_with_no_sort(self, dtype, monkeypatch):
+        """The sampler's (N*T, J) matrix holds W[t, n*J + j] of the (T, N*J)
+        layout at row n*T + t, column j, in canonical order, built once per
+        dtype without a sort."""
+        def no_sort(self):
+            raise AssertionError("sort_indices called")
+        monkeypatch.setattr(sparse._compressed._cs_matrix, "sort_indices", no_sort)
+        h = HyperShape()
+        d_idx, i_idx = np.nonzero(candidate_mask(h.T, h.D))
+        J = d_idx.size
+        # the (T, N*J) layout, sample point n of candidate j in column n*J + j
+        dur = d_idx + 1.0
+        lo, hi = i_idx - 0.25 * dur, i_idx + 1.25 * dur
+        locs = np.clip(lo + (hi - lo) * (np.arange(h.N) / (h.N - 1))[:, None],
+                       0.0, h.T - 1.0)  # (N, J)
+        base = np.floor(locs).astype(np.int64)
+        frac, cols = locs - base, np.arange(h.N * J).reshape(h.N, J)
+        W = np.zeros((h.T, h.N * J))
+        np.add.at(W, (base, cols), 1.0 - frac)
+        up = frac > 0
+        np.add.at(W, (base[up] + 1, cols[up]), frac[up])
+
+        net = ProposalNetwork(h)
+        S = net._W(dtype)
+        want = W.reshape(h.T, h.N, J).swapaxes(0, 1).reshape(h.N * h.T, J)
+        assert S.dtype == dtype and S.has_canonical_format
+        assert S.nnz == np.count_nonzero(W)
+        assert np.array_equal(S.toarray(), want.astype(dtype))
+        assert net._W(dtype) is S
+
     def test_network_construction_builds_no_sampling_matrix(self, monkeypatch):
         """Construction sits on the set-up path: the matrix is built by the
         first forward pass, once per dtype."""
