@@ -259,11 +259,47 @@ def take_last(a, idx):
     return out
 
 
+class CellRows:
+    """A (D, T) grid held as the rows of some of its cells: row j of a
+    (..., J, C) array is the cell with flat index `cells[j]` = d * T + i
+    (ascending), and every other cell is zero. A convolution reads it a
+    strip at a time, each strip copied as runs of consecutive rows; a
+    strip's runs are found the first time it is read and kept, so they are
+    built once per extent block, on the first pass."""
+
+    def __init__(self, cells, shape):
+        self.cells, self.shape, self._runs = cells, tuple(shape), {}
+
+    def strip(self, x, rows, cols):
+        """Rows [r0, r1) and columns [c0, c1) of the grid whose cells `x`
+        holds, as `_strip` cuts them."""
+        (r0, r1), (c0, c1) = rows, cols
+        if (rows, cols) not in self._runs:
+            d, i = np.divmod(self.cells, self.shape[1])
+            j = np.flatnonzero((d >= r0) & (d < r1) & (i >= c0) & (i < c1))
+            pos = (d[j] - r0) * (c1 - c0) + i[j] - c0
+            # a run goes on while both the strip cell and the row advance by one
+            first = np.flatnonzero((np.diff(pos, prepend=-2) != 1) | (np.diff(j, prepend=-2) != 1))
+            self._runs[rows, cols] = list(zip(pos[first].tolist(), j[first].tolist(),
+                                              np.diff(first, append=j.size).tolist()))
+        strip = np.zeros((*x.shape[:-2], (r1 - r0) * (c1 - c0), x.shape[-1]), dtype=x.dtype)
+        for p, s, n in self._runs[rows, cols]:
+            strip[..., p:p + n, :] = x[..., s:s + n, :]
+        return strip.reshape(*x.shape[:-2], r1 - r0, c1 - c0, x.shape[-1])
+
+    def gather(self, grid):
+        """The rows of a (..., D, T, C) grid's cells."""
+        return grid.reshape(*grid.shape[:-3], -1, grid.shape[-1]).take(self.cells, axis=-2)
+
+
 def _strip(src, extent, rows, cols):
     """A zeroed (r1 - r0, c1 - c0, C) copy of rows [r0, r1) and columns
     [c0, c1) of a (D, T, C) grid `src`, holding its cells inside the
     staircase `extent` only; the ranges may reach past the grid's edges,
-    which reads as zero padding."""
+    which reads as zero padding. With a `CellRows` extent, `src` is the
+    (J, C) rows of the grid's cells."""
+    if isinstance(extent, CellRows):
+        return extent.strip(src, rows, cols)
     (r0, r1), (c0, c1) = rows, cols
     strip = np.zeros((*src.shape[:-3], r1 - r0, c1 - c0, src.shape[-1]), dtype=src.dtype)
     for e0, e1, u1 in extent:
@@ -292,15 +328,64 @@ def _block_taps(src, extent, block, kernel, pad):
                       strip.dtype, strip, 0, (*lead, width * row, row, row, ch))
 
 
-def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None):
+def _cells(a, block, channels_first):
+    """The cells of row block (d0, d1, t1) of a (..., D, T, C) grid, or of a
+    (..., C, D, T) one when `channels_first`."""
+    d0, d1, t1 = block
+    return a[..., d0:d1, :t1] if channels_first else a[..., d0:d1, :t1, :]
+
+
+def _write(out, block, acc, epilogue, channels_first):
+    """Store a block's computed cells in `out`, then run the epilogue
+    (act, mask) on them there: act None, "relu" or "sigmoid", then the
+    product with the 0/1 `mask`, given in the output's layout."""
+    view = _cells(out, block, channels_first)
+    view[...] = acc
+    if epilogue is None:
+        return
+    act, mask = epilogue
+    if act == "relu":
+        np.maximum(view, 0.0, out=view)
+    elif act == "sigmoid":
+        with np.errstate(over="ignore"):  # exp(-x) -> inf gives 0, as in `sigmoid`
+            np.exp(np.negative(view, out=view), out=view)
+        view += 1.0
+        np.divide(1.0, view, out=view)
+    if mask is not None:
+        view *= _cells(mask, block, channels_first)
+
+
+def _epilogue_grad(gy, y, extent, epilogue, channels_first):
+    """The gradient before the epilogue, from the gradient `gy` of the
+    output `y` after it, inside `extent`; the cells outside it are left
+    unset, as the kernels never read them. With a 0/1 mask the derivative
+    of either act reads off y alone: y > 0 for the ReLU, y * (1 - y) for
+    the sigmoid, both zero where the mask is."""
+    act, mask = epilogue
+    gz = np.empty_like(gy)
+    for block in extent:
+        g, o = _cells(gy, block, channels_first), _cells(y, block, channels_first)
+        out = _cells(gz, block, channels_first)
+        if act == "relu":
+            np.multiply(g, o > 0.0, out=out)
+        elif act == "sigmoid":
+            np.multiply(g * o, 1.0 - o, out=out)
+        else:
+            np.multiply(g, _cells(mask, block, channels_first), out=out)
+    return gz
+
+
+def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None, epilogue=None,
+                 channels_first=False):
     """Stride-1 convolution of a (D, T, Cin) grid `src`, read inside
     `extent` and zero-padded by `pad`, with a (kd, kt, Cin, Cout) kernel:
     the sum over taps of shifted slices times the tap's (Cin, Cout) matrix,
-    plus `bias`, giving a (*shape, Cout) grid that is computed inside the
-    row blocks of `out_extent` and zero elsewhere. Each block adds its
-    kd * kt tap products into one accumulator, in tap order."""
+    plus `bias`, giving an output of the full `shape` that is computed
+    inside the row blocks of `out_extent` (where `epilogue` runs) and zero
+    elsewhere. Each block adds its kd * kt tap products into one
+    accumulator, in tap order."""
     kd, kt, _, cout = w.shape
-    out = np.zeros((*src.shape[:-3], *shape, cout), dtype=src.dtype)
+    out = np.zeros(shape, dtype=src.dtype)
     for d0, d1, t1 in out_extent:
         taps = _block_taps(src, extent, (d0, d1, t1), (kd, kt), pad)
         acc = taps[..., 0, 0, :, :] @ w[0, 0]
@@ -309,25 +394,27 @@ def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None):
                 acc += taps[..., i, j, :, :] @ w[i, j]
         if bias is not None:
             acc += bias
-        out[..., d0:d1, :t1, :] = acc.reshape(*acc.shape[:-2], d1 - d0, -1, cout)[..., :t1, :]
+        acc = acc.reshape(*acc.shape[:-2], d1 - d0, -1, cout)[..., :t1, :]
+        _write(out, (d0, d1, t1), np.moveaxis(acc, -1, -3) if channels_first else acc,
+               epilogue, channels_first)
     return out
 
 
-def _conv2d_planes(src, w, pad, shape, out_extent, bias=None):
-    """`_conv2d_taps` over the whole of `src` in the output-side order, for
-    a kernel narrower at its output: each block's strip meets all kd * kt
-    taps in one product, stored tap-major as one contiguous plane of the
-    strip's cells per (tap, output channel), and then the planes, each
-    shifted by its tap's offset into the strip, are added in tap order."""
+def _conv2d_planes(src, extent, w, pad, shape, out_extent, bias=None, epilogue=None,
+                   channels_first=False):
+    """`_conv2d_taps` in the output-side order, for a kernel narrower at its
+    output: each block's strip meets all kd * kt taps in one product, stored
+    tap-major as one contiguous plane of the strip's cells per (tap, output
+    channel), and then the planes, each shifted by its tap's offset into the
+    strip, are added in tap order."""
     kd, kt, cin, cout = w.shape
     pd, pt = pad
     w_all = w.transpose(0, 1, 3, 2).reshape(kd * kt * cout, cin)
-    out = np.zeros((*src.shape[:-3], *shape, cout), dtype=src.dtype)
-    whole = ((0, *src.shape[-3:-1]),)
+    out = np.zeros(shape, dtype=src.dtype)
     for d0, d1, t1 in out_extent:
         width = t1 + kt - 1
         n = (d1 - d0) * width
-        strip = _strip(src, whole, (d0 - pd, d1 + kd - pd), (-pt, width - pt))
+        strip = _strip(src, extent, (d0 - pd, d1 + kd - pd), (-pt, width - pt))
         planes = w_all @ strip.reshape(*strip.shape[:-3], -1, cin).swapaxes(-2, -1)
         planes = planes.reshape(*planes.shape[:-2], kd * kt, cout, -1)
         acc = planes[..., 0, :, :n].copy()
@@ -337,36 +424,44 @@ def _conv2d_planes(src, w, pad, shape, out_extent, bias=None):
         if bias is not None:
             acc += bias[:, None]
         acc = acc.reshape(*acc.shape[:-1], d1 - d0, width)[..., :t1]
-        out[..., d0:d1, :t1, :] = np.moveaxis(acc, -3, -1)
+        _write(out, (d0, d1, t1), acc if channels_first else np.moveaxis(acc, -3, -1),
+               epilogue, channels_first)
     return out
 
 
-def _narrow_grads(x, w, pad, out_extent, grad_extent, gy):
+def _grid_shape(x, extent):
+    """The (..., D, T, C) shape of the grid that `x` is, or whose cells it
+    holds when `extent` is a `CellRows`."""
+    return (*x.shape[:-2], *extent.shape, x.shape[-1]) if isinstance(extent, CellRows) \
+        else x.shape
+
+
+def _narrow_grads(x, extent, w, pad, out_extent, grad_extent, gy, channels_first):
     """The gradients of x, w and b for `_conv2d_planes`, as the adjoint of
     its order. The output gradient is copied once, channel first and
     zero-padded by k-1-pad, from inside `out_extent`. The input rows that
     extent reads are cut into bands, one per output block; each band's
     im2col G holds the kd * kt * Cout gradient planes that meet its input
     cells, and gives the input gradient as G^T times the flipped kernel
-    (kept inside `grad_extent`) and the weight gradient as G times the
-    band's input, one product each."""
-    D, T, cin = x.shape[-3:]
+    (kept inside `grad_extent`, on the grid) and the weight gradient as G
+    times the band's input, one product each."""
+    *lead, D, T, cin = _grid_shape(x, extent)
     kd, kt, _, cout = w.shape
     pd, pt = pad
     qd, qt = kd - 1 - pd, kt - 1 - pt
-    lead = x.shape[:-3]
     gyp = np.zeros((*lead, cout, D + kd - 1, T + kt - 1), dtype=gy.dtype)
     gb = np.zeros(cout, dtype=gy.dtype)
     reach = np.zeros(D, dtype=np.int64)  # columns of each input row the output reads
     for d0, d1, t1 in out_extent:
-        block = np.moveaxis(gy[..., d0:d1, :t1, :], -1, 0)
+        block = np.moveaxis(_cells(gy, (d0, d1, t1), channels_first),
+                            -3 if channels_first else -1, 0)
         gyp[..., qd + d0:qd + d1, qt:qt + t1] = np.moveaxis(block, 0, -3)
         # cell by cell, the order of the tap loop's per-block sum
         gb += np.cumsum(block.reshape(cout, -1), axis=1)[:, -1]
         r0, r1 = max(d0 - pd, 0), min(d1 - pd + kd - 1, D)
         np.maximum(reach[r0:r1], min(t1 - pt + kt - 1, T), out=reach[r0:r1])
     w_flip = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kd * kt * cout, cin)
-    gx = np.zeros(x.shape, dtype=gy.dtype)
+    gx = np.zeros((*lead, D, T, cin), dtype=gy.dtype)
     gw = np.zeros((kd * kt * cout, cin), dtype=w.dtype)
     start = 0
     for d0, d1, _ in out_extent:
@@ -385,12 +480,13 @@ def _narrow_grads(x, w, pad, out_extent, grad_extent, gy):
             a0, a1, c1 = max(e0, r0), min(e1, r1), min(u1, width)
             if a0 < a1 and c1 > 0:
                 gx[..., a0:a1, :c1, :] = band[..., a0 - r0:a1 - r0, :c1, :]
-        gw += g @ x[..., r0:r1, :width, :].reshape(-1, cin)
+        gw += g @ _strip(x, extent, (r0, r1), (0, width)).reshape(-1, cin)
     gw = gw.reshape(kd, kt, cout, cin)[::-1, ::-1].transpose(0, 1, 3, 2)
     return gx, np.ascontiguousarray(gw), gb
 
 
-def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
+def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilogue=None,
+               channels_first=False):
     """Stride-1 convolution of a (D, T, Cin) array with a (kd, kt, Cin, Cout)
     kernel, zero-padded by pad = (pd, pt) with 0 <= pd <= kd-1 and
     0 <= pt <= kt-1.
@@ -415,8 +511,15 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
     `out_extent` and the input gradient only inside `grad_extent`; cells
     outside them are zero, and the output gradient is read only inside
     `out_extent`. Both default to one block over the whole grid.
+
+    With `rows` (a `CellRows`), x is the (..., J, Cin) rows of the grid's
+    cells, and every block's strip is copied straight from them; the input
+    gradient is still a grid. An `epilogue` (act, mask) runs on each
+    block's computed cells as `_write` says, and the gradient goes back
+    through it inside `out_extent` only. `channels_first` writes the output,
+    and reads its gradient, as (..., Cout, d_out, t_out).
     """
-    D, T, cin = x.shape[-3:]
+    *lead, D, T, cin = _grid_shape(x, rows)
     kd, kt, _, cout = w.shape
     for p, k in zip(pad, (kd, kt)):
         if not 0 <= p <= k - 1:
@@ -424,25 +527,31 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None):
     pd, pt = pad
     d_out = D + 2 * pd - kd + 1
     t_out = T + 2 * pt - kt + 1
-    whole = ((0, D, T),)
+    source = rows or ((0, D, T),)
     out_extent = out_extent or ((0, d_out, t_out),)
-    grad_extent = grad_extent or whole
-    if cout < cin and kd > 1:
-        y = _conv2d_planes(x, w, pad, (d_out, t_out), out_extent, b)
-        return y, lambda gy: _narrow_grads(x, w, pad, out_extent, grad_extent, gy)
-    y = _conv2d_taps(x, whole, w, pad, (d_out, t_out), out_extent, b)
+    grad_extent = grad_extent or ((0, D, T),)
+    shape = (*lead, cout, d_out, t_out) if channels_first else (*lead, d_out, t_out, cout)
+    narrow = cout < cin and kd > 1
+    y = (_conv2d_planes if narrow else _conv2d_taps)(
+        x, source, w, pad, shape, out_extent, b, epilogue, channels_first)
 
     def grads(gy):
+        if epilogue is not None:
+            gy = _epilogue_grad(gy, y, out_extent, epilogue, channels_first)
+        if narrow:
+            return _narrow_grads(x, source, w, pad, out_extent, grad_extent, gy, channels_first)
+        if channels_first:
+            gy = np.moveaxis(gy, -3, -1)
         gw = np.zeros_like(w)
         gb = np.zeros(cout, dtype=gy.dtype)
         for d0, d1, t1 in out_extent:
             g = _strip(gy, out_extent, (d0, d1), (0, t1 + kt - 1))
             gb += g.reshape(-1, cout).sum(axis=0)
-            taps = _block_taps(x, whole, (d0, d1, t1), (kd, kt), pad).swapaxes(-2, -1)
+            taps = _block_taps(x, source, (d0, d1, t1), (kd, kt), pad).swapaxes(-2, -1)
             gw += (taps @ g.reshape(*g.shape[:-3], 1, 1, -1, cout)).reshape(-1, *w.shape).sum(0)
         w_flip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-        gx = _conv2d_taps(gy, out_extent, w_flip, (kd - 1 - pd, kt - 1 - pt), (D, T),
-                          grad_extent)
+        gx = _conv2d_taps(gy, out_extent, w_flip, (kd - 1 - pd, kt - 1 - pt),
+                          (*lead, D, T, cin), grad_extent)
         return gx, gw, gb
 
     return y, grads
@@ -466,23 +575,49 @@ def conv1d(x, w, b, pad):
     return out
 
 
-def conv2d(x, w, b, pad, out_extent=None, grad_extent=None):
+def conv2d(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilogue=None,
+           channels_first=False):
     """2-D convolution over a (D, T, Cin) grid with a (k, k, Cin, Cout) kernel.
 
     Stride 1 and 0 <= pad <= k-1 on both axes. `out_extent` and
     `grad_extent` are staircases of row blocks (d0, d1, t1) that bound the
     cells computed in the output and in the input gradient (`_conv_grid`);
-    the default is the whole grid.
+    the default is the whole grid. With `rows` (a `CellRows`), x is the
+    (..., J, Cin) rows of the grid's cells and its gradient comes back as
+    those rows. `epilogue` (act, mask) and `channels_first` are
+    `_conv_grid`'s: an activation and a 0/1 mask fused into the output,
+    and its layout.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    y, grads = _conv_grid(x.data, w.data, b.data, (pad, pad), out_extent, grad_extent)
+    y, grads = _conv_grid(x.data, w.data, b.data, (pad, pad), out_extent, grad_extent, rows,
+                          epilogue, channels_first)
 
     def bwd():
-        for t, g in zip((x, w, b), grads(out.grad)):
-            _accum(t, g)
+        gx, gw, gb = grads(out.grad)
+        _accum(x, gx if rows is None else rows.gather(gx))
+        _accum(w, gw)
+        _accum(b, gb)
 
     out = Tensor(y, _parents=(x, w, b), _backward=bwd)
     return out
+
+
+def planes(a):
+    """The (..., D, T) planes of a channel-first (..., C, D, T) tensor as C
+    tensors of their own, each a view of a's data (no copy); their
+    gradients are added into one gradient of a."""
+    a = as_tensor(a)
+
+    def plane(k):
+        def bwd():
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[..., k, :, :] += out.grad
+
+        out = Tensor(a.data[..., k, :, :], _parents=(a,), _backward=bwd)
+        return out
+
+    return tuple(plane(k) for k in range(a.data.shape[-3]))
 
 
 def sparse_sample(x, S, w, b):
@@ -518,22 +653,6 @@ def sparse_sample(x, S, w, b):
     y = stacked(S.T @ (w.data[:, None, None] * xs).reshape(N * T, -1))
     y += b.data
     out = Tensor(y, _parents=(x, w, b), _backward=bwd)
-    return out
-
-
-def scatter_grid(x, cells, grid_shape):
-    """Scatter per-candidate features (J, C) into a dense (D, T, C) grid,
-    zero outside the candidates; candidate j sits at the grid's flat cell
-    `cells[j]` = d * T + i, and both directions index that one axis."""
-    x = as_tensor(x)
-    y = np.zeros((*x.data.shape[:-2], *grid_shape, x.data.shape[-1]), dtype=x.data.dtype)
-    flat = y.reshape(*y.shape[:-3], -1, y.shape[-1])  # (..., D*T, C) view
-    flat[..., cells, :] = x.data
-
-    def bwd():
-        _accum(x, out.grad.reshape(flat.shape).take(cells, axis=-2))
-
-    out = Tensor(y, _parents=(x,), _backward=bwd)
     return out
 
 

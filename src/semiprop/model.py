@@ -5,7 +5,10 @@ Three heads share a two-layer temporal-conv base:
   * confidence head: dense D x T candidate maps produced through a
     precomputed sparse boundary-matching sampler (one fixed point-stacked
     matrix; the learned weights over sample points scale the input rows,
-    so one sparse product each way),
+    so one sparse product each way), then two 3 x 3 convolutions: the
+    first reads the sampler's candidate rows and runs its ReLU inside,
+    the second its sigmoid and candidate mask, writing both maps as the
+    planes of one channel-first array,
   * auxiliary heads: feature reconstruction and clip-order logits.
 
 Forward passes build an autodiff graph; `backward` extracts parameter
@@ -27,6 +30,8 @@ from .data import FormatError, candidate_mask, read_framed, write_framed
 from .perturb import Predictions
 
 CHECKPOINT_MAGIC = b"SPCHKPT1"
+# the epilogue (act, mask) of a convolution followed by a ReLU
+RELU = ("relu", None)
 # row blocks per staircase extent of the 2-D convolutions: fewer blocks
 # compute more cells outside the candidate triangle, more blocks make more
 # and smaller matrix products
@@ -181,7 +186,8 @@ class GateTape:
     not a derivative; the gradient check replays the recorded gates (like the
     frozen dropout noise) so both FD evaluations sample the branch whose
     derivative the analytic backward pass reports. The recording pass runs
-    `ad.relu` itself, so the check covers the activation's own backward.
+    the ReLUs themselves (`ad.relu`, and the one fused into `pem.conv2a`), so
+    the check covers the activation's own backward.
     """
 
     def __init__(self):
@@ -196,6 +202,16 @@ class GateTape:
             self.masks.append((x.data > 0.0).astype(x.data.dtype))
             return ad.relu(x)
         return ad.mul(x, next(self._replay))
+
+    def fused(self, conv) -> ad.Tensor:
+        """`conv(epilogue)`, a convolution whose ReLU runs in its epilogue:
+        the ReLU on the recording pass, whose mask (output > 0) is recorded;
+        a product with that mask, in the same epilogue, on a replay."""
+        if self._replay is not None:
+            return conv((None, next(self._replay)))
+        y = conv(RELU)
+        self.masks.append((y.data > 0.0).astype(y.data.dtype))
+        return y
 
 
 @dataclass
@@ -228,10 +244,14 @@ class ProposalNetwork:
         self.cells = np.flatnonzero(self.valid_mask)  # candidate j's cell d*T + i
         # conv2b's output is masked to the candidates, so it is needed there
         # only; those cells read conv2a's output on the one-cell halo, and
-        # scatter_grid reads conv2a's input gradient on the candidates only
+        # conv2a's input gradient goes back to the candidate rows, so it is
+        # needed on the candidates only
         valid, grown = staircase(self.valid_mask), staircase(halo(self.valid_mask))
         self.extents = {"pem.conv2a": (grown, valid), "pem.conv2b": (valid, grown)}
         self._W_cache: dict[str, sparse.csc_matrix] = {}
+        # the candidate rows as conv2a reads them; it finds each strip's runs
+        # on that strip's first read (in the first forward pass), not here
+        self._rows = ad.CellRows(self.cells, self.valid_mask.shape)
 
     def init_params(self, seed: int, dtype=np.float64) -> ParamStore:
         return init_params(self.hyper, seed, dtype=dtype)
@@ -243,6 +263,18 @@ class ProposalNetwork:
         if key not in self._W_cache:
             self._W_cache[key] = build_bm_mask(h.T, h.D, h.N).astype(dtype, copy=False)
         return self._W_cache[key]
+
+    def _maps(self, red: ad.Tensor, P, fused_relu) -> ad.Tensor:
+        """The (..., 2, D, T) m_cc and m_cr planes from the (..., J, Hp)
+        candidate rows `red`: `pem.conv2a` reads the rows, with its ReLU
+        run by `fused_relu`, and `pem.conv2b`'s epilogue applies the sigmoid
+        and then the candidate mask, writing channel first."""
+        ext_a, ext_b = self.extents["pem.conv2a"], self.extents["pem.conv2b"]
+        g = fused_relu(lambda ep: ad.conv2d(red, P("pem.conv2a.w"), P("pem.conv2a.b"), 1,
+                                            *ext_a, self._rows, ep))
+        return ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), 1, *ext_b,
+                         epilogue=("sigmoid", self.valid_mask.astype(red.dtype)),
+                         channels_first=True)
 
     def forward(
         self,
@@ -272,6 +304,7 @@ class ProposalNetwork:
 
         P = wrapped.__getitem__
         act = gate_tape.gate if gate_tape is not None else ad.relu
+        fused_relu = gate_tape.fused if gate_tape is not None else lambda conv: conv(RELU)
         x = ad.Tensor(np.ascontiguousarray(f, dtype=dtype))
         z = act(ad.conv1d(x, P("base.conv1.w"), P("base.conv1.b"), pad=1))
         base_feat = act(ad.conv1d(z, P("base.conv2.w"), P("base.conv2.b"), pad=1))
@@ -285,19 +318,15 @@ class ProposalNetwork:
         if "proposal" in heads:
             t = act(ad.conv1d(base_feat, P("tem.conv1.w"), P("tem.conv1.b"), pad=1))
             t = ad.sigmoid(ad.conv1d(t, P("tem.conv2.w"), P("tem.conv2.b"), pad=0))
+            _check_finite(t.data, "tem")
             out.p_s = ad.take_last(t, 0)
             out.p_e = ad.take_last(t, 1)
 
             q = act(ad.conv1d(base_feat, P("pem.conv1.w"), P("pem.conv1.b"), pad=1))
             red = act(ad.sparse_sample(q, self._W(dtype), P("pem.reduce.w"), P("pem.reduce.b")))
-            g = ad.scatter_grid(red, self.cells, (h.D, h.T))
-            ext_a, ext_b = self.extents["pem.conv2a"], self.extents["pem.conv2b"]
-            g = act(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), 1, *ext_a))
-            g = ad.sigmoid(ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), 1, *ext_b))
-            g = ad.mul(g, self.valid_mask.astype(dtype)[:, :, None])
-            out.m_cc = ad.take_last(g, 0)
-            out.m_cr = ad.take_last(g, 1)
-            _check_finite(out.m_cc.data, "pem")
+            maps = self._maps(red, P, fused_relu)
+            _check_finite(maps.data, "pem")
+            out.m_cc, out.m_cr = ad.planes(maps)
 
         if "recon" in heads:
             out.recon = ad.conv1d(base_feat, P("recon.conv.w"), P("recon.conv.b"), pad=1)

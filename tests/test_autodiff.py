@@ -21,11 +21,12 @@ MSE_MAP, MSE_SEQ = _mse_rng.normal(size=(4, 6)), _mse_rng.normal(size=(6, 3))
 MSE_MAP_W = (_mse_rng.random((4, 6)) < 0.6).astype(float)
 MSE_ROW_W = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0]])
 # conv2a's staircase extents on a (D, T) = (5, 6) candidate grid: output on
-# the candidates' halo, input gradient on the candidates (so the case zeroes
-# its input elsewhere, as scatter_grid does in the network)
+# the candidates' halo, input gradient on the candidates (so the grid case
+# zeroes its input elsewhere, as reading the 20 candidate rows does), and
+# conv2b's, the reverse
 _VALID = candidate_mask(6, 5)
 HALO_EXTENTS = (staircase(halo(_VALID)), staircase(_VALID))
-SCATTER_CELLS = np.array([0, 2, 5])  # cells (0, 0), (0, 2) and (1, 1) of a (2, 4) grid
+VALID_ROWS = ad.CellRows(np.flatnonzero(_VALID), _VALID.shape)
 
 
 def numeric_grad(build, arrs, i, h=1e-6):
@@ -83,8 +84,18 @@ CASES = {
                                  [(3, 5, 6, 2), (3, 3, 2, 2), (2,)]),
     "reduce_batched": (lambda x, w, b: ad.tsum(ad.square(
         ad.sparse_sample(x, SAMPLE_S, w, b))), [(2, 6, 4), (3,), (4,)]),
-    "scatter_batched": (lambda x: ad.tsum(ad.square(ad.scatter_grid(
-        x, SCATTER_CELLS, (2, 4)))), [(3, 3, 2)]),
+    "conv2d_rows_batched": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(
+        x, w, b, 1, *HALO_EXTENTS, VALID_ROWS))), [(3, 20, 2), (3, 3, 2, 2), (2,)]),
+    "conv2d_rows_narrow": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(
+        x, w, b, 1, *HALO_EXTENTS, VALID_ROWS))), [(20, 3), (3, 3, 3, 2), (2,)]),
+    # epilogues: the masked sigmoid in the output-side order, and a mask
+    # alone (a replayed ReLU gate) in the tap loop, both channel first
+    "conv2d_sigmoid_mask_channels_first": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(
+        x, w, b, 1, *HALO_EXTENTS[::-1], epilogue=("sigmoid", _VALID), channels_first=True))),
+                                           [(2, 5, 6, 3), (3, 3, 3, 2), (2,)]),
+    "conv2d_mask_channels_first": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(
+        x, w, b, 1, epilogue=(None, _VALID), channels_first=True))),
+                                   [(5, 6, 2), (3, 3, 2, 3), (3,)]),
     "dot_vm_batched": (lambda x, w: ad.tsum(ad.square(ad.dot_vm(x, w))), [(4, 5), (5, 3)]),
     "cross_entropy_batched": (lambda x: ad.cross_entropy_logits(x, np.array([1, 0, 3])),
                               [(3, 4)]),
@@ -306,20 +317,49 @@ def test_batched_op_matches_per_item_calls(name):
         assert np.allclose(t.grad, g, rtol=1e-12, atol=1e-14)
 
 
-def test_scatter_grid_roundtrip_gradient():
-    x = ad.Tensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True)
-    g = ad.scatter_grid(x, SCATTER_CELLS, (2, 4))
-    assert g.data.shape == (2, 4, 2)
-    assert np.array_equal(g.data[0, 2], x.data[1])
-    assert g.data[1, 3].sum() == 0.0
-    ad.tsum(ad.square(g)).backward()
-    assert np.allclose(x.grad, 2 * x.data)
+@pytest.mark.parametrize("rows,cols", [((-1, 3), (-1, 8)), ((0, 5), (0, 6)), ((2, 7), (1, 4)),
+                                       ((4, 5), (-2, 3)), ((-3, -1), (0, 6))])
+def test_cell_rows_strip_is_the_scattered_grid_strip(rows, cols):
+    """A strip cut from the candidate rows holds what the same strip of the
+    zero-filled grid holds, also past the grid's edges; `gather` reads the
+    rows back off the grid."""
+    x = np.random.default_rng(1).normal(size=(2, 20, 3))
+    grid = old_scatter_grid(x, VALID_ROWS.cells, _VALID.shape).data
+    strip = _strip_of_grid(grid, rows, cols)
+    for _ in range(2):  # the second read reuses the runs found by the first
+        assert np.array_equal(VALID_ROWS.strip(x, rows, cols), strip)
+    assert np.array_equal(VALID_ROWS.gather(grid), x)
+
+
+def _strip_of_grid(grid, rows, cols):
+    (r0, r1), (c0, c1) = rows, cols
+    D, T = grid.shape[-3:-1]
+    padded = np.zeros((*grid.shape[:-3], D + 20, T + 20, grid.shape[-1]))
+    padded[..., 10:10 + D, 10:10 + T, :] = grid
+    return padded[..., r0 + 10:r1 + 10, c0 + 10:c1 + 10, :]
 
 
 # ---------------------------------------------------------------------------
 # parity with the earlier kernels: conv1d with its own tap loops and a
-# tap-by-tap scattered input gradient, per-tap tensordot conv2d backward, and
-# the sample -> reshape -> reduce -> scatter -> transpose chain of the sampler
+# tap-by-tap scattered input gradient, per-tap tensordot conv2d backward, the
+# sample -> reshape -> reduce -> scatter -> transpose chain of the sampler,
+# and the scatter op that wrote the candidate rows into a zeroed grid
+
+def old_scatter_grid(x, cells, grid_shape):
+    """Scatter per-candidate features (J, C) into a dense (D, T, C) grid,
+    zero outside the candidates; candidate j sits at the grid's flat cell
+    `cells[j]` = d * T + i, and both directions index that one axis."""
+    x = ad.as_tensor(x)
+    y = np.zeros((*x.data.shape[:-2], *grid_shape, x.data.shape[-1]), dtype=x.data.dtype)
+    flat = y.reshape(*y.shape[:-3], -1, y.shape[-1])  # (..., D*T, C) view
+    flat[..., cells, :] = x.data
+
+    def bwd():
+        ad._accum(x, out.grad.reshape(flat.shape).take(cells, axis=-2))
+
+    out = ad.Tensor(y, _parents=(x,), _backward=bwd)
+    return out
+
 
 def old_conv1d(x, w, b, pad):
     x, w, b = ad.as_tensor(x), ad.as_tensor(w), ad.as_tensor(b)
@@ -421,7 +461,7 @@ def old_sample_chain(q, w, b, W, D):
 def new_sample_chain(q, w, b, S, D):
     T = q.data.shape[0]
     out = ad.sparse_sample(q, S, w, b)
-    return ad.scatter_grid(out, np.flatnonzero(candidate_mask(T, D)), (D, T))
+    return old_scatter_grid(out, np.flatnonzero(candidate_mask(T, D)), (D, T))
 
 
 def outputs_and_grads(op, shapes, dtype, seed, *const):

@@ -335,6 +335,29 @@ class TestExitCodes:
         assert self._infer(checkpoint, dataset, tmp_path) == 3
         assert "non-finite activation" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_m_cr_alone_is_numeric_error(self, dataset, checkpoint, tmp_path,
+                                                    capsys):
+        """A float32 checkpoint whose confidence head overflows on m_cr only:
+        conv2a's ReLU outputs 3e37, so each conv2b tap reads ±4.8e38 = ±inf
+        per output channel. m_cc's taps are all positive (+inf, sigmoid 1);
+        m_cr's kernel rows 0 and 2 are negative and row 1 positive, so its
+        sum is inf - inf = NaN. The run stops at the head's finite check,
+        naming it, before any proposal is decoded."""
+        header, tensors = load_checkpoint(checkpoint)
+        tensors = {k: v.astype(np.float32) for k, v in tensors.items()}
+        tensors["student.pem.conv2a.b"][...] = 3e37
+        w = tensors["student.pem.conv2b.w"]
+        w[..., 0] = np.abs(w[..., 0])
+        w[..., 1] = 4.0
+        w[[0, 2], ..., 1] = -4.0
+        header["extra"]["config"]["precision"] = "float32"
+        save_checkpoint(checkpoint, HyperShape(**header["hyper"]), header["seed"],
+                        header["step"], "float32", tensors, extra=header["extra"])
+        assert self._infer(checkpoint, dataset, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert "non-finite activation in layer 'pem'" in err and "Traceback" not in err
+
     def test_checkpoint_missing_a_tensor_is_data_error(self, dataset, checkpoint, tmp_path,
                                                        capsys):
         header, tensors = load_checkpoint(checkpoint)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,12 +8,13 @@ from scipy import sparse
 from semiprop import autodiff as ad
 from semiprop import model
 from semiprop.data import FormatError, candidate_mask
-from semiprop.model import (HyperShape, ParamStore, ProposalNetwork, backward,
-                            build_bm_mask, composite_loss, grad_check, init_params,
-                            load_checkpoint, load_stores, param_shapes,
-                            save_checkpoint, wrap_params)
+from semiprop.model import (GRAD_CHECK_TOLERANCE, GateTape, HyperShape, ParamStore,
+                            ProposalNetwork, backward, build_bm_mask, composite_loss,
+                            grad_check, init_params, load_checkpoint, load_stores,
+                            param_shapes, save_checkpoint, wrap_params)
 from semiprop.perturb import temporal_flip
 from semiprop.pretext import recon_loss
+from test_autodiff import old_scatter_grid
 from test_data import loop_bm_mask
 
 TINY = HyperShape(T=12, C=3, H=4, Hp=4, D=6, N=4, K=2)
@@ -380,6 +382,51 @@ class TestGradCheck:
         assert not report["passed"]
         assert report["max_rel_error"] > 1e-2
 
+    def test_broken_fused_relu_backward_is_detected(self, monkeypatch):
+        """The ReLU fused into pem.conv2a is differentiated too: an epilogue
+        that passes back half its gradient fails the bound on conv2a's
+        weights, and conv2b's stay within it."""
+        epilogue_grad = ad._epilogue_grad
+
+        def half_relu_grad(gy, y, extent, epilogue, channels_first):
+            gz = epilogue_grad(gy, y, extent, epilogue, channels_first)
+            return gz * 0.5 if epilogue[0] == "relu" else gz
+
+        monkeypatch.setattr(ad, "_epilogue_grad", half_relu_grad)
+        report = grad_check(TINY, seed=0)
+        assert not report["passed"]
+        assert report["tensors"]["pem.conv2a.w"] > 1e-2
+        assert report["tensors"]["pem.conv2b.w"] <= GRAD_CHECK_TOLERANCE
+
+
+class TestGateTape:
+    def test_one_mask_per_relu_and_a_bit_equal_replay(self):
+        """The recording pass keeps one mask per ReLU, conv2a's fused one
+        included, (D, T, Hp) like its output; replaying them gives the
+        recorded loss bit for bit."""
+        h = TINY
+        net = ProposalNetwork(h)
+        rng = np.random.default_rng(0)
+        params = net.init_params(0)
+        params.flat += rng.uniform(-0.1, 0.1, size=params.flat.size)
+        f = rng.normal(size=(h.T, h.C))
+        targets = {"p_s": rng.random(h.T), "p_e": rng.random(h.T),
+                   "m_cc": rng.random((h.D, h.T)) * net.valid_mask,
+                   "m_cr": rng.random((h.D, h.T)) * net.valid_mask,
+                   "recon": rng.normal(size=(h.T, h.C)), "order_label": 1}
+        tape = GateTape()
+
+        def loss(requires_grad):
+            return composite_loss(net, wrap_params(params, requires_grad), f, targets,
+                                  copy.deepcopy(rng), gate_tape=tape).item()
+
+        recorded = loss(True)
+        # base.conv1, base.conv2, tem.conv1, pem.conv1, the sampler, pem.conv2a, order.conv
+        assert len(tape.masks) == 7
+        assert tape.masks[5].shape == (h.D, h.T, h.Hp)
+        tape.rewind()
+        assert loss(False) == recorded
+
 
 def composite_value_and_grads(net, seed=0):
     """The float64 loss over every head at a jittered point, and its
@@ -399,10 +446,13 @@ def composite_value_and_grads(net, seed=0):
     return loss.item(), backward(loss, wrapped)
 
 
-def nan_outside(a, extent):
+def nan_outside(a, extent, channels_first=False):
+    """`a`, a (..., D, T, C) grid or a (..., C, D, T) one, with NaN in every
+    cell outside the extent."""
     out = np.full_like(a, np.nan)
     for d0, d1, t1 in extent:
-        out[d0:d1, :t1] = a[d0:d1, :t1]
+        cells = (..., slice(d0, d1), slice(t1)) + (() if channels_first else (slice(None),))
+        out[cells] = a[cells]
     return out
 
 
@@ -428,19 +478,22 @@ class TestStaircaseExtents:
         """NaN in every 2-D convolution's output gradient outside its output
         extent and in its input gradient outside its input-gradient extent
         changes neither the loss nor any gradient. (Its output outside the
-        extent stays zero: the candidate mask multiplies conv2b's output,
-        and conv2b's blocks reach past conv2a's halo.)"""
+        extent stays zero: conv2b's epilogue applies the candidate mask, and
+        conv2b's blocks reach past conv2a's halo.) The input gradient is
+        poisoned on the grid, before conv2a's goes back to the candidate
+        rows, and conv2b's output gradient in its channel-first layout."""
         net = ProposalNetwork(hyper)
         loss, grads = composite_value_and_grads(net)
         conv_grid = ad._conv_grid
 
-        def poisoned(x, w, b, pad, out_extent=None, grad_extent=None):
-            y, conv_grads = conv_grid(x, w, b, pad, out_extent, grad_extent)
+        def poisoned(x, w, b, pad, out_extent=None, grad_extent=None, *rest):
+            y, conv_grads = conv_grid(x, w, b, pad, out_extent, grad_extent, *rest)
             if out_extent is None:  # conv1d
                 return y, conv_grads
+            channels_first = rest[-1]
 
             def poisoned_grads(gy):
-                gx, gw, gb = conv_grads(nan_outside(gy, out_extent))
+                gx, gw, gb = conv_grads(nan_outside(gy, out_extent, channels_first))
                 return nan_outside(gx, grad_extent), gw, gb
             return y, poisoned_grads
 
@@ -450,6 +503,87 @@ class TestStaircaseExtents:
         for name, g in grads.items():
             assert np.isfinite(poisoned_grads[name]).all(), name
             assert np.array_equal(poisoned_grads[name], g), name
+
+    def test_gather_index_is_built_on_first_forward_per_extent(self):
+        """Construction finds no strip runs; the first pass finds one set per
+        output block of conv2a and the next pass reuses them. After the
+        extents are swapped for the whole grid, one more set is found."""
+        net = ProposalNetwork(HyperShape())
+        assert net._rows._runs == {}
+        params = net.init_params(0, dtype=np.float32)
+        f = np.zeros((2, 100, 16), dtype=np.float32)
+        net.forward(params, f, requires_grad=False)
+        runs = dict(net._rows._runs)
+        assert len(runs) == len(net.extents["pem.conv2a"][0])
+        net.forward(params, f, requires_grad=False)
+        assert net._rows._runs.keys() == runs.keys()
+        assert all(net._rows._runs[k] is v for k, v in runs.items())
+        net.extents = {name: (None, None) for name in net.extents}
+        net.forward(params, f, requires_grad=False)
+        assert len(net._rows._runs) == len(runs) + 1
+
+
+def old_head(net, red, P):
+    """The confidence head before its fusion: scatter_grid -> conv2d ->
+    relu -> conv2d -> sigmoid -> mask -> take_last x 2."""
+    h = net.hyper
+    g = old_scatter_grid(red, net.cells, (h.D, h.T))
+    g = ad.relu(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), 1, *net.extents["pem.conv2a"]))
+    g = ad.sigmoid(ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), 1,
+                             *net.extents["pem.conv2b"]))
+    g = ad.mul(g, net.valid_mask.astype(g.dtype)[:, :, None])
+    return ad.take_last(g, 0), ad.take_last(g, 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [None, 3])
+@pytest.mark.parametrize("hyper", STAIRCASE_HYPERS, ids=lambda h: f"T{h.T}D{h.D}")
+def test_fused_head_is_bit_equal_to_the_old_chain(hyper, B, dtype):
+    """m_cc, m_cr and the gradients of the candidate rows and of both
+    kernels and biases equal the old chain's, bit for bit."""
+    net = ProposalNetwork(hyper)
+    h, lead = hyper, () if B is None else (B,)
+    rng = np.random.default_rng([h.T, h.D, B or 0])
+    arrays = {"red": rng.normal(size=(*lead, net.cells.size, h.Hp)),
+              "pem.conv2a.w": rng.normal(size=(3, 3, h.Hp, h.Hp)) / 4,
+              "pem.conv2a.b": rng.normal(size=h.Hp),
+              "pem.conv2b.w": rng.normal(size=(3, 3, h.Hp, 2)) / 4,
+              "pem.conv2b.b": rng.normal(size=2)}
+    upstream = [rng.normal(size=(*lead, h.D, h.T)).astype(dtype) for _ in range(2)]
+
+    def run(head):
+        ts = {k: ad.Tensor(v.astype(dtype), requires_grad=True) for k, v in arrays.items()}
+        maps = head(ts["red"], ts.__getitem__)
+        ad.add(*(ad.tsum(ad.mul(m, u)) for m, u in zip(maps, upstream))).backward()
+        return [m.data for m in maps] + [t.grad for t in ts.values()]
+
+    new = run(lambda red, P: ad.planes(net._maps(red, P, lambda conv: conv(model.RELU))))
+    old = run(lambda red, P: old_head(net, red, P))
+    for a, b in zip(new, old, strict=True):
+        assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+
+def test_training_pass_graph_holds_one_full_grid():
+    """A B = 4 float32 training pass at the network's shape: the graph
+    behind m_cc and m_cr holds one (4, D, T, Hp) array, conv2a's output
+    with its ReLU applied (the scatter, conv2a, ReLU chain held three), and
+    both maps are planes of conv2b's channel-first output."""
+    h = HyperShape()
+    net = ProposalNetwork(h)
+    wrapped = wrap_params(net.init_params(0, dtype=np.float32))
+    f = np.random.default_rng(0).normal(size=(4, h.T, h.C)).astype(np.float32)
+    out = net.forward(wrapped, f, train_mode=True, rng=np.random.default_rng(1), p_drop=0.1)
+    nodes, stack = {}, [out.m_cc, out.m_cr]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    grids = [n for n in nodes.values() if n.data.shape == (4, h.D, h.T, h.Hp)]
+    maps = out.m_cc._parents[0]
+    assert len(grids) == 1 and maps._parents[0] is grids[0]
+    assert maps.data.shape == (4, 2, h.D, h.T) and out.m_cr._parents[0] is maps
+    assert all(np.shares_memory(m.data, maps.data) for m in (out.m_cc, out.m_cr))
 
 
 class TestCheckpoint:
