@@ -546,7 +546,8 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
         gb = np.zeros(cout, dtype=gy.dtype)
         for d0, d1, t1 in out_extent:
             g = _strip(gy, out_extent, (d0, d1), (0, t1 + kt - 1))
-            gb += g.reshape(-1, cout).sum(axis=0)
+            # row after row, as sum(axis=0) adds them, but in one pass over g
+            gb += np.einsum("ij->j", g.reshape(-1, cout))
             taps = _block_taps(x, source, (d0, d1, t1), (kd, kt), pad).swapaxes(-2, -1)
             gw += (taps @ g.reshape(*g.shape[:-3], 1, 1, -1, cout)).reshape(-1, *w.shape).sum(0)
         w_flip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
