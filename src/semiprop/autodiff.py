@@ -173,11 +173,17 @@ def relu(a):
     return out
 
 
+def _sigmoid(x, out):
+    """1 / (1 + exp(-x)), written into `out` (which may be x)."""
+    with np.errstate(over="ignore"):  # exp(-x) -> inf gives 0, as it should
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    with np.errstate(over="ignore"):  # exp(-x) -> inf gives s = 0, as it should
-        e = np.exp(-a.data)
-    s = 1.0 / (1.0 + e)
+    s = _sigmoid(a.data, np.empty_like(a.data))
 
     def bwd():
         _accum(a, out.grad * s * (1.0 - s))
@@ -347,10 +353,7 @@ def _write(out, block, acc, epilogue, channels_first):
     if act == "relu":
         np.maximum(view, 0.0, out=view)
     elif act == "sigmoid":
-        with np.errstate(over="ignore"):  # exp(-x) -> inf gives 0, as in `sigmoid`
-            np.exp(np.negative(view, out=view), out=view)
-        view += 1.0
-        np.divide(1.0, view, out=view)
+        _sigmoid(view, view)
     if mask is not None:
         view *= _cells(mask, block, channels_first)
 
