@@ -27,6 +27,21 @@ MSE_ROW_W = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0]])
 _VALID = candidate_mask(6, 5)
 HALO_EXTENTS = (staircase(halo(_VALID)), staircase(_VALID))
 VALID_ROWS = ad.CellRows(np.flatnonzero(_VALID), _VALID.shape)
+# cells (0, 0), (0, 2) and (1, 1) of a (2, 4) grid
+SCATTER_ROWS = ad.CellRows(np.array([0, 2, 5]), (2, 4))
+
+
+def rows_to_grid(x, rows):
+    """The zero-filled (..., D, T, C) grid whose cells `rows` holds the
+    (..., J, C) rows of `x`: the grid read as one `CellRows` strip, and its
+    gradient gathered back to the rows."""
+    D, T = rows.shape
+
+    def bwd():
+        ad._accum(x, rows.gather(out.grad))
+
+    out = ad.Tensor(rows.strip(x.data, (0, D), (0, T)), _parents=(x,), _backward=bwd)
+    return out
 
 
 def numeric_grad(build, arrs, i, h=1e-6):
@@ -84,6 +99,8 @@ CASES = {
                                  [(3, 5, 6, 2), (3, 3, 2, 2), (2,)]),
     "reduce_batched": (lambda x, w, b: ad.tsum(ad.square(
         ad.sparse_sample(x, SAMPLE_S, w, b))), [(2, 6, 4), (3,), (4,)]),
+    "scatter_batched": (lambda x: ad.tsum(ad.square(rows_to_grid(x, SCATTER_ROWS))),
+                        [(3, 3, 2)]),
     "conv2d_rows_batched": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(
         x, w, b, 1, *HALO_EXTENTS, VALID_ROWS))), [(3, 20, 2), (3, 3, 2, 2), (2,)]),
     "conv2d_rows_narrow": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(
