@@ -5,6 +5,9 @@ wrap a numpy array; ops record a backward closure and the graph is walked in
 reverse topological order. Constants (requires_grad=False with no grad
 parents) carry no closure, so e.g. a teacher forward pass builds no graph.
 Ops take optional leading axes, numpy style: a (B, T, C) stack is one call.
+Activations are no ops of their own: conv1d, conv2d and sparse_sample run a
+ReLU or a sigmoid, then a 0/1 mask, on their output in place as an
+`epilogue` (act, mask), and their backward reads its derivative off it.
 
 A closure refers to the tensor it belongs to, so every op node is a
 reference cycle until `backward()` breaks it: the walk is one-shot and frees
@@ -163,16 +166,6 @@ def square(a):
     return mul(a, a)
 
 
-def relu(a):
-    a = as_tensor(a)
-
-    def bwd():
-        _accum(a, out.grad * (a.data > 0.0))
-
-    out = Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
-    return out
-
-
 def _sigmoid(x, out):
     """1 / (1 + exp(-x)), written into `out` (which may be x)."""
     with np.errstate(over="ignore"):  # exp(-x) -> inf gives 0, as it should
@@ -181,14 +174,28 @@ def _sigmoid(x, out):
     return np.divide(1.0, out, out=out)
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    s = _sigmoid(a.data, np.empty_like(a.data))
+def _activate(y, act, mask):
+    """Run an epilogue (act, mask) on `y` in place: act None, "relu" or
+    "sigmoid", then the product with the 0/1 `mask` (None, or y's shape)."""
+    if act == "relu":
+        np.maximum(y, 0.0, out=y)
+    elif act == "sigmoid":
+        _sigmoid(y, y)
+    if mask is not None:
+        y *= mask
 
-    def bwd():
-        _accum(a, out.grad * s * (1.0 - s))
 
-    out = Tensor(s, _parents=(a,), _backward=bwd)
+def _activate_grad(gy, y, act, mask, out):
+    """Into `out`, the gradient before `_activate` from the gradient `gy`
+    of its output `y`. With a 0/1 mask the derivative of either act reads
+    off y alone: y > 0 for the ReLU, y * (1 - y) for the sigmoid, both zero
+    where the mask is; with no act it is the mask."""
+    if act == "relu":
+        np.multiply(gy, y > 0.0, out=out)
+    elif act == "sigmoid":
+        np.multiply(gy * y, 1.0 - y, out=out)
+    else:
+        np.multiply(gy, mask, out=out)
     return out
 
 
@@ -249,19 +256,6 @@ def dot_vm(x, w):
         _accum(w, x.data.reshape(-1, w.shape[0]).T @ out.grad.reshape(-1, w.shape[1]))
 
     out = Tensor(x.data @ w.data, _parents=(x, w), _backward=bwd)
-    return out
-
-
-def take_last(a, idx):
-    """Select index `idx` of the trailing axis (a column of a 2-D tensor)."""
-    a = as_tensor(a)
-
-    def bwd():
-        g = np.zeros_like(a.data)
-        g[..., idx] = out.grad
-        _accum(a, g)
-
-    out = Tensor(np.ascontiguousarray(a.data[..., idx]), _parents=(a,), _backward=bwd)
     return out
 
 
@@ -343,38 +337,25 @@ def _cells(a, block, channels_first):
 
 def _write(out, block, acc, epilogue, channels_first):
     """Store a block's computed cells in `out`, then run the epilogue
-    (act, mask) on them there: act None, "relu" or "sigmoid", then the
-    product with the 0/1 `mask`, given in the output's layout."""
+    (act, mask) on them there (`_activate`, the mask given in the output's
+    layout)."""
     view = _cells(out, block, channels_first)
     view[...] = acc
-    if epilogue is None:
-        return
-    act, mask = epilogue
-    if act == "relu":
-        np.maximum(view, 0.0, out=view)
-    elif act == "sigmoid":
-        _sigmoid(view, view)
-    if mask is not None:
-        view *= _cells(mask, block, channels_first)
+    if epilogue is not None:
+        act, mask = epilogue
+        _activate(view, act, None if mask is None else _cells(mask, block, channels_first))
 
 
 def _epilogue_grad(gy, y, extent, epilogue, channels_first):
     """The gradient before the epilogue, from the gradient `gy` of the
-    output `y` after it, inside `extent`; the cells outside it are left
-    unset, as the kernels never read them. With a 0/1 mask the derivative
-    of either act reads off y alone: y > 0 for the ReLU, y * (1 - y) for
-    the sigmoid, both zero where the mask is."""
+    output `y` after it (`_activate_grad`), inside `extent`; the cells
+    outside it are left unset, as the kernels never read them."""
     act, mask = epilogue
     gz = np.empty_like(gy)
     for block in extent:
-        g, o = _cells(gy, block, channels_first), _cells(y, block, channels_first)
-        out = _cells(gz, block, channels_first)
-        if act == "relu":
-            np.multiply(g, o > 0.0, out=out)
-        elif act == "sigmoid":
-            np.multiply(g * o, 1.0 - o, out=out)
-        else:
-            np.multiply(g, _cells(mask, block, channels_first), out=out)
+        g, o, out = (_cells(a, block, channels_first) for a in (gy, y, gz))
+        m = None if mask is None else _cells(mask, block, channels_first)
+        _activate_grad(g, o, act, m, out)
     return gz
 
 
@@ -561,15 +542,19 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
     return y, grads
 
 
-def conv1d(x, w, b, pad):
+def conv1d(x, w, b, pad, epilogue=None):
     """1-D convolution over a (T, Cin) sequence.
 
     w has shape (k, Cin, Cout), b shape (Cout,). Stride 1 and
     0 <= pad <= k-1; output length T + 2*pad - k + 1. Runs the 2-D kernel
-    on a (..., 1, T, Cin) grid.
+    on a (..., 1, T, Cin) grid. `epilogue` (act, mask) is `conv2d`'s, its
+    mask in the output's (..., T_out, Cout) layout.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    y, grads = _conv_grid(x.data[..., None, :, :], w.data[None], b.data, (0, pad))
+    if epilogue is not None and epilogue[1] is not None:  # the mask, on the 1-row grid
+        epilogue = (epilogue[0], epilogue[1][..., None, :, :])
+    y, grads = _conv_grid(x.data[..., None, :, :], w.data[None], b.data, (0, pad), None, None,
+                          None, epilogue)
 
     def bwd():
         for t, g in zip((x, w, b), grads(out.grad[..., None, :, :])):
@@ -589,8 +574,8 @@ def conv2d(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilogue=
     the default is the whole grid. With `rows` (a `CellRows`), x is the
     (..., J, Cin) rows of the grid's cells and its gradient comes back as
     those rows. `epilogue` (act, mask) and `channels_first` are
-    `_conv_grid`'s: an activation and a 0/1 mask fused into the output,
-    and its layout.
+    `_conv_grid`'s: an activation (None, "relu" or "sigmoid") and a 0/1
+    mask run on the output in place, and its layout.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     y, grads = _conv_grid(x.data, w.data, b.data, (pad, pad), out_extent, grad_extent, rows,
@@ -606,25 +591,27 @@ def conv2d(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilogue=
     return out
 
 
-def planes(a):
-    """The (..., D, T) planes of a channel-first (..., C, D, T) tensor as C
-    tensors of their own, each a view of a's data (no copy); their
-    gradients are added into one gradient of a."""
+def planes(a, axis=-3):
+    """The slices of `a` along a negative `axis` (the planes of a (..., C,
+    D, T) tensor for -3, the columns of a (..., T, C) one for -1) as tensors
+    of their own, each a view of a's data; their gradients add into one."""
     a = as_tensor(a)
 
     def plane(k):
+        cut = (..., k) + (slice(None),) * (-1 - axis)
+
         def bwd():
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[..., k, :, :] += out.grad
+            a.grad[cut] += out.grad
 
-        out = Tensor(a.data[..., k, :, :], _parents=(a,), _backward=bwd)
+        out = Tensor(a.data[cut], _parents=(a,), _backward=bwd)
         return out
 
-    return tuple(plane(k) for k in range(a.data.shape[-3]))
+    return tuple(plane(k) for k in range(a.data.shape[axis]))
 
 
-def sparse_sample(x, S, w, b):
+def sparse_sample(x, S, w, b, epilogue=None):
     """Boundary-matching sampling fused with its weighted N-reduction.
 
     `S` is a point-stacked scipy sparse matrix of shape (N*T, J): row
@@ -637,6 +624,8 @@ def sparse_sample(x, S, w, b):
     so the (C, N*J) samples are never formed; the backward's one product
     Z = S @ gy gives gx = sum_n w[n] * Z_n and g_w[n] = <Z_n, x>. Leading
     axes ride along the columns: each product runs once, on x as (T, ...*C).
+    `epilogue` (act, mask) runs on y in place, as on a convolution's
+    output (`_activate`), its mask of y's shape.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     N, T = w.data.shape[0], x.data.shape[-2]
@@ -648,7 +637,8 @@ def sparse_sample(x, S, w, b):
     xs = columns(x.data)
 
     def bwd():
-        gy = columns(out.grad)
+        gy = columns(out.grad if epilogue is None else
+                     _activate_grad(out.grad, y, *epilogue, np.empty_like(out.grad)))
         z = (S @ gy).reshape(N, -1)
         _accum(x, stacked((w.data @ z).reshape(T, -1)))
         _accum(w, z @ xs.ravel())
@@ -656,6 +646,8 @@ def sparse_sample(x, S, w, b):
 
     y = stacked(S.T @ (w.data[:, None, None] * xs).reshape(N * T, -1))
     y += b.data
+    if epilogue is not None:
+        _activate(y, *epilogue)
     out = Tensor(y, _parents=(x, w, b), _backward=bwd)
     return out
 

@@ -1,15 +1,18 @@
 """The differentiable proposal network.
 
 Three heads share a two-layer temporal-conv base:
-  * boundary head: per-snippet start/end probabilities,
+  * boundary head: per-snippet start/end probabilities, the two columns of
+    one convolution's output,
   * confidence head: dense D x T candidate maps produced through a
     precomputed sparse boundary-matching sampler (one fixed point-stacked
     matrix; the learned weights over sample points scale the input rows,
     so one sparse product each way), then two 3 x 3 convolutions: the
-    first reads the sampler's candidate rows and runs its ReLU inside,
-    the second its sigmoid and candidate mask, writing both maps as the
-    planes of one channel-first array,
+    first reads the sampler's candidate rows, the second applies the
+    candidate mask and writes both maps as the planes of one
+    channel-first array,
   * auxiliary heads: feature reconstruction and clip-order logits.
+
+Every ReLU and sigmoid runs in the epilogue of the op before it.
 
 Forward passes build an autodiff graph; `backward` extracts parameter
 gradients from it. A 64-bit path is used for gradient checking, 32-bit for
@@ -30,7 +33,7 @@ from .data import FormatError, candidate_mask, read_framed, write_framed
 from .perturb import Predictions
 
 CHECKPOINT_MAGIC = b"SPCHKPT1"
-# the epilogue (act, mask) of a convolution followed by a ReLU
+# the epilogue (act, mask) of an op followed by a ReLU
 RELU = ("relu", None)
 # row blocks per staircase extent of the 2-D convolutions: fewer blocks
 # compute more cells outside the candidate triangle, more blocks make more
@@ -186,8 +189,8 @@ class GateTape:
     not a derivative; the gradient check replays the recorded gates (like the
     frozen dropout noise) so both FD evaluations sample the branch whose
     derivative the analytic backward pass reports. The recording pass runs
-    the ReLUs themselves (`ad.relu`, and the one fused into `pem.conv2a`), so
-    the check covers the activation's own backward.
+    the ReLUs themselves, in their ops' epilogues, so the check covers the
+    activation's own backward.
     """
 
     def __init__(self):
@@ -197,19 +200,13 @@ class GateTape:
     def rewind(self):
         self._replay = iter(self.masks)
 
-    def gate(self, x: ad.Tensor) -> ad.Tensor:
-        if self._replay is None:
-            self.masks.append((x.data > 0.0).astype(x.data.dtype))
-            return ad.relu(x)
-        return ad.mul(x, next(self._replay))
-
-    def fused(self, conv) -> ad.Tensor:
-        """`conv(epilogue)`, a convolution whose ReLU runs in its epilogue:
-        the ReLU on the recording pass, whose mask (output > 0) is recorded;
-        a product with that mask, in the same epilogue, on a replay."""
+    def relu(self, op) -> ad.Tensor:
+        """`op(epilogue)`, an op whose ReLU runs in its epilogue: the ReLU
+        on the recording pass, whose mask (output > 0) is recorded; a
+        product with that mask, in the same epilogue, on a replay."""
         if self._replay is not None:
-            return conv((None, next(self._replay)))
-        y = conv(RELU)
+            return op((None, next(self._replay)))
+        y = op(RELU)
         self.masks.append((y.data > 0.0).astype(y.data.dtype))
         return y
 
@@ -264,14 +261,14 @@ class ProposalNetwork:
             self._W_cache[key] = build_bm_mask(h.T, h.D, h.N).astype(dtype, copy=False)
         return self._W_cache[key]
 
-    def _maps(self, red: ad.Tensor, P, fused_relu) -> ad.Tensor:
+    def _maps(self, red: ad.Tensor, P, relu) -> ad.Tensor:
         """The (..., 2, D, T) m_cc and m_cr planes from the (..., J, Hp)
         candidate rows `red`: `pem.conv2a` reads the rows, with its ReLU
-        run by `fused_relu`, and `pem.conv2b`'s epilogue applies the sigmoid
-        and then the candidate mask, writing channel first."""
+        run by `relu`, and `pem.conv2b`'s epilogue applies the sigmoid and
+        then the candidate mask, writing channel first."""
         ext_a, ext_b = self.extents["pem.conv2a"], self.extents["pem.conv2b"]
-        g = fused_relu(lambda ep: ad.conv2d(red, P("pem.conv2a.w"), P("pem.conv2a.b"), 1,
-                                            *ext_a, self._rows, ep))
+        g = relu(lambda ep: ad.conv2d(red, P("pem.conv2a.w"), P("pem.conv2a.b"), 1,
+                                      *ext_a, self._rows, ep))
         return ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), 1, *ext_b,
                          epilogue=("sigmoid", self.valid_mask.astype(red.dtype)),
                          channels_first=True)
@@ -303,11 +300,14 @@ class ProposalNetwork:
             raise ValueError(f"input shape {f.shape} does not end in {(h.T, h.C)}")
 
         P = wrapped.__getitem__
-        act = gate_tape.gate if gate_tape is not None else ad.relu
-        fused_relu = gate_tape.fused if gate_tape is not None else lambda conv: conv(RELU)
+        # every ReLU runs in its op's epilogue, recorded or replayed by a tape
+        relu = gate_tape.relu if gate_tape is not None else lambda op: op(RELU)
+
+        def conv_relu(x, layer):
+            return relu(lambda ep: ad.conv1d(x, P(f"{layer}.w"), P(f"{layer}.b"), 1, ep))
+
         x = ad.Tensor(np.ascontiguousarray(f, dtype=dtype))
-        z = act(ad.conv1d(x, P("base.conv1.w"), P("base.conv1.b"), pad=1))
-        base_feat = act(ad.conv1d(z, P("base.conv2.w"), P("base.conv2.b"), pad=1))
+        base_feat = conv_relu(conv_relu(x, "base.conv1"), "base.conv2")
         if train_mode and p_drop > 0.0:
             if rng is None:
                 raise ValueError("train_mode dropout needs an rng")
@@ -316,15 +316,15 @@ class ProposalNetwork:
         out = ModelOutputs(valid_mask=self.valid_mask)
 
         if "proposal" in heads:
-            t = act(ad.conv1d(base_feat, P("tem.conv1.w"), P("tem.conv1.b"), pad=1))
-            t = ad.sigmoid(ad.conv1d(t, P("tem.conv2.w"), P("tem.conv2.b"), pad=0))
+            t = ad.conv1d(conv_relu(base_feat, "tem.conv1"), P("tem.conv2.w"),
+                          P("tem.conv2.b"), 0, ("sigmoid", None))
             _check_finite(t.data, "tem")
-            out.p_s = ad.take_last(t, 0)
-            out.p_e = ad.take_last(t, 1)
+            out.p_s, out.p_e = ad.planes(t, axis=-1)
 
-            q = act(ad.conv1d(base_feat, P("pem.conv1.w"), P("pem.conv1.b"), pad=1))
-            red = act(ad.sparse_sample(q, self._W(dtype), P("pem.reduce.w"), P("pem.reduce.b")))
-            maps = self._maps(red, P, fused_relu)
+            q = conv_relu(base_feat, "pem.conv1")
+            red = relu(lambda ep: ad.sparse_sample(q, self._W(dtype), P("pem.reduce.w"),
+                                                   P("pem.reduce.b"), ep))
+            maps = self._maps(red, P, relu)
             _check_finite(maps.data, "pem")
             out.m_cc, out.m_cr = ad.planes(maps)
 
@@ -332,8 +332,7 @@ class ProposalNetwork:
             out.recon = ad.conv1d(base_feat, P("recon.conv.w"), P("recon.conv.b"), pad=1)
             _check_finite(out.recon.data, "recon")
         if "order" in heads:
-            o = act(ad.conv1d(base_feat, P("order.conv.w"), P("order.conv.b"), pad=1))
-            pooled = ad.tmean(o, axis=-2)
+            pooled = ad.tmean(conv_relu(base_feat, "order.conv"), axis=-2)
             out.order_logits = ad.add(ad.dot_vm(pooled, P("order.fc.w")), P("order.fc.b"))
             _check_finite(out.order_logits.data, "order")
         return out

@@ -29,6 +29,25 @@ HALO_EXTENTS = (staircase(halo(_VALID)), staircase(_VALID))
 VALID_ROWS = ad.CellRows(np.flatnonzero(_VALID), _VALID.shape)
 # cells (0, 0), (0, 2) and (1, 1) of a (2, 4) grid
 SCATTER_ROWS = ad.CellRows(np.array([0, 2, 5]), (2, 4))
+# 0/1 masks in the layout of a (8, 4) conv1d output and of the sampler's
+# (J, C) = (5, 4) output: replayed ReLU gates
+_mask_rng = np.random.default_rng(4)
+SEQ_MASK, ROWS_MASK = ((_mask_rng.random(s) < 0.5).astype(float) for s in ((8, 4), (5, 4)))
+# the sign of each of four output channels: with the products before it
+# nonnegative, `signed(b)` keeps every channel's value at least 0.5 from
+# zero, so a ReLU epilogue on it is evaluated away from its kink
+SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def signed(b):
+    return ad.mul(ad.add(ad.square(b), 0.5), SIGNS)
+
+
+def sigmoid_planes(x, w, b):
+    """A k = 1 conv1d with the sigmoid epilogue, its two output columns
+    split by `planes` and each given a loss of its own."""
+    s, e = ad.planes(ad.conv1d(x, w, b, 0, ("sigmoid", None)), axis=-1)
+    return ad.add(ad.tsum(ad.square(s)), ad.tmean(e))
 
 
 def rows_to_grid(x, rows):
@@ -77,12 +96,28 @@ CASES = {
     "reduce": (lambda x, w, b: ad.tsum(ad.square(
         ad.sparse_sample(x, SAMPLE_S, w, b))),
                [(6, 4), (3,), (4,)]),
-    "sigmoid": (lambda x: ad.tmean(ad.sigmoid(x)), [(6, 4)]),
+    # activation epilogues: a ReLU off its kink and a replayed gate, on a
+    # convolution and on the sampler; the boundary head's sigmoid and split
+    "conv1d_relu": (lambda x, w, b: ad.tsum(ad.square(ad.conv1d(
+        ad.square(x), ad.mul(ad.square(w), SIGNS), signed(b), 1, ("relu", None)))),
+                    [(8, 3), (3, 3, 4), (4,)]),
+    "conv1d_mask": (lambda x, w, b: ad.tsum(ad.square(ad.conv1d(x, w, b, 1, (None, SEQ_MASK)))),
+                    [(8, 3), (3, 3, 4), (4,)]),
+    "conv1d_sigmoid_planes": (sigmoid_planes, [(6, 3), (1, 3, 2), (2,)]),
+    "conv1d_sigmoid_planes_batched": (sigmoid_planes, [(2, 6, 3), (1, 3, 2), (2,)]),
+    "reduce_relu": (lambda x, w, b: ad.tsum(ad.square(ad.sparse_sample(
+        ad.mul(ad.square(x), SIGNS), SAMPLE_S, ad.square(w), signed(b), ("relu", None)))),
+                    [(6, 4), (3,), (4,)]),
+    "reduce_mask": (lambda x, w, b: ad.tsum(ad.square(ad.sparse_sample(
+        x, SAMPLE_S, w, b, (None, ROWS_MASK)))), [(6, 4), (3,), (4,)]),
+    # the deleted standalone activation ops, kept as the references of the
+    # unfused forward pass in test_model
+    "sigmoid": (lambda x: ad.tmean(old_sigmoid(x)), [(6, 4)]),
     "dot_vm": (lambda x, w: ad.tsum(ad.square(ad.dot_vm(x, w))), [(5,), (5, 3)]),
-    "take_last_2d": (lambda x: ad.tsum(ad.square(ad.take_last(x, 1))), [(6, 3)]),
-    "take_last_3d": (lambda x: ad.tsum(ad.square(ad.take_last(x, 1))), [(4, 5, 2)]),
+    "take_last_2d": (lambda x: ad.tsum(ad.square(old_take_last(x, 1))), [(6, 3)]),
+    "take_last_3d": (lambda x: ad.tsum(ad.square(old_take_last(x, 1))), [(4, 5, 2)]),
     "cross_entropy": (lambda x: ad.cross_entropy_logits(x, 1), [(4,)]),
-    "log": (lambda x: ad.tsum(ad.log(ad.sigmoid(x), eps=1e-12)), [(7,)]),
+    "log": (lambda x: ad.tsum(ad.log(ad.add(ad.square(x), 0.5), eps=1e-12)), [(7,)]),
     "mean_axis": (lambda x: ad.tsum(ad.square(ad.tmean(x, axis=0))), [(6, 4)]),
     "mse": (lambda x: ad.mse(x, MSE_MAP), [(4, 6)]),
     "mse_weighted": (lambda x: ad.mse(x, MSE_MAP, MSE_MAP_W), [(4, 6)]),
@@ -202,8 +237,8 @@ def test_backward_releases_graph_with_unchanged_gradients(name, dtype):
 
 
 def test_second_backward_through_released_graph_raises():
-    x = ad.Tensor(np.arange(3.0), requires_grad=True)
-    y = ad.relu(ad.mul(x, 2.0))
+    x = ad.Tensor(np.arange(3.0)[:, None], requires_grad=True)  # T = 3, one channel
+    y = ad.conv1d(x, np.full((1, 1, 1), 2.0), np.zeros(1), 0, ("relu", None))
     loss = ad.tsum(y)
     loss.backward()
     with pytest.raises(RuntimeError, match="released"):
@@ -211,7 +246,7 @@ def test_second_backward_through_released_graph_raises():
     # a new root over a released node must not pass as a leaf either
     with pytest.raises(RuntimeError, match="released"):
         ad.tsum(ad.square(y)).backward()
-    assert np.array_equal(x.grad, [0.0, 2.0, 2.0])
+    assert np.array_equal(x.grad[:, 0], [0.0, 2.0, 2.0])
 
 
 def test_leaves_are_reusable_after_backward():
@@ -222,17 +257,20 @@ def test_leaves_are_reusable_after_backward():
 
 
 def test_sigmoid_saturates_without_overflow_warning():
-    x = np.linspace(-1000.0, 100.0, 2201, dtype=np.float32)
+    """The sigmoid epilogue of a k = 1 conv1d that passes its one channel
+    through unchanged (weight 1, bias 0)."""
+    x = np.linspace(-1000.0, 100.0, 2201, dtype=np.float32)[:, None]
     t = ad.Tensor(x, requires_grad=True)
+    w, b = np.ones((1, 1, 1), dtype=np.float32), np.zeros(1, dtype=np.float32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = ad.sigmoid(t)
+        s = ad.conv1d(t, w, b, 0, ("sigmoid", None))
         ad.tsum(s).backward()
     with np.errstate(over="ignore"):
         expect = 1.0 / (1.0 + np.exp(-x))
     assert s.data.dtype == np.float32 and np.array_equal(s.data, expect)
-    assert s.data[0] == 0.0 and s.data[-1] == 1.0
-    assert np.isfinite(t.grad).all() and t.grad[0] == 0.0
+    assert s.data[0, 0] == 0.0 and s.data[-1, 0] == 1.0
+    assert np.isfinite(t.grad).all() and t.grad[0, 0] == 0.0
 
 
 def test_broadcast_add_gradient_sums_over_broadcast_axes():
@@ -360,7 +398,42 @@ def _strip_of_grid(grid, rows, cols):
 # parity with the earlier kernels: conv1d with its own tap loops and a
 # tap-by-tap scattered input gradient, per-tap tensordot conv2d backward, the
 # sample -> reshape -> reduce -> scatter -> transpose chain of the sampler,
-# and the scatter op that wrote the candidate rows into a zeroed grid
+# the scatter op that wrote the candidate rows into a zeroed grid, and the
+# standalone ReLU, sigmoid and column ops that the epilogues replaced
+
+def old_relu(a):
+    a = ad.as_tensor(a)
+
+    def bwd():
+        ad._accum(a, out.grad * (a.data > 0.0))
+
+    out = ad.Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
+    return out
+
+
+def old_sigmoid(a):
+    a = ad.as_tensor(a)
+    s = ad._sigmoid(a.data, np.empty_like(a.data))
+
+    def bwd():
+        ad._accum(a, out.grad * s * (1.0 - s))
+
+    out = ad.Tensor(s, _parents=(a,), _backward=bwd)
+    return out
+
+
+def old_take_last(a, idx):
+    """Select index `idx` of the trailing axis (a column of a 2-D tensor)."""
+    a = ad.as_tensor(a)
+
+    def bwd():
+        g = np.zeros_like(a.data)
+        g[..., idx] = out.grad
+        ad._accum(a, g)
+
+    out = ad.Tensor(np.ascontiguousarray(a.data[..., idx]), _parents=(a,), _backward=bwd)
+    return out
+
 
 def old_scatter_grid(x, cells, grid_shape):
     """Scatter per-candidate features (J, C) into a dense (D, T, C) grid,

@@ -14,7 +14,7 @@ from semiprop.model import (GRAD_CHECK_TOLERANCE, GateTape, HyperShape, ParamSto
                             param_shapes, save_checkpoint, wrap_params)
 from semiprop.perturb import temporal_flip
 from semiprop.pretext import recon_loss
-from test_autodiff import old_scatter_grid
+from test_autodiff import old_relu, old_scatter_grid, old_sigmoid, old_take_last
 from test_data import loop_bm_mask
 
 TINY = HyperShape(T=12, C=3, H=4, Hp=4, D=6, N=4, K=2)
@@ -369,23 +369,28 @@ class TestGradCheck:
         assert report["max_rel_error"] <= 1e-4
 
     def test_broken_relu_backward_is_detected(self, monkeypatch):
-        """The check differentiates the network's own ReLU: a backward that
-        halves its gradient fails the 1e-4 bound."""
-        relu = ad.relu
+        """The check differentiates the network's own ReLUs: halving the one
+        ReLU derivative that every epilogue takes fails the 1e-4 bound, on a
+        conv1d layer and on the sampler."""
+        activate_grad = ad._activate_grad
 
-        def half_grad_relu(a):  # same value, half the gradient
-            y = relu(a)
-            return ad.add(ad.mul(y, 0.5), y.data * 0.5)
+        def half_relu_grad(gy, y, act, mask, out):  # same value, half the gradient
+            activate_grad(gy, y, act, mask, out)
+            if act == "relu":
+                out *= 0.5
+            return out
 
-        monkeypatch.setattr(ad, "relu", half_grad_relu)
+        monkeypatch.setattr(ad, "_activate_grad", half_relu_grad)
         report = grad_check(TINY, seed=0)
         assert not report["passed"]
         assert report["max_rel_error"] > 1e-2
+        for name in ("base.conv1.w", "pem.reduce.w"):
+            assert report["tensors"][name] > GRAD_CHECK_TOLERANCE, name
 
     def test_broken_fused_relu_backward_is_detected(self, monkeypatch):
-        """The ReLU fused into pem.conv2a is differentiated too: an epilogue
-        that passes back half its gradient fails the bound on conv2a's
-        weights, and conv2b's stay within it."""
+        """The ReLU in pem.conv2a's epilogue is differentiated too: a
+        convolution epilogue that passes back half its ReLU gradient fails
+        the bound on conv2a's weights, and conv2b's stay within it."""
         epilogue_grad = ad._epilogue_grad
 
         def half_relu_grad(gy, y, extent, epilogue, channels_first):
@@ -528,11 +533,11 @@ def old_head(net, red, P):
     relu -> conv2d -> sigmoid -> mask -> take_last x 2."""
     h = net.hyper
     g = old_scatter_grid(red, net.cells, (h.D, h.T))
-    g = ad.relu(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), 1, *net.extents["pem.conv2a"]))
-    g = ad.sigmoid(ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), 1,
-                             *net.extents["pem.conv2b"]))
+    g = old_relu(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), 1, *net.extents["pem.conv2a"]))
+    g = old_sigmoid(ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), 1,
+                              *net.extents["pem.conv2b"]))
     g = ad.mul(g, net.valid_mask.astype(g.dtype)[:, :, None])
-    return ad.take_last(g, 0), ad.take_last(g, 1)
+    return old_take_last(g, 0), old_take_last(g, 1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -563,27 +568,112 @@ def test_fused_head_is_bit_equal_to_the_old_chain(hyper, B, dtype):
         assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
 
 
-def test_training_pass_graph_holds_one_full_grid():
-    """A B = 4 float32 training pass at the network's shape: the graph
-    behind m_cc and m_cr holds one (4, D, T, Hp) array, conv2a's output
-    with its ReLU applied (the scatter, conv2a, ReLU chain held three), and
-    both maps are planes of conv2b's channel-first output."""
-    h = HyperShape()
-    net = ProposalNetwork(h)
-    wrapped = wrap_params(net.init_params(0, dtype=np.float32))
-    f = np.random.default_rng(0).normal(size=(4, h.T, h.C)).astype(np.float32)
-    out = net.forward(wrapped, f, train_mode=True, rng=np.random.default_rng(1), p_drop=0.1)
-    nodes, stack = {}, [out.m_cc, out.m_cr]
+def unfused_forward(net, wrapped, f, rng, p_drop):
+    """The training pass over all three heads before its activations moved
+    into epilogues: every ReLU and tem's sigmoid a node of its own, p_s and
+    p_e two take_last columns, and the confidence head `old_head`."""
+    P = wrapped.__getitem__
+    dtype = P("base.conv1.w").dtype
+
+    def conv(x, layer, pad=1):
+        return ad.conv1d(x, P(f"{layer}.w"), P(f"{layer}.b"), pad)
+
+    x = ad.Tensor(np.ascontiguousarray(f, dtype=dtype))
+    base = old_relu(conv(old_relu(conv(x, "base.conv1")), "base.conv2"))
+    keep = rng.random(base.shape) >= p_drop
+    base = ad.mul(base, (keep / (1.0 - p_drop)).astype(dtype))
+    t = old_sigmoid(conv(old_relu(conv(base, "tem.conv1")), "tem.conv2", 0))
+    q = old_relu(conv(base, "pem.conv1"))
+    red = old_relu(ad.sparse_sample(q, net._W(dtype), P("pem.reduce.w"), P("pem.reduce.b")))
+    pooled = ad.tmean(old_relu(conv(base, "order.conv")), axis=-2)
+    return (old_take_last(t, 0), old_take_last(t, 1), *old_head(net, red, P),
+            conv(base, "recon.conv"), ad.add(ad.dot_vm(pooled, P("order.fc.w")), P("order.fc.b")))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [None, 3])
+@pytest.mark.parametrize("hyper", [TINY, HyperShape()], ids=lambda h: f"T{h.T}D{h.D}")
+def test_forward_is_bit_equal_to_the_unfused_chain(hyper, B, dtype):
+    """Every output of a training pass and every parameter gradient equal
+    those of the pass with standalone activation ops, bit for bit."""
+    net = ProposalNetwork(hyper)
+    lead = () if B is None else (B,)
+    rng = np.random.default_rng([hyper.T, B or 0])
+    params = net.init_params(0, dtype=dtype)
+    params.flat += rng.uniform(-0.1, 0.1, size=params.flat.size).astype(dtype)
+    f = rng.normal(size=(*lead, hyper.T, hyper.C)).astype(dtype)
+    fields = ("p_s", "p_e", "m_cc", "m_cr", "recon", "order_logits")
+
+    def run(forward):
+        wrapped = wrap_params(params)
+        outs = forward(wrapped, np.random.default_rng(1))
+        upstream = np.random.default_rng(2)
+        loss = sum(ad.tsum(ad.mul(o, upstream.normal(size=o.shape).astype(dtype)))
+                   for o in outs)
+        return [o.data for o in outs] + [backward(loss, wrapped).flat]
+
+    def forward(wrapped, drop):
+        out = net.forward(wrapped, f, heads={"proposal", "recon", "order"}, train_mode=True,
+                          rng=drop, p_drop=0.1)
+        return [getattr(out, name) for name in fields]
+
+    new = run(forward)
+    old = run(lambda wrapped, drop: unfused_forward(net, wrapped, f, drop, 0.1))
+    for name, a, b in zip([*fields, "grads"], new, old, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def graph_nodes(*roots):
+    """Every tensor in the graph behind `roots`, leaves included."""
+    nodes, stack = {}, list(roots)
     while stack:
         node = stack.pop()
         if id(node) not in nodes:
             nodes[id(node)] = node
             stack.extend(node._parents)
-    grids = [n for n in nodes.values() if n.data.shape == (4, h.D, h.T, h.Hp)]
+    return list(nodes.values())
+
+
+def training_pass(heads):
+    """A B = 4 float32 training pass at the network's shape."""
+    h = HyperShape()
+    net = ProposalNetwork(h)
+    wrapped = wrap_params(net.init_params(0, dtype=np.float32))
+    f = np.random.default_rng(0).normal(size=(4, h.T, h.C)).astype(np.float32)
+    return h, net.forward(wrapped, f, heads=heads, train_mode=True,
+                          rng=np.random.default_rng(1), p_drop=0.1)
+
+
+def test_training_pass_graph_holds_one_full_grid():
+    """A B = 4 float32 training pass at the network's shape: the graph
+    behind m_cc and m_cr holds one (4, D, T, Hp) array, conv2a's output
+    with its ReLU applied (the scatter, conv2a, ReLU chain held three), and
+    both maps are planes of conv2b's channel-first output."""
+    h, out = training_pass({"proposal"})
+    nodes = graph_nodes(out.m_cc, out.m_cr)
+    grids = [n for n in nodes if n.data.shape == (4, h.D, h.T, h.Hp)]
     maps = out.m_cc._parents[0]
     assert len(grids) == 1 and maps._parents[0] is grids[0]
     assert maps.data.shape == (4, 2, h.D, h.T) and out.m_cr._parents[0] is maps
     assert all(np.shares_memory(m.data, maps.data) for m in (out.m_cc, out.m_cr))
+
+
+def test_training_pass_graph_has_no_activation_nodes():
+    """Over all three heads the graph holds 19 op nodes: every ReLU and
+    the sigmoid run in their ops' epilogues (with them as nodes of their
+    own it held 26), so no node is the ReLU of another, and p_s and p_e
+    are columns of tem.conv2's output."""
+    _, out = training_pass({"proposal", "recon", "order"})
+    ops = [n for n in graph_nodes(out.p_s, out.p_e, out.m_cc, out.m_cr, out.recon,
+                                  out.order_logits) if n._parents]
+    assert len(ops) == 19
+    for node in ops:
+        first, *rest = node._parents
+        assert rest or first.shape != node.shape or \
+            not np.array_equal(node.data, np.maximum(first.data, 0.0))
+    tem = out.p_s._parents[0]
+    assert out.p_e._parents[0] is tem and tem.shape == (4, 100, 2)
+    assert all(np.shares_memory(p.data, tem.data) for p in (out.p_s, out.p_e))
 
 
 class TestCheckpoint:

@@ -1,8 +1,8 @@
-"""The benchmark harness (`perfbench/run.py`) runs each workload to the end
-with every output check passing. It drives the package through its public
-API (`ProposalNetwork.forward(..., heads=, train_mode=, requires_grad=)`,
-`Trainer.run`, the post-processing and the evaluation), so a change to that
-API that the benchmark does not follow fails here."""
+"""The benchmark harness (`perfbench/run.py`) runs each workload to the end,
+untraced and traced, with every output check passing. It drives the package
+through its public API (`ProposalNetwork.forward(..., heads=, train_mode=,
+requires_grad=)`, `Trainer.run`, the post-processing and the evaluation), so
+a change to that API that the benchmark does not follow fails here."""
 
 import importlib
 import importlib.util
@@ -34,10 +34,17 @@ def test_traced_layer_names_resolve():
     assert tracer.LAYER_FUNCTIONS and not missing, missing
 
 
-@pytest.mark.parametrize("workload", ["train_sstap", "train_supervised", "infer_dense"])
-def test_benchmark_workload_runs_clean(workload):
+WORKLOADS = ["train_sstap", "train_supervised", "infer_dense"]
+
+
+# untraced, and traced: the tracer wraps every public autodiff op it finds at
+# run time, so a change to the op set can break a traced run alone
+@pytest.mark.parametrize("workload,trace", [(w, "0") for w in WORKLOADS]
+                         + [(w, "1") for w in WORKLOADS],
+                         ids=WORKLOADS + [f"{w}-traced" for w in WORKLOADS])
+def test_benchmark_workload_runs_clean(workload, trace):
     cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
-           "--seed", "1", "--seconds", "0.5", "--trace", "0"]
+           "--seed", "1", "--seconds", "0.5", "--trace", trace]
     res = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr[-4000:]
     result = json.loads(res.stdout.splitlines()[-1])
