@@ -18,10 +18,10 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import postprocess
-from .data import (AnnotationSet, DatasetManifest, FormatError,
-                   gen_synthetic_dataset, load_video, read_manifest, replacing)
+from .data import (AnnotationSet, DatasetManifest, FormatError, gen_synthetic_dataset,
+                   load_video, read_manifest, read_text_lines, replacing)
 from .model import HyperShape, ParamStore, ProposalNetwork, grad_check, load_stores
-from .trainer import TrainConfig, train_run, training_hyper
+from .trainer import LOSS_WEIGHTS, TrainConfig, train_run, training_hyper
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,18 +36,13 @@ def config_hash(cfg: TrainConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:8]
 
 
-# training mode -> config patch. `supervised` zeroes every auxiliary weight
-# and drops unlabeled data, the vanilla fully-supervised baseline; `sstap`
-# keeps the config as is; `no_shift`/`no_flip`/`no_recon`/`no_order` zero a
-# single term.
+# training mode -> config patch, read off `trainer.LOSS_WEIGHTS`: `sstap` keeps the
+# config; `supervised` zeroes every weight in the table and drops unlabeled data
+# (the fully-supervised baseline); each `no_<term>` zeroes that term's weight.
 MODES = {
     "sstap": {},
-    "supervised": {"lambda1": 0.0, "lambda2": 0.0, "lambda3": 0.0,
-                   "lambda4": 0.0, "batch_unlabeled": 0},
-    "no_shift": {"lambda1": 0.0},
-    "no_flip": {"lambda2": 0.0},
-    "no_recon": {"lambda3": 0.0},
-    "no_order": {"lambda4": 0.0},
+    "supervised": {**dict.fromkeys(LOSS_WEIGHTS.values(), 0.0), "batch_unlabeled": 0},
+    **{f"no_{term}": {field: 0.0} for term, field in LOSS_WEIGHTS.items()},
 }
 
 
@@ -123,12 +118,14 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
+    # `--mode` overrides a `--config` value, but a flag may not contradict it
     fields = {f.name for f in dataclasses.fields(TrainConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    if args.config:
-        cfg = TrainConfig.from_file(args.config, **overrides)
-    else:
-        cfg = TrainConfig(**overrides)
+    for k, v in MODES[args.mode].items():
+        if overrides.get(k, v) != v:
+            raise ValueError(f"--mode {args.mode} sets {k} to {v}, not {overrides[k]}")
+    cfg = (TrainConfig.from_file(args.config, **overrides) if args.config
+           else TrainConfig(**overrides))
     return apply_mode(cfg, args.mode)
 
 
@@ -138,14 +135,11 @@ def cmd_train(args) -> int:
     out_dir = args.out or os.path.join("runs", f"{config_hash(cfg)}-s{cfg.seed}")
     ckpt, trainer = train_run(manifest, args.manifest, cfg, out_dir,
                               resume_from=args.resume)
-    last = None
-    with open(os.path.join(out_dir, "metrics.jsonl"), encoding="utf-8") as fh:
-        for line in fh:
-            last = json.loads(line)
+    lines = read_text_lines(os.path.join(out_dir, "metrics.jsonl"))
     print(f"trained {trainer.epoch} epochs; checkpoint at {ckpt}")
-    if last:
-        print(f"final losses: total={last['total']:.4f} "
-              f"supervised={last['supervised']:.4f}")
+    if lines:
+        last = json.loads(lines[-1])
+        print(f"final losses: total={last['total']:.4f} supervised={last['supervised']:.4f}")
     return 0
 
 
@@ -200,8 +194,7 @@ def cmd_grad_check(args) -> int:
 ABLATION_METRICS = ("AUC", "AR@10", "AR@50", "AR@100")
 GRIDS = {
     "default": ["sstap", "supervised"],
-    "components": ["sstap", "no_shift", "no_flip", "no_recon", "no_order",
-                   "supervised"],
+    "components": ["sstap", *(f"no_{term}" for term in LOSS_WEIGHTS), "supervised"],
 }
 
 
@@ -264,9 +257,8 @@ def build_parser() -> _Parser:
     t.add_argument("--mode", default="sstap", choices=list(MODES))
     t.add_argument("--out", help="run directory (default: runs/<hash>-s<seed>)")
     t.add_argument("--resume", help="checkpoint to resume from")
-    for name, typ in (("alpha", float), ("lambda1", float), ("lambda2", float),
-                      ("lambda3", float), ("lambda4", float), ("mu", float),
-                      ("omega", float), ("p_drop", float),
+    for name, typ in (("alpha", float), *((f, float) for f in LOSS_WEIGHTS.values()),
+                      ("mu", float), ("omega", float), ("p_drop", float),
                       ("batch_labeled", int), ("batch_unlabeled", int),
                       ("lr", float), ("epochs", int), ("seed", int),
                       ("hidden", int), ("pem_hidden", int), ("n_samples", int),

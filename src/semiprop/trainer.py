@@ -37,8 +37,9 @@ log = logging.getLogger(__name__)
 LOG_EPS = 1e-12
 # the trainer's random streams: batch order of each pool, and everything else
 RNG_STREAMS = ("labeled", "unlabeled", "aux")
-# the loss terms of a step, in the order of their weights (1, lambda1..lambda4)
-LOSS_TERMS = ("supervised", "shift", "flip", "recon", "order")
+# a step's weighted loss terms -> their weight fields; `supervised` has weight 1
+LOSS_WEIGHTS = {"shift": "lambda1", "flip": "lambda2", "recon": "lambda3", "order": "lambda4"}
+LOSS_TERMS = ("supervised", *LOSS_WEIGHTS)
 
 
 # the JSON value types a config file may give a field, by its default's type:
@@ -57,8 +58,7 @@ _POSITIVE = (lambda x: x > 0), "> 0"
 _FIELD_RANGES = {
     "alpha": ((lambda x: 0 < x < 1), "in (0, 1)"),
     "mu": ((lambda x: 0 < x <= 1), "in (0, 1]"),
-    **dict.fromkeys(("lambda1", "lambda2", "lambda3", "lambda4", "batch_unlabeled",
-                     "seed"), _at_least(0)),
+    **dict.fromkeys((*LOSS_WEIGHTS.values(), "batch_unlabeled", "seed"), _at_least(0)),
     **dict.fromkeys(("omega", "p_drop", "beta1", "beta2"), _UNIT),
     **dict.fromkeys(("lr", "eps"), _POSITIVE),
     **dict.fromkeys(("batch_labeled", "epochs", "hidden", "pem_hidden"), _at_least(1)),
@@ -106,7 +106,7 @@ class TrainConfig:
         return np.float64 if self.precision == "float64" else np.float32
 
     def lambdas(self):
-        return (self.lambda1, self.lambda2, self.lambda3, self.lambda4)
+        return tuple(getattr(self, field) for field in LOSS_WEIGHTS.values())
 
     def to_file(self, path) -> None:
         with replacing(path) as fh:
@@ -282,10 +282,15 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: ParamStore,
     loss term and the composed total. An overflow raises no warning: a
     non-finite activation or total loss, or a parameter or Adam moment left
     non-finite by the update, raises `FloatingPointError` naming it.
+
+    `rng` is drawn in a fixed order, on which resuming and byte-identical
+    reruns rely: nothing for the teacher pass; the supervised dropout mask,
+    then its negative subsample; then, for each later branch in `LOSS_TERMS`
+    order, its input draw (none for the flip), then its dropout mask.
     """
-    l1, l2, l3, l4 = cfg.lambdas()
+    w = dict(zip(LOSS_TERMS, (1.0, *cfg.lambdas())))
     lab = np.array([bv.labeled for bv in batch])
-    if not lab.any() and l1 == l2 == l3 == l4 == 0.0:
+    if not lab.any() and not any(cfg.lambdas()):
         raise ValueError("batch has no labeled videos and all loss weights are zero")
 
     wrapped = wrap_params(student)
@@ -295,31 +300,29 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: ParamStore,
                            p_drop=cfg.p_drop)
 
     f1 = np.stack([bv.features for bv in batch])
-    supervised = shift = flip = recon = order = None
-    if l1 > 0.0 or l2 > 0.0:
+    terms = {}
+    if w["shift"] > 0.0 or w["flip"] > 0.0:
         teacher_pred = net.forward(teacher, f1, heads={"proposal"},
                                    train_mode=False, requires_grad=False).detach()
     if lab.any():  # label maps stacked field by field
         maps = [vars(bv.label_maps).values() for bv in batch if bv.labeled]
-        supervised = supervised_loss(student_pass(f1[lab], "proposal"),
-                                     LabelMaps(*map(np.stack, zip(*maps))), rng=rng)
-    if l1 > 0.0:
-        shift = consistency_loss(student_pass(temporal_shift(f1, cfg.mu, rng)[0], "proposal"),
-                                 teacher_pred)
-    if l2 > 0.0:
-        flip = consistency_loss(student_pass(temporal_flip(f1), "proposal"),
-                                align_flip_outputs(teacher_pred))
-    if l3 > 0.0:
+        terms["supervised"] = supervised_loss(student_pass(f1[lab], "proposal"),
+                                              LabelMaps(*map(np.stack, zip(*maps))), rng=rng)
+    if w["shift"] > 0.0:
+        shifted = temporal_shift(f1, cfg.mu, rng)[0]
+        terms["shift"] = consistency_loss(student_pass(shifted, "proposal"), teacher_pred)
+    if w["flip"] > 0.0:
+        terms["flip"] = consistency_loss(student_pass(temporal_flip(f1), "proposal"),
+                                         align_flip_outputs(teacher_pred))
+    if w["recon"] > 0.0:
         f2, _ = pretext.mask_features(f1, cfg.omega, rng)
-        recon = pretext.recon_loss(student_pass(f2, "recon").recon, f1)
-    if l4 > 0.0:
+        terms["recon"] = pretext.recon_loss(student_pass(f2, "recon").recon, f1)
+    if w["order"] > 0.0:
         sample = pretext.make_order_sample(f1, cfg.K, rng)
         out = student_pass(net.pad_to_length(sample.shuffled), "order")
-        order = pretext.order_loss(out.order_logits, sample.label)
+        terms["order"] = pretext.order_loss(out.order_logits, sample.label)
 
-    parts = (supervised, shift, flip, recon, order)
-    pieces = [term * weight for term, weight in zip(parts, (1.0, l1, l2, l3, l4))
-              if term is not None]
+    pieces = [terms[k] * w[k] for k in terms]
     total = sum(pieces[1:], pieces[0])
     if not math.isfinite(total.item()):
         raise FloatingPointError(f"non-finite total loss {total.item()}")
@@ -331,7 +334,7 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: ParamStore,
         bad = next(k for k, v in prefixed(*stores).items() if not np.isfinite(v).all())
         raise FloatingPointError(f"non-finite {bad} after the Adam update")
 
-    report = {k: (v.item() if v is not None else 0.0) for k, v in zip(LOSS_TERMS, parts)}
+    report = {k: terms[k].item() if k in terms else 0.0 for k in LOSS_TERMS}
     report["total"] = total.item()
     return report
 
@@ -402,8 +405,7 @@ class Trainer:
                         raise FloatingPointError(
                             f"epoch {self.epoch + 1}, step {step}: {exc}") from exc
                 self.epoch += 1
-                rec = {"epoch": self.epoch,
-                       "steps": len(reports),
+                rec = {"epoch": self.epoch, "steps": len(reports),
                        "wall_time_s": round(time.perf_counter() - t0, 4)}
                 for key in LOSS_TERMS + ("total",):
                     rec[key] = float(np.mean([r[key] for r in reports]))
@@ -500,7 +502,7 @@ def training_hyper(manifest: DatasetManifest, manifest_path, cfg: TrainConfig) -
         raise FormatError(f"{manifest_path}: all videos in a training manifest must "
                           "share T and C")
     T, C = Ts.pop(), Cs.pop()
-    if cfg.lambda1 > 0.0:
+    if getattr(cfg, LOSS_WEIGHTS["shift"]) > 0.0:
         shift_count(C, cfg.mu)
     hyper = hyper_from(cfg, T, C)
     hyper.validate()

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from semiprop.cli import apply_mode, config_hash, main
 from semiprop.data import write_framed
 from semiprop.model import (CHECKPOINT_MAGIC, HyperShape, init_params,
                             load_checkpoint, save_checkpoint)
-from semiprop.trainer import TrainConfig
+from semiprop.trainer import LOSS_WEIGHTS, TrainConfig
 
 
 def run_cli(args):
@@ -112,17 +114,31 @@ MALFORMED = {
 
 
 class TestApplyMode:
-    def test_supervised_zeroes_everything(self):
-        cfg = apply_mode(TrainConfig(), "supervised")
-        assert cfg.lambdas() == (0.0, 0.0, 0.0, 0.0)
-        assert cfg.batch_unlabeled == 0
+    @pytest.mark.parametrize("term", LOSS_WEIGHTS)
+    def test_modes_zero_the_table_weights(self, term):
+        base = TrainConfig()
 
-    def test_single_term_modes(self):
-        assert apply_mode(TrainConfig(), "no_shift").lambda1 == 0.0
-        assert apply_mode(TrainConfig(), "no_flip").lambda2 == 0.0
-        assert apply_mode(TrainConfig(), "no_recon").lambda3 == 0.0
-        assert apply_mode(TrainConfig(), "no_order").lambda4 == 0.0
-        assert apply_mode(TrainConfig(), "sstap") == TrainConfig()
+        def changed(mode):  # field -> new value, for each field the mode changes
+            new = dataclasses.asdict(apply_mode(base, mode))
+            return {k: v for k, v in new.items() if v != getattr(base, k)}
+
+        assert changed(f"no_{term}") == {LOSS_WEIGHTS[term]: 0.0}
+        assert changed("supervised") == {**dict.fromkeys(LOSS_WEIGHTS.values(), 0.0),
+                                         "batch_unlabeled": 0}
+        assert apply_mode(base, "sstap") == base
+
+    def test_mode_and_grid_order(self):
+        # the `--mode` choices, and `ablation.csv`'s row order for the components grid
+        assert list(cli.MODES) == ["sstap", "supervised", "no_shift", "no_flip",
+                                   "no_recon", "no_order"]
+        assert cli.GRIDS["components"] == ["sstap", "no_shift", "no_flip", "no_recon",
+                                           "no_order", "supervised"]
+
+    def test_readme_names_every_mode_and_grid(self):
+        path = Path(__file__).resolve().parent.parent / "README.md"
+        readme = path.read_text(encoding="utf-8")
+        for name in [*cli.MODES, *cli.GRIDS]:
+            assert f"`{name}`" in readme, name
 
     def test_hash_depends_on_config(self):
         a = config_hash(TrainConfig())
@@ -145,6 +161,30 @@ class TestExitCodes:
         rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
                       "--out", str(tmp_path / "run"), "--alpha", "2.0"])
         assert rc == 1
+
+    @pytest.mark.parametrize("mode, flag", [("no_shift", ["--lambda1", "1"]),
+                                            ("supervised", ["--lambda4", "5"]),
+                                            ("supervised", ["--batch-unlabeled", "2"])])
+    def test_flag_contradicting_the_mode_is_usage_error(self, dataset, tmp_path, capsys,
+                                                        mode, flag):
+        run_dir = tmp_path / "run"
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(run_dir), "--mode", mode, *flag] + TRAIN_FLAGS)
+        assert rc == 1
+        assert not run_dir.exists()
+        assert f"--mode {mode} sets" in capsys.readouterr().err
+
+    def test_config_value_gives_way_to_the_mode(self, dataset, tmp_path):
+        # a flag equal to the mode's value passes; a config file's value is patched
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda1": 1.0, "lambda2": 0.5}))
+        run_dir = tmp_path / "run"
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(run_dir), "--config", str(config),
+                      "--mode", "no_shift", "--lambda1", "0"] + TRAIN_FLAGS)
+        assert rc == 0
+        written = json.loads((run_dir / "config.json").read_text())
+        assert (written["lambda1"], written["lambda2"]) == (0.0, 0.5)
 
     def test_corrupt_checkpoint_is_data_error(self, dataset, tmp_path):
         bad = tmp_path / "ck.bin"
