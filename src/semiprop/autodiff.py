@@ -591,24 +591,20 @@ def conv2d(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilogue=
     return out
 
 
-def planes(a, axis=-3):
-    """The slices of `a` along a negative `axis` (the planes of a (..., C,
-    D, T) tensor for -3, the columns of a (..., T, C) one for -1) as tensors
-    of their own, each a view of a's data; their gradients add into one."""
+def plane(a, k, axis=-3):
+    """Slice k of `a` along a negative `axis` (a plane of a (..., C, D, T)
+    tensor for -3, a column of a (..., T, C) one for -1) as a tensor of its
+    own, a view of a's data; the gradients of a's slices add into one."""
     a = as_tensor(a)
+    cut = (..., k) + (slice(None),) * (-1 - axis)
 
-    def plane(k):
-        cut = (..., k) + (slice(None),) * (-1 - axis)
+    def bwd():
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[cut] += out.grad
 
-        def bwd():
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[cut] += out.grad
-
-        out = Tensor(a.data[cut], _parents=(a,), _backward=bwd)
-        return out
-
-    return tuple(plane(k) for k in range(a.data.shape[axis]))
+    out = Tensor(a.data[cut], _parents=(a,), _backward=bwd)
+    return out
 
 
 def sparse_sample(x, S, w, b, epilogue=None):

@@ -1,8 +1,8 @@
 """Command-line entry point: data generation, training, inference,
 evaluation, gradient checking, and ablation grids.
 
-Exit codes: 0 success, 1 usage or config error (a size that runs out of
-memory among them), 2 data/format or path error, 3 numeric error.
+Exit codes: 0 success, 1 usage or config error (a size too large to hold
+or to index among them), 2 data/format or path error, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     except (FloatingPointError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

@@ -319,14 +319,14 @@ class ProposalNetwork:
             t = ad.conv1d(conv_relu(base_feat, "tem.conv1"), P("tem.conv2.w"),
                           P("tem.conv2.b"), 0, ("sigmoid", None))
             _check_finite(t.data, "tem")
-            out.p_s, out.p_e = ad.planes(t, axis=-1)
+            out.p_s, out.p_e = ad.plane(t, 0, axis=-1), ad.plane(t, 1, axis=-1)
 
             q = conv_relu(base_feat, "pem.conv1")
             red = relu(lambda ep: ad.sparse_sample(q, self._W(dtype), P("pem.reduce.w"),
                                                    P("pem.reduce.b"), ep))
             maps = self._maps(red, P, relu)
             _check_finite(maps.data, "pem")
-            out.m_cc, out.m_cr = ad.planes(maps)
+            out.m_cc, out.m_cr = ad.plane(maps, 0), ad.plane(maps, 1)
 
         if "recon" in heads:
             out.recon = ad.conv1d(base_feat, P("recon.conv.w"), P("recon.conv.b"), pad=1)
@@ -336,14 +336,6 @@ class ProposalNetwork:
             out.order_logits = ad.add(ad.dot_vm(pooled, P("order.fc.w")), P("order.fc.b"))
             _check_finite(out.order_logits.data, "order")
         return out
-
-    def pad_to_length(self, f: np.ndarray) -> np.ndarray:
-        """Zero-pad truncated (..., T', C) order-task clips back to T rows."""
-        if f.shape[-2] == self.hyper.T:
-            return f
-        fpad = np.zeros((*f.shape[:-2], self.hyper.T, f.shape[-1]), dtype=f.dtype)
-        fpad[..., : f.shape[-2], :] = f
-        return fpad
 
 
 def _check_finite(arr: np.ndarray, layer: str) -> None:

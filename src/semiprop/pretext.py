@@ -4,17 +4,10 @@ clip-order prediction, with their losses."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-
-
-@dataclass
-class OrderSample:
-    shuffled: np.ndarray  # (..., T', C), T' = T truncated to a multiple of K
-    label: np.ndarray  # (...) lexicographic index of each applied permutation in S_K
 
 
 def mask_features(f1: np.ndarray, omega: float, rng: np.random.Generator):
@@ -37,10 +30,12 @@ def recon_loss(pred, f1) -> ad.Tensor:
     return ad.mse(pred, f1)
 
 
-def make_order_sample(f1: np.ndarray, K: int, rng: np.random.Generator) -> OrderSample:
+def make_order_sample(f1: np.ndarray, K: int, rng: np.random.Generator):
     """Split each (T, C) sequence of (..., T, C) features into K equal
-    contiguous clips (trailing remainder rows dropped), shuffle them with a
-    uniform permutation, label = its lexicographic index."""
+    contiguous clips and shuffle them with a uniform permutation; returns
+    (shuffled, label). `shuffled` has f1's shape: the permuted clips fill rows
+    [0, K * (T // K)) and the T % K remainder rows are zero. `label` (...) is
+    the lexicographic index of each applied permutation in S_K."""
     *lead, T, _ = f1.shape
     if K < 2 or K > T:
         raise ValueError(f"need 2 <= K <= T, got K={K}, T={T}")
@@ -48,7 +43,9 @@ def make_order_sample(f1: np.ndarray, K: int, rng: np.random.Generator) -> Order
     perms = np.array(list(itertools.permutations(range(K))))
     label = rng.integers(len(perms), size=tuple(lead))
     rows = (perms[label][..., None] * clip_len + np.arange(clip_len)).reshape(*lead, -1)
-    return OrderSample(shuffled=np.take_along_axis(f1, rows[..., None], -2), label=label)
+    shuffled = np.zeros_like(f1)
+    shuffled[..., :K * clip_len, :] = np.take_along_axis(f1, rows[..., None], -2)
+    return shuffled, label
 
 
 def order_loss(logits, labels) -> ad.Tensor:

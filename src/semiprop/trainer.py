@@ -318,9 +318,8 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: ParamStore,
         f2, _ = pretext.mask_features(f1, cfg.omega, rng)
         terms["recon"] = pretext.recon_loss(student_pass(f2, "recon").recon, f1)
     if w["order"] > 0.0:
-        sample = pretext.make_order_sample(f1, cfg.K, rng)
-        out = student_pass(net.pad_to_length(sample.shuffled), "order")
-        terms["order"] = pretext.order_loss(out.order_logits, sample.label)
+        shuffled, label = pretext.make_order_sample(f1, cfg.K, rng)
+        terms["order"] = pretext.order_loss(student_pass(shuffled, "order").order_logits, label)
 
     pieces = [terms[k] * w[k] for k in terms]
     total = sum(pieces[1:], pieces[0])
@@ -494,13 +493,15 @@ def hyper_from(cfg: TrainConfig, T: int, C: int) -> HyperShape:
 def training_hyper(manifest: DatasetManifest, manifest_path, cfg: TrainConfig) -> HyperShape:
     """The network shape that `cfg` trains on a manifest, checked before
     anything is written: every video shares one T and C (else
-    `FormatError`); the shape is valid and, with the shift loss on, mu
-    shifts at least one of the C channels (else `ValueError`)."""
+    `FormatError`); one video is labeled, the shape is valid and, with the
+    shift loss on, mu shifts at least one of the C channels (else `ValueError`)."""
     Ts = {v.T for v in manifest.videos}
     Cs = {v.C for v in manifest.videos}
     if len(Ts) != 1 or len(Cs) != 1:
         raise FormatError(f"{manifest_path}: all videos in a training manifest must "
                           "share T and C")
+    if not any(v.labeled for v in manifest.videos):
+        raise ValueError("training needs at least one labeled video")
     T, C = Ts.pop(), Cs.pop()
     if getattr(cfg, LOSS_WEIGHTS["shift"]) > 0.0:
         shift_count(C, cfg.mu)

@@ -45,8 +45,9 @@ def signed(b):
 
 def sigmoid_planes(x, w, b):
     """A k = 1 conv1d with the sigmoid epilogue, its two output columns
-    split by `planes` and each given a loss of its own."""
-    s, e = ad.planes(ad.conv1d(x, w, b, 0, ("sigmoid", None)), axis=-1)
+    split by `plane` and each given a loss of its own."""
+    y = ad.conv1d(x, w, b, 0, ("sigmoid", None))
+    s, e = ad.plane(y, 0, axis=-1), ad.plane(y, 1, axis=-1)
     return ad.add(ad.tsum(ad.square(s)), ad.tmean(e))
 
 

@@ -186,6 +186,24 @@ class TestExitCodes:
         written = json.loads((run_dir / "config.json").read_text())
         assert (written["lambda1"], written["lambda2"]) == (0.0, 0.5)
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_manifest_with_no_labeled_video_is_usage_error_before_out_exists(
+            self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        assert run_cli(["gen-data", "--out", str(data), "--videos", "2", "--snippets", "16",
+                        "--channels", "4", "--labeled", "0", "--seed", "3"]) == 0
+        manifest, out_dir = str(data / "manifest.json"), tmp_path / "out"
+        cfg_path = tmp_path / "config.json"
+        TrainConfig(hidden=4, pem_hidden=4, n_samples=4, max_duration=8, mu=0.5,
+                    epochs=1).to_file(cfg_path)
+        argv = (["train", "--manifest", manifest] if command == "train" else
+                ["ablate", "--seeds", "1", "--train-manifest", manifest,
+                 "--test-manifest", manifest])
+        rc = run_cli(argv + ["--config", str(cfg_path), "--out", str(out_dir)])
+        assert rc == 1
+        assert "training needs at least one labeled video" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_corrupt_checkpoint_is_data_error(self, dataset, tmp_path):
         bad = tmp_path / "ck.bin"
         bad.write_bytes(b"SPCHKPT1" + b"\0" * 16)
@@ -438,6 +456,16 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "an_max" in err and "0" in err and "Traceback" not in err
+
+    def test_eval_with_an_max_past_ssize_t_is_usage_error(self, dataset, tmp_path, capsys):
+        props_dir = tmp_path / "props"
+        props_dir.mkdir()
+        (props_dir / "v00000.props.tsv").write_text("# start end score\n1.0 2.0 0.5\n")
+        rc = run_cli(["eval", "--proposals", str(props_dir), "--manifest",
+                      str(dataset / "manifest.json"), "--an-max", str(2 ** 63)])
+        assert rc == 1
+        assert "too large" in capsys.readouterr().err
+        assert not (props_dir / "report.txt").exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_exit_code(self, dataset, tmp_path, capsys, case):

@@ -74,18 +74,20 @@ class TestOrderSample:
     def test_s2_enumeration(self):
         f = np.arange(16, dtype=float).reshape(8, 2)
         for seed in range(20):
-            s = make_order_sample(f, 2, np.random.default_rng(seed))
-            if s.label == 0:
-                assert np.array_equal(s.shuffled, f)
+            shuffled, label = make_order_sample(f, 2, np.random.default_rng(seed))
+            if label == 0:
+                assert np.array_equal(shuffled, f)
             else:
-                assert s.label == 1
-                assert np.array_equal(s.shuffled[:4], f[4:])
-                assert np.array_equal(s.shuffled[4:], f[:4])
+                assert label == 1
+                assert np.array_equal(shuffled[:4], f[4:])
+                assert np.array_equal(shuffled[4:], f[:4])
 
     def test_truncation_of_remainder(self):
-        f = np.arange(18, dtype=float).reshape(9, 2)
-        s = make_order_sample(f, 2, np.random.default_rng(0))
-        assert s.shuffled.shape == (8, 2)
+        f = np.arange(1, 19, dtype=float).reshape(9, 2)
+        shuffled, _ = make_order_sample(f, 2, np.random.default_rng(0))
+        assert shuffled.shape == (9, 2) and shuffled.dtype == f.dtype
+        assert np.array_equal(shuffled[8], np.zeros(2))
+        assert np.array_equal(np.sort(shuffled[:8], axis=0), f[:8])
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
@@ -97,9 +99,36 @@ class TestOrderSample:
         counts = np.zeros(6)
         n = 1200
         for _ in range(n):
-            counts[make_order_sample(f, 3, rng).label] += 1
+            counts[make_order_sample(f, 3, rng)[1]] += 1
         chi2 = ((counts - n / 6) ** 2 / (n / 6)).sum()
         assert chi2 < stats.chi2.ppf(0.999, df=5)
+
+
+def truncated_then_padded(f1, K, rng):
+    """The order input built in two steps: the K shuffled clips with the
+    remainder rows dropped, then zero-padded back to T rows."""
+    *lead, T, _ = f1.shape
+    clip_len = T // K
+    perms = np.array(list(itertools.permutations(range(K))))
+    label = rng.integers(len(perms), size=tuple(lead))
+    rows = (perms[label][..., None] * clip_len + np.arange(clip_len)).reshape(*lead, -1)
+    short = np.take_along_axis(f1, rows[..., None], -2)
+    padded = np.zeros((*short.shape[:-2], T, short.shape[-1]), dtype=short.dtype)
+    padded[..., :short.shape[-2], :] = short
+    return padded, label
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("T,K", [(12, 3), (14, 3), (41, 2)])
+def test_order_sample_matches_truncate_then_pad(lead, T, K):
+    f1 = np.random.default_rng(T).normal(size=(*lead, T, 4)).astype(np.float32)
+    rng_new, rng_old = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(5):
+        shuffled, label = make_order_sample(f1, K, rng_new)
+        padded, expect = truncated_then_padded(f1, K, rng_old)
+        assert shuffled.dtype == padded.dtype and np.array_equal(shuffled, padded)
+        assert np.array_equal(label, expect)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 class TestStackedDraws:
@@ -121,18 +150,19 @@ class TestStackedDraws:
     def test_order_rows(self):
         rng = np.random.default_rng(5)
         f = rng.normal(size=(3, 10, 2))
-        s = make_order_sample(f, 3, rng)
+        shuffled, label = make_order_sample(f, 3, rng)
         perms = list(itertools.permutations(range(3)))
-        assert s.shuffled.shape == (3, 9, 2) and s.label.shape == (3,)
+        assert shuffled.shape == (3, 10, 2) and label.shape == (3,)
         for b in range(3):
-            clips = [f[b, j * 3:(j + 1) * 3] for j in perms[s.label[b]]]
-            assert np.array_equal(s.shuffled[b], np.concatenate(clips))
-        assert len(set(s.label.tolist())) > 1
+            clips = [f[b, j * 3:(j + 1) * 3] for j in perms[label[b]]]
+            assert np.array_equal(shuffled[b, :9], np.concatenate(clips))
+            assert np.array_equal(shuffled[b, 9:], np.zeros((1, 2)))
+        assert len(set(label.tolist())) > 1
 
     def test_stacked_label_distribution_uniform(self):
         n = 1200
-        s = make_order_sample(np.zeros((n, 12, 2)), 3, np.random.default_rng(1))
-        counts = np.bincount(s.label, minlength=6)
+        _, label = make_order_sample(np.zeros((n, 12, 2)), 3, np.random.default_rng(1))
+        counts = np.bincount(label, minlength=6)
         chi2 = ((counts - n / 6) ** 2 / (n / 6)).sum()
         assert chi2 < stats.chi2.ppf(0.999, df=5)
 
