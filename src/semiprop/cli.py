@@ -132,7 +132,8 @@ def _train_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     cfg = _train_config(args)
     manifest = read_manifest(args.manifest)
-    out_dir = args.out or os.path.join("runs", f"{config_hash(cfg)}-s{cfg.seed}")
+    out_dir = (args.out if args.out is not None
+               else os.path.join("runs", f"{config_hash(cfg)}-s{cfg.seed}"))
     ckpt, trainer = train_run(manifest, args.manifest, cfg, out_dir,
                               resume_from=args.resume)
     lines = read_text_lines(os.path.join(out_dir, "metrics.jsonl"))
@@ -169,7 +170,7 @@ def cmd_eval(args) -> int:
     if result.get("eligible_videos", 0) == 0:
         print("no eligible videos (all ground truth empty); metrics absent")
         return 0
-    out_dir = args.out or args.proposals
+    out_dir = args.proposals if args.out is None else args.out
     os.makedirs(out_dir, exist_ok=True)
     metrics_mod.write_report(result, os.path.join(out_dir, "report.txt"))
     metrics_mod.write_ar_curve_csv(result, os.path.join(out_dir, "ar_curve.csv"))
@@ -199,7 +200,11 @@ GRIDS = {
 
 
 def cmd_ablate(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ValueError(f"--seeds must be a comma-separated list of integers, "
+                         f"got {args.seeds!r}") from None
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"--seeds repeats a seed: {args.seeds}")
     modes = GRIDS[args.grid]

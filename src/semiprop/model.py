@@ -14,9 +14,10 @@ Three heads share a two-layer temporal-conv base:
 
 Every ReLU and sigmoid runs in the epilogue of the op before it.
 
-Forward passes build an autodiff graph; `backward` extracts parameter
-gradients from it. A 64-bit path is used for gradient checking, 32-bit for
-training speed (same code, parameterized by dtype).
+Forward passes build an autodiff graph; `backward` runs it and packs the
+parameter gradients into one store (`leaf_grads`). A 64-bit path is used for
+gradient checking, 32-bit for training speed (same code, parameterized by
+dtype).
 """
 
 from __future__ import annotations
@@ -343,11 +344,19 @@ def _check_finite(arr: np.ndarray, layer: str) -> None:
         raise FloatingPointError(f"non-finite activation in layer '{layer}'")
 
 
-def backward(loss: ad.Tensor, param_tensors: dict[str, ad.Tensor]) -> ParamStore:
-    """Run reverse mode from a scalar loss and collect the grads into one store."""
-    loss.backward()
+def leaf_grads(param_tensors: dict[str, ad.Tensor]) -> ParamStore:
+    """The gradients that backward passes have accumulated into the wrapped
+    parameters, packed into one store (zeros for a parameter none reached)."""
     return ParamStore.pack({name: t.grad if t.grad is not None else np.zeros_like(t.data)
                             for name, t in param_tensors.items()})
+
+
+def backward(loss: ad.Tensor, param_tensors: dict[str, ad.Tensor]) -> ParamStore:
+    """Run reverse mode from a scalar loss and pack the parameters' gradients
+    into one store (`leaf_grads`). A trainer that runs one backward per loss
+    term into the same wrapped parameters calls `leaf_grads` once after them."""
+    loss.backward()
+    return leaf_grads(param_tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import pretext
 from .data import (DatasetManifest, FormatError, LabelMaps, build_label_maps,
                    load_video, read_text_lines, replacing)
 from .model import (CHECKPOINT_STORES, HyperShape, ModelOutputs, ParamStore,
-                    ProposalNetwork, backward, load_stores, prefixed,
+                    ProposalNetwork, leaf_grads, load_stores, prefixed,
                     save_checkpoint, wrap_params)
 from .perturb import (Predictions, align_flip_outputs, shift_count, temporal_flip,
                       temporal_shift)
@@ -278,8 +278,13 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: ParamStore,
     """One optimizer step over a mixed batch, then the EMA update.
 
     Each branch is one pass over the stacked videos, and each loss is pooled
-    over the stack. Returns a report with the raw (unweighted) value of each
-    loss term and the composed total. An overflow raises no warning: a
+    over the stack. As soon as a branch's loss exists, the backward of its
+    weighted loss runs into the shared wrapped parameters and frees its
+    graph, so a step holds one branch's graph at a time. By linearity the
+    gradients sum to those of the weighted total, and in `LOSS_TERMS` order
+    each parameter's gradient takes the same additions as one backward from
+    that total would. Returns a report with the raw (unweighted) value of
+    each loss term and the composed total. An overflow raises no warning: a
     non-finite activation or total loss, or a parameter or Adam moment left
     non-finite by the update, raises `FloatingPointError` naming it.
 
@@ -299,42 +304,50 @@ def train_step(net: ProposalNetwork, student: ParamStore, teacher: ParamStore,
         return net.forward(wrapped, f, heads={head}, train_mode=True, rng=rng,
                            p_drop=cfg.p_drop)
 
+    terms, weighted = {}, []
+
+    def add_term(k, loss):
+        """Keep branch k's raw loss and weighted value, and run the weighted
+        loss's backward, which frees the branch's graph."""
+        terms[k] = loss.item()
+        piece = loss * w[k]
+        piece.backward()
+        weighted.append(piece.data)
+
     f1 = np.stack([bv.features for bv in batch])
-    terms = {}
     if w["shift"] > 0.0 or w["flip"] > 0.0:
         teacher_pred = net.forward(teacher, f1, heads={"proposal"},
                                    train_mode=False, requires_grad=False).detach()
     if lab.any():  # label maps stacked field by field
         maps = [vars(bv.label_maps).values() for bv in batch if bv.labeled]
-        terms["supervised"] = supervised_loss(student_pass(f1[lab], "proposal"),
-                                              LabelMaps(*map(np.stack, zip(*maps))), rng=rng)
+        add_term("supervised", supervised_loss(student_pass(f1[lab], "proposal"),
+                                               LabelMaps(*map(np.stack, zip(*maps))), rng=rng))
     if w["shift"] > 0.0:
         shifted = temporal_shift(f1, cfg.mu, rng)[0]
-        terms["shift"] = consistency_loss(student_pass(shifted, "proposal"), teacher_pred)
+        add_term("shift", consistency_loss(student_pass(shifted, "proposal"), teacher_pred))
     if w["flip"] > 0.0:
-        terms["flip"] = consistency_loss(student_pass(temporal_flip(f1), "proposal"),
-                                         align_flip_outputs(teacher_pred))
+        add_term("flip", consistency_loss(student_pass(temporal_flip(f1), "proposal"),
+                                          align_flip_outputs(teacher_pred)))
     if w["recon"] > 0.0:
         f2, _ = pretext.mask_features(f1, cfg.omega, rng)
-        terms["recon"] = pretext.recon_loss(student_pass(f2, "recon").recon, f1)
+        add_term("recon", pretext.recon_loss(student_pass(f2, "recon").recon, f1))
     if w["order"] > 0.0:
         shuffled, label = pretext.make_order_sample(f1, cfg.K, rng)
-        terms["order"] = pretext.order_loss(student_pass(shuffled, "order").order_logits, label)
+        add_term("order", pretext.order_loss(student_pass(shuffled, "order").order_logits,
+                                             label))
 
-    pieces = [terms[k] * w[k] for k in terms]
-    total = sum(pieces[1:], pieces[0])
-    if not math.isfinite(total.item()):
-        raise FloatingPointError(f"non-finite total loss {total.item()}")
-    grads = backward(total, wrapped)
-    adam_step(student, grads, opt, cfg)
+    total = float(sum(weighted[1:], weighted[0]))
+    if not math.isfinite(total):
+        raise FloatingPointError(f"non-finite total loss {total}")
+    adam_step(student, leaf_grads(wrapped), opt, cfg)
     ema_update(teacher.flat, student.flat, cfg.alpha)
     stores = (student, teacher, opt.m, opt.v)
     if not all(np.isfinite(s.flat).all() for s in stores):
         bad = next(k for k, v in prefixed(*stores).items() if not np.isfinite(v).all())
         raise FloatingPointError(f"non-finite {bad} after the Adam update")
 
-    report = {k: terms[k].item() if k in terms else 0.0 for k in LOSS_TERMS}
-    report["total"] = total.item()
+    report = {k: terms.get(k, 0.0) for k in LOSS_TERMS}
+    report["total"] = total
     return report
 
 

@@ -447,6 +447,32 @@ class TestExitCodes:
         expect = {"rng": "rng.aux", "precision": "float65"}.get(field, f"bad {field}")
         assert expect in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "infer", "eval", "ablate"])
+    def test_empty_out_is_path_error_that_writes_nothing(self, dataset, checkpoint, tmp_path,
+                                                         monkeypatch, capsys, command):
+        """An empty `--out=` is a path, not a missing flag: no default run or
+        proposal directory stands in for it."""
+        manifest = str(dataset / "manifest.json")
+        props_dir, cfg_path = tmp_path / "props", tmp_path / "config.json"
+        assert run_cli(["infer", "--checkpoint", str(checkpoint), "--manifest", manifest,
+                        "--out", str(props_dir)]) == 0
+        TrainConfig(hidden=4, pem_hidden=4, n_samples=4, max_duration=8, mu=0.5,
+                    epochs=1).to_file(cfg_path)
+        argv = {"gen-data": ["gen-data", "--videos", "2", "--snippets", "16"],
+                "train": ["train", "--manifest", manifest] + TRAIN_FLAGS,
+                "infer": ["infer", "--checkpoint", str(checkpoint), "--manifest", manifest],
+                "eval": ["eval", "--proposals", str(props_dir), "--manifest", manifest],
+                "ablate": ["ablate", "--seeds", "1", "--train-manifest", manifest,
+                           "--test-manifest", manifest, "--config", str(cfg_path)]}
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run_cli(argv[command] + ["--out="]) == 2
+        assert "No such file or directory: ''" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_eval_with_zero_an_max_is_usage_error(self, dataset, tmp_path, capsys):
         props_dir = tmp_path / "props"
         props_dir.mkdir()
@@ -696,6 +722,18 @@ class TestAblate:
                       "--test-manifest", manifest, "--out", str(out_dir)])
         assert rc == 1
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seeds", ["", "1,,2", ",", "a"])
+    def test_malformed_seed_list_is_usage_error_before_out_exists(self, dataset, tmp_path,
+                                                                 capsys, seeds):
+        out_dir = tmp_path / "ablation"
+        manifest = str(dataset / "manifest.json")
+        rc = run_cli(["ablate", f"--seeds={seeds}", "--train-manifest", manifest,
+                      "--test-manifest", manifest, "--out", str(out_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--seeds must be a comma-separated list of integers, got {seeds!r}" in err
         assert not out_dir.exists()
 
     def test_grid_emits_csv(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
+import copy
 import ctypes
+import dataclasses
 import gc
 import json
 import logging
@@ -12,13 +14,15 @@ import pytest
 import semiprop
 from semiprop import autodiff as ad
 from semiprop import pretext
-from semiprop.cli import apply_mode
-from semiprop.data import (AnnotationSet, FormatError, build_label_maps, candidate_mask,
-                           gen_synthetic_dataset, read_manifest)
+from semiprop import trainer as trainer_mod
+from semiprop.cli import MODES, apply_mode
+from semiprop.data import (AnnotationSet, FormatError, LabelMaps, build_label_maps,
+                           candidate_mask, gen_synthetic_dataset, read_manifest)
 from semiprop.model import (HyperShape, ModelOutputs, ParamStore, ProposalNetwork,
-                            load_checkpoint, save_checkpoint)
-from semiprop.perturb import Predictions
-from semiprop.trainer import (AdamState, BatchVideo, TrainConfig,
+                            backward, load_checkpoint, save_checkpoint, wrap_params)
+from semiprop.perturb import (Predictions, align_flip_outputs, temporal_flip,
+                              temporal_shift)
+from semiprop.trainer import (LOSS_TERMS, AdamState, BatchVideo, TrainConfig,
                               Trainer, consistency_loss, ema_update,
                               load_training_set, supervised_loss, train_run,
                               train_step)
@@ -413,6 +417,142 @@ class TestTrainStep:
             gc.set_debug(flags)
             gc.garbage.clear()
         assert leaked == []
+
+
+def summed_graph_step(net, student, teacher, batch, cfg, rng):
+    """The gradients, raw terms and total of a step that keeps every
+    branch's graph and runs one backward from the summed weighted total:
+    `train_step` up to its Adam update, as it was before each branch ran its
+    own backward."""
+    w = dict(zip(LOSS_TERMS, (1.0, *cfg.lambdas())))
+    lab = np.array([bv.labeled for bv in batch])
+    wrapped = wrap_params(student)
+
+    def student_pass(f, head):
+        return net.forward(wrapped, f, heads={head}, train_mode=True, rng=rng,
+                           p_drop=cfg.p_drop)
+
+    f1 = np.stack([bv.features for bv in batch])
+    terms = {}
+    if w["shift"] > 0.0 or w["flip"] > 0.0:
+        teacher_pred = net.forward(teacher, f1, heads={"proposal"},
+                                   train_mode=False, requires_grad=False).detach()
+    if lab.any():
+        maps = [vars(bv.label_maps).values() for bv in batch if bv.labeled]
+        terms["supervised"] = supervised_loss(student_pass(f1[lab], "proposal"),
+                                              LabelMaps(*map(np.stack, zip(*maps))), rng=rng)
+    if w["shift"] > 0.0:
+        shifted = temporal_shift(f1, cfg.mu, rng)[0]
+        terms["shift"] = consistency_loss(student_pass(shifted, "proposal"), teacher_pred)
+    if w["flip"] > 0.0:
+        terms["flip"] = consistency_loss(student_pass(temporal_flip(f1), "proposal"),
+                                         align_flip_outputs(teacher_pred))
+    if w["recon"] > 0.0:
+        f2, _ = pretext.mask_features(f1, cfg.omega, rng)
+        terms["recon"] = pretext.recon_loss(student_pass(f2, "recon").recon, f1)
+    if w["order"] > 0.0:
+        shuffled, label = pretext.make_order_sample(f1, cfg.K, rng)
+        terms["order"] = pretext.order_loss(student_pass(shuffled, "order").order_logits, label)
+    pieces = [terms[k] * w[k] for k in terms]
+    total = sum(pieces[1:], pieces[0])
+    report = {k: terms[k].item() if k in terms else 0.0 for k in LOSS_TERMS}
+    report["total"] = total.item()
+    return backward(total, wrapped), report
+
+
+def typed_state(cfg, seed_data=0, n_labeled=2, n_unlabeled=2):
+    """`fresh_state` with the batch's features in the training dtype."""
+    net, student, teacher, opt, batch = fresh_state(cfg, seed_data, n_labeled, n_unlabeled)
+    batch = [dataclasses.replace(bv, features=bv.features.astype(cfg.dtype)) for bv in batch]
+    return net, student, teacher, opt, batch
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes() if np.isscalar(x) else x.tobytes()
+
+
+class TestBranchBackward:
+    """Each branch runs its own backward as soon as its loss exists."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_gradients_equal_the_summed_graph_bit_for_bit(self, mode, precision,
+                                                          monkeypatch):
+        cfg = apply_mode(tiny_cfg(precision=precision), mode)
+        net, student, teacher, opt, _ = typed_state(cfg)
+        grads = []
+        adam = trainer_mod.adam_step
+
+        def capturing(params, g, state, c):
+            grads.append(g.flat.copy())
+            adam(params, g, state, c)
+
+        monkeypatch.setattr(trainer_mod, "adam_step", capturing)
+        rng = np.random.default_rng(23)
+        for step in range(3):
+            batch = typed_state(cfg, seed_data=step, n_unlabeled=cfg.batch_unlabeled)[4]
+            want, want_report = summed_graph_step(net, student, teacher, batch, cfg,
+                                                  copy.deepcopy(rng))
+            report = train_step(net, student, teacher, batch, cfg, rng, opt)
+            assert grads[-1].dtype == want.flat.dtype == cfg.dtype
+            assert bits(grads[-1]) == bits(want.flat), f"step {step}"
+            assert report.keys() == want_report.keys()
+            for k in report:
+                assert bits(report[k]) == bits(want_report[k]), f"step {step}, {k}"
+        assert len(grads) == 3
+
+    def test_each_branch_graph_is_released_before_the_next_pass(self, monkeypatch):
+        cfg = tiny_cfg(precision="float32")
+        net, student, teacher, opt, batch = typed_state(cfg)
+        losses, passes = [], []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                loss = fn(*args, **kwargs)
+                losses.append(loss)
+                return loss
+            return wrapper
+
+        for owner, name in ((trainer_mod, "supervised_loss"),
+                            (trainer_mod, "consistency_loss"),
+                            (pretext, "recon_loss"), (pretext, "order_loss")):
+            monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+        forward = net.forward
+
+        def checking(params, f, *args, **kwargs):
+            if kwargs.get("requires_grad", True):  # a student pass
+                assert len(losses) == len(passes)
+                assert all(loss._parents is None for loss in losses)
+                passes.append(f.shape)
+            return forward(params, f, *args, **kwargs)
+
+        monkeypatch.setattr(net, "forward", checking)
+        train_step(net, student, teacher, batch, cfg, np.random.default_rng(3), opt)
+        assert len(passes) == len(losses) == len(LOSS_TERMS)
+        assert all(loss._parents is None for loss in losses)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("branch", [(trainer_mod, "supervised_loss"),
+                                        (trainer_mod, "consistency_loss"),
+                                        (pretext, "recon_loss"), (pretext, "order_loss")],
+                             ids=lambda b: b[1])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_non_finite_branch_loss_raises_before_any_update(self, precision, branch, value,
+                                                             monkeypatch):
+        cfg = tiny_cfg(precision=precision)
+        net, student, teacher, opt, batch = typed_state(cfg)
+        rng = np.random.default_rng(29)
+        train_step(net, student, teacher, batch, cfg, rng, opt)  # nonzero Adam moments
+        owner, name = branch
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: ad.mul(fn(*a, **kw), value))
+        stores = (student, teacher, opt.m, opt.v)
+        before = [s.flat.copy() for s in stores]
+        with pytest.raises(FloatingPointError, match="non-finite total loss (inf|nan)"):
+            train_step(net, student, teacher, batch, cfg, rng, opt)
+        assert opt.t == 1
+        for store, flat in zip(stores, before):
+            assert bits(store.flat) == bits(flat)
 
 
 class TestTrainerRun:
