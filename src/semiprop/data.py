@@ -306,17 +306,7 @@ def gen_synthetic_dataset(
 
 
 def write_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:
-    doc = {
-        "seed": manifest.seed,
-        "generator_params": manifest.generator_params,
-        "videos": [
-            {
-                "video_id": v.video_id, "T": v.T, "C": v.C, "labeled": v.labeled,
-                "feature_file": v.feature_file, "annotations": v.annotations,
-            }
-            for v in manifest.videos
-        ],
-    }
+    doc = {**vars(manifest), "videos": [vars(v) for v in manifest.videos]}
     with replacing(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

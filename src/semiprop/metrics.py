@@ -86,7 +86,7 @@ def evaluate_dataset(per_video: dict[str, tuple[Proposals, AnnotationSet]],
         if an <= an_max:
             result[f"AR@{an}"] = curve[an - 1]
     if an_max >= 100:
-        result["AUC"] = 100.0 * float(np.mean(curve[:100]))
+        result["AUC"] = auc(mats, an_values)
     # per-threshold recall at the largest AN
     last = len(an_values) - 1
     result["recall_at_max_an"] = {

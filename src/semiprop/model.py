@@ -52,7 +52,7 @@ class HyperShape:
     N: int = 8
     K: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.D > self.T:
             raise ValueError(f"D={self.D} must not exceed T={self.T}")
         if self.N < 2:
@@ -167,7 +167,6 @@ def _fan_in(name: str, shape: tuple[int, ...]) -> int:
 
 def init_params(hyper: HyperShape, seed: int, dtype=np.float64) -> ParamStore:
     """Uniform(-s, s) kernels with s = sqrt(1/fan_in); zero biases."""
-    hyper.validate()
     rng = np.random.Generator(np.random.PCG64(seed))
     shapes = param_shapes(hyper)
     store = ParamStore(np.zeros(sum(map(math.prod, shapes.values())), dtype=dtype), shapes)
@@ -236,7 +235,6 @@ class ProposalNetwork:
     matrices; stateless otherwise."""
 
     def __init__(self, hyper: HyperShape):
-        hyper.validate()
         self.hyper = hyper
         self.valid_mask = candidate_mask(hyper.T, hyper.D)
         self.cells = np.flatnonzero(self.valid_mask)  # candidate j's cell d*T + i
@@ -499,7 +497,6 @@ def load_checkpoint(path):
         offset += n
     try:
         hyper = HyperShape(**header["hyper"])
-        hyper.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad hyper shape: {exc}") from exc
     if header.get("precision") not in ("float32", "float64"):

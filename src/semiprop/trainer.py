@@ -505,9 +505,9 @@ def hyper_from(cfg: TrainConfig, T: int, C: int) -> HyperShape:
 
 def training_hyper(manifest: DatasetManifest, manifest_path, cfg: TrainConfig) -> HyperShape:
     """The network shape that `cfg` trains on a manifest, checked before
-    anything is written: every video shares one T and C (else
-    `FormatError`); one video is labeled, the shape is valid and, with the
-    shift loss on, mu shifts at least one of the C channels (else `ValueError`)."""
+    anything is written: every video shares one T and C (else `FormatError`);
+    one video is labeled, the shape is valid, and the shift and order losses,
+    when on, move one of the C channels and fit K clips in T (else `ValueError`)."""
     Ts = {v.T for v in manifest.videos}
     Cs = {v.C for v in manifest.videos}
     if len(Ts) != 1 or len(Cs) != 1:
@@ -518,9 +518,9 @@ def training_hyper(manifest: DatasetManifest, manifest_path, cfg: TrainConfig) -
     T, C = Ts.pop(), Cs.pop()
     if getattr(cfg, LOSS_WEIGHTS["shift"]) > 0.0:
         shift_count(C, cfg.mu)
-    hyper = hyper_from(cfg, T, C)
-    hyper.validate()
-    return hyper
+    if getattr(cfg, LOSS_WEIGHTS["order"]) > 0.0 and cfg.K > T:
+        raise ValueError(f"need 2 <= K <= T, got K={cfg.K}, T={T}")
+    return hyper_from(cfg, T, C)
 
 
 def load_training_set(manifest: DatasetManifest, manifest_path, cfg: TrainConfig):

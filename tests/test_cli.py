@@ -9,7 +9,8 @@ import pytest
 
 from semiprop import cli
 from semiprop.cli import apply_mode, config_hash, main
-from semiprop.data import write_framed
+from semiprop.data import (FEATURE_PREFIX, MAGIC, DatasetManifest, VideoEntry,
+                           write_framed, write_manifest)
 from semiprop.model import (CHECKPOINT_MAGIC, HyperShape, init_params,
                             load_checkpoint, save_checkpoint)
 from semiprop.trainer import LOSS_WEIGHTS, TrainConfig
@@ -203,6 +204,45 @@ class TestExitCodes:
         assert rc == 1
         assert "training needs at least one labeled video" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.fixture
+    def short_videos(self, tmp_path):
+        """Two T = 3, C = 4 videos, one labeled: shorter than `gen-data` makes
+        them, so the files are written here."""
+        root = tmp_path / "short"
+        root.mkdir()
+        rng = np.random.default_rng(0)
+        videos = []
+        for i in range(2):
+            vid = f"v{i}"
+            write_framed(root / f"{vid}.feat", MAGIC, FEATURE_PREFIX,
+                         {"video_id": vid, "T": 3, "C": 4},
+                         [rng.normal(size=(3, 4)).astype("<f4")])
+            videos.append(VideoEntry(vid, 3, 4, i == 0, f"{vid}.feat", [[0.5, 2.0]]))
+        write_manifest(DatasetManifest(videos, 0, {}), root / "manifest.json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"K": 4, "mu": 0.5, "epochs": 1}))
+        return str(root / "manifest.json"), str(config)
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_more_clips_than_snippets_is_usage_error_before_out_exists(
+            self, short_videos, tmp_path, capsys, command):
+        manifest, config = short_videos
+        out_dir = tmp_path / "out"
+        argv = (["train", "--manifest", manifest] if command == "train" else
+                ["ablate", "--seeds", "1", "--train-manifest", manifest,
+                 "--test-manifest", manifest])
+        assert run_cli(argv + ["--config", config, "--out", str(out_dir)]) == 1
+        assert "need 2 <= K <= T, got K=4, T=3" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_more_clips_than_snippets_trains_without_the_order_loss(
+            self, short_videos, tmp_path):
+        manifest, config = short_videos
+        out_dir = tmp_path / "out"
+        assert run_cli(["train", "--manifest", manifest, "--config", config,
+                        "--mode", "no_order", "--out", str(out_dir)]) == 0
+        assert (out_dir / "checkpoint.bin").exists()
 
     def test_corrupt_checkpoint_is_data_error(self, dataset, tmp_path):
         bad = tmp_path / "ck.bin"
@@ -604,10 +644,16 @@ class TestExitCodes:
         assert "T=20" in capsys.readouterr().err
 
     def test_checkpoint_with_d_above_t_is_data_error(self, dataset, tmp_path):
-        params = init_params(HyperShape(T=16, C=4, H=4, Hp=4, D=8, N=4), 0)
+        hyper = HyperShape(T=16, C=4, H=4, Hp=4, D=8, N=4)
+        params = init_params(hyper, 0)
+        # a HyperShape with D > T cannot be made, so the header is written by hand
+        header = {"hyper": {**hyper.__dict__, "D": 20}, "seed": 0, "step": 0,
+                  "precision": "float64",
+                  "tensors": [{"name": f"student.{k}", "shape": list(v.shape),
+                               "dtype": str(v.dtype)} for k, v in params.items()],
+                  "extra": {}}
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, HyperShape(T=16, C=4, H=4, Hp=4, D=20, N=4), 0, 0,
-                        "float64", {f"student.{k}": v for k, v in params.items()})
+        write_framed(path, CHECKPOINT_MAGIC, b"", header, list(params.values()))
         assert self._infer(path, dataset, tmp_path) == 2
 
     def test_checkpoint_with_object_dtype_is_data_error(self, dataset, tmp_path):

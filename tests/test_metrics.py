@@ -181,8 +181,9 @@ class TestEvaluateDataset:
 
     @pytest.mark.parametrize("an_max", [100, 150])
     def test_summary_equals_ar_at_an_and_auc(self, an_max):
-        """AR@10/50/100 and AUC, read off the AR curve, equal `ar_at_an`
-        and `auc` over the same recall matrices to the bit."""
+        """AR@10/50/100, read off the AR curve, and the AUC equal `ar_at_an`
+        and `auc` over the same recall matrices to the bit, and the AUC is
+        100 x the mean of the curve's first 100 points."""
         rng = np.random.default_rng(11)
         per_video = {}
         for v in range(7):
@@ -200,6 +201,7 @@ class TestEvaluateDataset:
         for an in (10, 50, 100):
             assert result[f"AR@{an}"] == ar_at_an(mats, an - 1)
         assert result["AUC"] == auc(mats, an_values)
+        assert result["AUC"] == 100.0 * float(np.mean(result["ar_curve"][:100]))
 
     def test_all_empty_gt(self):
         result = evaluate_dataset({"a": ([], AnnotationSet([]))}, [0.5])

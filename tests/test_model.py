@@ -71,6 +71,29 @@ class TestInitParams:
             init_params(HyperShape(T=5, D=6), seed=0)
 
 
+class TestHyperShape:
+    """A `HyperShape` checks itself when it is made; no caller checks it."""
+
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param({"T": 5, "D": 6}, "D=6 must not exceed T=5", id="D_above_T"),
+        pytest.param({"N": 1}, "need N >= 2 sample points", id="N1"),
+        pytest.param({"K": 1}, "bad hyper shape", id="K1"),
+        # T below 1 takes D with it, so that D > T is not what fails
+        *(pytest.param({name: value, **({"D": value} if name == "T" else {})},
+                       "bad hyper shape", id=f"{name}{value}")
+          for name in ("T", "C", "H", "Hp", "D") for value in (0, -1)),
+    ])
+    def test_invalid_shape_raises_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            HyperShape(**fields)
+
+    def test_smallest_valid_shape(self):
+        assert HyperShape(T=1, C=1, H=1, Hp=1, D=1, N=2, K=2).n_orders == 2
+
+    def test_has_no_validate_method(self):
+        assert not hasattr(HyperShape, "validate")
+
+
 class TestBMSamplingMask:
     def test_valid_columns_sum_to_one(self):
         S = build_bm_mask(T=10, D=5, N=4)
