@@ -262,34 +262,42 @@ def dot_vm(x, w):
 class CellRows:
     """A (D, T) grid held as the rows of some of its cells: row j of a
     (..., J, C) array is the cell with flat index `cells[j]` = d * T + i
-    (ascending), and every other cell is zero. A convolution reads it a
-    strip at a time, each strip copied as runs of consecutive rows; a
-    strip's runs are found the first time it is read and kept, so they are
-    built once per extent block, on the first pass."""
+    (ascending), and every other cell is zero. A convolution reads it, and
+    writes its input gradient back, a block at a time as runs of rows found
+    on the block's first use and kept."""
 
     def __init__(self, cells, shape):
         self.cells, self.shape, self._runs = cells, tuple(shape), {}
+
+    def _find(self, rows, cols, width):
+        """The runs (p, j, n) of the cells in rows [r0, r1) and columns [c0, c1): rows
+        [j, j + n) are [p, p + n) of a block with cell (d, i) at (d - r0) * width + i - c0."""
+        if (rows, cols, width) not in self._runs:
+            (r0, r1), (c0, c1) = rows, cols
+            d, i = np.divmod(self.cells, self.shape[1])
+            j = np.flatnonzero((d >= r0) & (d < r1) & (i >= c0) & (i < c1))
+            pos = (d[j] - r0) * width + i[j] - c0
+            # a run goes on while both the block cell and the row advance by one
+            first = np.flatnonzero((np.diff(pos, prepend=-2) != 1) | (np.diff(j, prepend=-2) != 1))
+            self._runs[rows, cols, width] = list(zip(pos[first].tolist(), j[first].tolist(),
+                                                     np.diff(first, append=j.size).tolist()))
+        return self._runs[rows, cols, width]
 
     def strip(self, x, rows, cols):
         """Rows [r0, r1) and columns [c0, c1) of the grid whose cells `x`
         holds, as `_strip` cuts them."""
         (r0, r1), (c0, c1) = rows, cols
-        if (rows, cols) not in self._runs:
-            d, i = np.divmod(self.cells, self.shape[1])
-            j = np.flatnonzero((d >= r0) & (d < r1) & (i >= c0) & (i < c1))
-            pos = (d[j] - r0) * (c1 - c0) + i[j] - c0
-            # a run goes on while both the strip cell and the row advance by one
-            first = np.flatnonzero((np.diff(pos, prepend=-2) != 1) | (np.diff(j, prepend=-2) != 1))
-            self._runs[rows, cols] = list(zip(pos[first].tolist(), j[first].tolist(),
-                                              np.diff(first, append=j.size).tolist()))
         strip = np.zeros((*x.shape[:-2], (r1 - r0) * (c1 - c0), x.shape[-1]), dtype=x.dtype)
-        for p, s, n in self._runs[rows, cols]:
+        for p, s, n in self._find(rows, cols, c1 - c0):
             strip[..., p:p + n, :] = x[..., s:s + n, :]
         return strip.reshape(*x.shape[:-2], r1 - r0, c1 - c0, x.shape[-1])
 
-    def gather(self, grid):
-        """The rows of a (..., D, T, C) grid's cells."""
-        return grid.reshape(*grid.shape[:-3], -1, grid.shape[-1]).take(self.cells, axis=-2)
+    def put(self, out, block, rows, cols):
+        """Into the (..., J, C) rows `out`, the cells in rows [r0, r1), columns [c0, c1)
+        of a (..., r1 - r0, width, C) `block` with cell (d, i) at [d - r0, i - c0]."""
+        flat = block.reshape(*block.shape[:-3], -1, block.shape[-1])
+        for p, s, n in self._find(rows, cols, block.shape[-2]):
+            out[..., s:s + n, :] = flat[..., p:p + n, :]
 
 
 def _strip(src, extent, rows, cols):
@@ -336,11 +344,11 @@ def _cells(a, block, channels_first):
 
 
 def _write(out, block, acc, epilogue, channels_first):
-    """Store a block's computed cells in `out`, then run the epilogue
-    (act, mask) on them there (`_activate`, the mask given in the output's
-    layout)."""
+    """Store a block's computed cells, the first t1 columns of `acc`, in
+    `out`, then run the epilogue (act, mask) on them there (`_activate`,
+    the mask given in the output's layout)."""
     view = _cells(out, block, channels_first)
-    view[...] = acc
+    view[...] = _cells(acc, (0, block[1] - block[0], block[2]), channels_first)
     if epilogue is not None:
         act, mask = epilogue
         _activate(view, act, None if mask is None else _cells(mask, block, channels_first))
@@ -348,26 +356,25 @@ def _write(out, block, acc, epilogue, channels_first):
 
 def _epilogue_grad(gy, y, extent, epilogue, channels_first):
     """The gradient before the epilogue, from the gradient `gy` of the
-    output `y` after it (`_activate_grad`), inside `extent`; the cells
-    outside it are left unset, as the kernels never read them."""
+    output `y` after it (`_activate_grad`), taken in place in `gy` (the
+    node's own, `_accum`) inside `extent`; the kernels read no other cell."""
     act, mask = epilogue
-    gz = np.empty_like(gy)
     for block in extent:
-        g, o, out = (_cells(a, block, channels_first) for a in (gy, y, gz))
-        m = None if mask is None else _cells(mask, block, channels_first)
-        _activate_grad(g, o, act, m, out)
-    return gz
+        g, o, m = (None if a is None else _cells(a, block, channels_first) for a in (gy, y, mask))
+        _activate_grad(g, o, act, m, g)
+    return gy
 
 
 def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None, epilogue=None,
-                 channels_first=False):
+                 channels_first=False, into=None):
     """Stride-1 convolution of a (D, T, Cin) grid `src`, read inside
     `extent` and zero-padded by `pad`, with a (kd, kt, Cin, Cout) kernel:
     the sum over taps of shifted slices times the tap's (Cin, Cout) matrix,
     plus `bias`, giving an output of the full `shape` that is computed
     inside the row blocks of `out_extent` (where `epilogue` runs) and zero
     elsewhere. Each block adds its kd * kt tap products into one
-    accumulator, in tap order."""
+    accumulator, in tap order, and is written `into` a `CellRows`' rows
+    of that `shape` when one is given."""
     kd, kt, _, cout = w.shape
     out = np.zeros(shape, dtype=src.dtype)
     for d0, d1, t1 in out_extent:
@@ -378,9 +385,12 @@ def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None, epilogue=Non
                 acc += taps[..., i, j, :, :] @ w[i, j]
         if bias is not None:
             acc += bias
-        acc = acc.reshape(*acc.shape[:-2], d1 - d0, -1, cout)[..., :t1, :]
-        _write(out, (d0, d1, t1), np.moveaxis(acc, -1, -3) if channels_first else acc,
-               epilogue, channels_first)
+        acc = acc.reshape(*acc.shape[:-2], d1 - d0, -1, cout)
+        if into is not None:
+            into.put(out, acc, (d0, d1), (0, t1))
+        else:
+            _write(out, (d0, d1, t1), np.moveaxis(acc, -1, -3) if channels_first else acc,
+                   epilogue, channels_first)
     return out
 
 
@@ -407,7 +417,7 @@ def _conv2d_planes(src, extent, w, pad, shape, out_extent, bias=None, epilogue=N
                 acc += planes[..., i * kt + j, :, i * width + j:i * width + j + n]
         if bias is not None:
             acc += bias[:, None]
-        acc = acc.reshape(*acc.shape[:-1], d1 - d0, width)[..., :t1]
+        acc = acc.reshape(*acc.shape[:-1], d1 - d0, width)
         _write(out, (d0, d1, t1), acc if channels_first else np.moveaxis(acc, -3, -1),
                epilogue, channels_first)
     return out
@@ -427,7 +437,7 @@ def _narrow_grads(x, extent, w, pad, out_extent, grad_extent, gy, channels_first
     extent reads are cut into bands, one per output block; each band's
     im2col G holds the kd * kt * Cout gradient planes that meet its input
     cells, and gives the input gradient as G^T times the flipped kernel
-    (kept inside `grad_extent`, on the grid) and the weight gradient as G
+    (kept inside `grad_extent`, in x's layout) and the weight gradient as G
     times the band's input, one product each."""
     *lead, D, T, cin = _grid_shape(x, extent)
     kd, kt, _, cout = w.shape
@@ -445,7 +455,7 @@ def _narrow_grads(x, extent, w, pad, out_extent, grad_extent, gy, channels_first
         r0, r1 = max(d0 - pd, 0), min(d1 - pd + kd - 1, D)
         np.maximum(reach[r0:r1], min(t1 - pt + kt - 1, T), out=reach[r0:r1])
     w_flip = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kd * kt * cout, cin)
-    gx = np.zeros((*lead, D, T, cin), dtype=gy.dtype)
+    gx = np.zeros(x.shape, dtype=gy.dtype)
     gw = np.zeros((kd * kt * cout, cin), dtype=w.dtype)
     start = 0
     for d0, d1, _ in out_extent:
@@ -462,7 +472,9 @@ def _narrow_grads(x, extent, w, pad, out_extent, grad_extent, gy, channels_first
         band = (g.T @ w_flip).reshape(*lead, r1 - r0, width, cin)
         for e0, e1, u1 in grad_extent:
             a0, a1, c1 = max(e0, r0), min(e1, r1), min(u1, width)
-            if a0 < a1 and c1 > 0:
+            if a0 < a1 and c1 > 0 and isinstance(extent, CellRows):
+                extent.put(gx, band[..., a0 - r0:a1 - r0, :, :], (a0, a1), (0, c1))
+            elif a0 < a1 and c1 > 0:
                 gx[..., a0:a1, :c1, :] = band[..., a0 - r0:a1 - r0, :c1, :]
         gw += g @ _strip(x, extent, (r0, r1), (0, width)).reshape(-1, cin)
     gw = gw.reshape(kd, kt, cout, cin)[::-1, ::-1].transpose(0, 1, 3, 2)
@@ -497,11 +509,12 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
     `out_extent`. Both default to one block over the whole grid.
 
     With `rows` (a `CellRows`), x is the (..., J, Cin) rows of the grid's
-    cells, and every block's strip is copied straight from them; the input
-    gradient is still a grid. An `epilogue` (act, mask) runs on each
-    block's computed cells as `_write` says, and the gradient goes back
-    through it inside `out_extent` only. `channels_first` writes the output,
-    and reads its gradient, as (..., Cout, d_out, t_out).
+    cells, which the strips are copied from and, in either order, each
+    block of the input gradient is written straight into. An `epilogue`
+    (act, mask) runs on each block's computed cells as `_write` says; its
+    gradient is taken in place in the output gradient, inside `out_extent`
+    only. `channels_first` writes the output, and reads its gradient, as
+    (..., Cout, d_out, t_out).
     """
     *lead, D, T, cin = _grid_shape(x, rows)
     kd, kt, _, cout = w.shape
@@ -535,8 +548,8 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
             taps = _block_taps(x, source, (d0, d1, t1), (kd, kt), pad).swapaxes(-2, -1)
             gw += (taps @ g.reshape(*g.shape[:-3], 1, 1, -1, cout)).reshape(-1, *w.shape).sum(0)
         w_flip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-        gx = _conv2d_taps(gy, out_extent, w_flip, (kd - 1 - pd, kt - 1 - pt),
-                          (*lead, D, T, cin), grad_extent)
+        gx = _conv2d_taps(gy, out_extent, w_flip, (kd - 1 - pd, kt - 1 - pt), x.shape,
+                          grad_extent, into=rows)
         return gx, gw, gb
 
     return y, grads
@@ -572,20 +585,18 @@ def conv2d(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilogue=
     `grad_extent` are staircases of row blocks (d0, d1, t1) that bound the
     cells computed in the output and in the input gradient (`_conv_grid`);
     the default is the whole grid. With `rows` (a `CellRows`), x is the
-    (..., J, Cin) rows of the grid's cells and its gradient comes back as
-    those rows. `epilogue` (act, mask) and `channels_first` are
-    `_conv_grid`'s: an activation (None, "relu" or "sigmoid") and a 0/1
-    mask run on the output in place, and its layout.
+    (..., J, Cin) rows of the grid's cells, and its gradient is written
+    block by block straight into rows of that shape. `epilogue` (act, mask)
+    and `channels_first` are `_conv_grid`'s: an activation (None, "relu" or
+    "sigmoid") and a 0/1 mask run on the output in place, and its layout.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     y, grads = _conv_grid(x.data, w.data, b.data, (pad, pad), out_extent, grad_extent, rows,
                           epilogue, channels_first)
 
     def bwd():
-        gx, gw, gb = grads(out.grad)
-        _accum(x, gx if rows is None else rows.gather(gx))
-        _accum(w, gw)
-        _accum(b, gb)
+        for t, g in zip((x, w, b), grads(out.grad)):
+            _accum(t, g)
 
     out = Tensor(y, _parents=(x, w, b), _backward=bwd)
     return out
@@ -633,8 +644,7 @@ def sparse_sample(x, S, w, b, epilogue=None):
     xs = columns(x.data)
 
     def bwd():
-        gy = columns(out.grad if epilogue is None else
-                     _activate_grad(out.grad, y, *epilogue, np.empty_like(out.grad)))
+        gy = columns(_activate_grad(out.grad, y, *epilogue, out.grad) if epilogue else out.grad)
         z = (S @ gy).reshape(N, -1)
         _accum(x, stacked((w.data @ z).reshape(T, -1)))
         _accum(w, z @ xs.ravel())

@@ -51,13 +51,14 @@ def ar_at_an(recalls: list[np.ndarray], an_index: int) -> float:
     return float(np.mean([r[:, an_index].mean() for r in recalls]))
 
 
-def auc(recalls: list[np.ndarray], an_values) -> float:
+def auc(recalls: list[np.ndarray], an_values, curve=None) -> float:
     """100 x mean of AR@AN over AN in 1..100 (integer-grid rectangle rule).
     `an_values` labels the columns of the recall matrices and must cover
-    1..100."""
+    1..100; `curve`, the AR at every column, is read when it is given."""
     an_values = list(an_values)
     idx = [an_values.index(an) for an in range(1, 101)]
-    return 100.0 * float(np.mean([ar_at_an(recalls, j) for j in idx]))
+    ar = [ar_at_an(recalls, j) if curve is None else curve[j] for j in idx]
+    return 100.0 * float(np.mean(ar))
 
 
 def evaluate_dataset(per_video: dict[str, tuple[Proposals, AnnotationSet]],
@@ -86,7 +87,7 @@ def evaluate_dataset(per_video: dict[str, tuple[Proposals, AnnotationSet]],
         if an <= an_max:
             result[f"AR@{an}"] = curve[an - 1]
     if an_max >= 100:
-        result["AUC"] = auc(mats, an_values)
+        result["AUC"] = auc(mats, an_values, curve)
     # per-threshold recall at the largest AN
     last = len(an_values) - 1
     result["recall_at_max_an"] = {

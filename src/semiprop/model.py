@@ -245,8 +245,8 @@ class ProposalNetwork:
         valid, grown = staircase(self.valid_mask), staircase(halo(self.valid_mask))
         self.extents = {"pem.conv2a": (grown, valid), "pem.conv2b": (valid, grown)}
         self._W_cache: dict[str, sparse.csc_matrix] = {}
-        # the candidate rows as conv2a reads them; it finds each strip's runs
-        # on that strip's first read (in the first forward pass), not here
+        # the candidate rows as conv2a reads them and writes their gradient;
+        # it finds each block's runs on first use (in the first pass), not here
         self._rows = ad.CellRows(self.cells, self.valid_mask.shape)
 
     def init_params(self, seed: int, dtype=np.float64) -> ParamStore:

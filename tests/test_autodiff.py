@@ -51,6 +51,12 @@ def sigmoid_planes(x, w, b):
     return ad.add(ad.tsum(ad.square(s)), ad.tmean(e))
 
 
+def gather(rows, grid):
+    """The rows of a (..., D, T, C) grid's cells, as the `CellRows` `rows`
+    holds them."""
+    return grid.reshape(*grid.shape[:-3], -1, grid.shape[-1]).take(rows.cells, axis=-2)
+
+
 def rows_to_grid(x, rows):
     """The zero-filled (..., D, T, C) grid whose cells `rows` holds the
     (..., J, C) rows of `x`: the grid read as one `CellRows` strip, and its
@@ -58,7 +64,7 @@ def rows_to_grid(x, rows):
     D, T = rows.shape
 
     def bwd():
-        ad._accum(x, rows.gather(out.grad))
+        ad._accum(x, gather(rows, out.grad))
 
     out = ad.Tensor(rows.strip(x.data, (0, D), (0, T)), _parents=(x,), _backward=bwd)
     return out
@@ -384,7 +390,26 @@ def test_cell_rows_strip_is_the_scattered_grid_strip(rows, cols):
     strip = _strip_of_grid(grid, rows, cols)
     for _ in range(2):  # the second read reuses the runs found by the first
         assert np.array_equal(VALID_ROWS.strip(x, rows, cols), strip)
-    assert np.array_equal(VALID_ROWS.gather(grid), x)
+    assert np.array_equal(gather(VALID_ROWS, grid), x)
+
+
+@pytest.mark.parametrize("rows,cols", [((-1, 3), (-1, 8)), ((0, 5), (0, 6)), ((2, 7), (1, 4)),
+                                       ((4, 5), (0, 3)), ((0, 5), (0, 0))])
+def test_cell_rows_put_writes_the_cells_of_the_block(rows, cols):
+    """`put` writes back the rows of a strip's cells, at any width of the
+    block, and leaves every other row as it was."""
+    x = np.random.default_rng(2).normal(size=(2, 20, 3))
+    grid = old_scatter_grid(x, VALID_ROWS.cells, _VALID.shape).data
+    (r0, r1), (c0, c1) = rows, cols
+    d, i = np.divmod(VALID_ROWS.cells, _VALID.shape[1])
+    inside = (d >= r0) & (d < r1) & (i >= c0) & (i < c1)
+    for extra in (0, 2):  # dropped columns past c1, as the kernels' blocks have
+        block = _strip_of_grid(grid, rows, (c0, c1 + extra))
+        out = np.full_like(x, np.nan)
+        for _ in range(2):  # the second write reuses the runs found by the first
+            VALID_ROWS.put(out, block, rows, cols)
+        assert np.array_equal(out[:, inside], x[:, inside])
+        assert np.isnan(out[:, ~inside]).all()
 
 
 def _strip_of_grid(grid, rows, cols):
@@ -943,9 +968,9 @@ def test_evaluation_order_is_picked_from_the_shapes(w_shape, narrow, monkeypatch
     Cout >= Cin and every one-row kernel (each conv1d) the tap loop."""
     called = []
     for name in ("_conv2d_taps", "_conv2d_planes", "_narrow_grads"):
-        def spy(*args, _f=getattr(ad, name), _name=name):
+        def spy(*args, _f=getattr(ad, name), _name=name, **kwargs):
             called.append(_name)
-            return _f(*args)
+            return _f(*args, **kwargs)
         monkeypatch.setattr(ad, name, spy)
     x = np.ones((6, 7, w_shape[2]))
     y, grads = ad._conv_grid(x, np.ones(w_shape), np.ones(w_shape[3]),
@@ -953,3 +978,151 @@ def test_evaluation_order_is_picked_from_the_shapes(w_shape, narrow, monkeypatch
     grads(np.ones_like(y))
     expect = ["_conv2d_planes", "_narrow_grads"] if narrow else ["_conv2d_taps"] * 2
     assert called == expect
+
+
+# ---------------------------------------------------------------------------
+# the input gradient of a `CellRows` source, written straight into the
+# candidate rows, against the earlier path that built it on a zeroed grid and
+# gathered the rows from it; and epilogue gradients taken in place in the
+# output gradient, against the earlier out-of-place copy
+
+ACTIVATE_GRAD = ad._activate_grad  # the program's own, which a test below patches
+
+
+def old_epilogue_grad(gy, y, extent, epilogue, channels_first):
+    """The epilogue gradient written into a fresh copy of `gy`."""
+    act, mask = epilogue
+    gz = np.empty_like(gy)
+    for block in extent:
+        g, o, out = (ad._cells(a, block, channels_first) for a in (gy, y, gz))
+        m = None if mask is None else ad._cells(mask, block, channels_first)
+        ACTIVATE_GRAD(g, o, act, m, out)
+    return gz
+
+
+def grid_then_gather(x, w, b, out_ext, grad_ext, rows, epilogue=None):
+    """`_conv_grid` on the candidate rows `x` the earlier way: the kernel
+    runs on the zero-filled grid, and its input gradient, a grid, is
+    gathered back to the rows."""
+    D, T = rows.shape
+    y, grads = ad._conv_grid(rows.strip(x, (0, D), (0, T)), w, b, (1, 1), out_ext, grad_ext,
+                             None, epilogue)
+
+    def gathered(gy):
+        gx, gw, gb = grads(gy)
+        return gather(rows, gx), gw, gb
+    return y, gathered
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [None, 1, 2, 4])
+@pytest.mark.parametrize("cin,cout", [(3, 4), (4, 2)], ids=["tap_loop", "narrow"])
+@pytest.mark.parametrize("T,D", STAIRCASE_SHAPES)
+def test_rows_input_gradient_is_bit_equal_to_grid_then_gather(T, D, cin, cout, B, dtype):
+    """On conv2a's extents, in both evaluation orders, the output and every
+    gradient of a `CellRows` source are the grid-then-gather path's bit for
+    bit, and the input gradient has the rows' shape and dtype."""
+    valid = candidate_mask(T, D)
+    rows = ad.CellRows(np.flatnonzero(valid), valid.shape)
+    out_ext, grad_ext = staircase(halo(valid)), staircase(valid)
+    rng = np.random.default_rng([T, D, cin, B or 0])
+    lead = () if B is None else (B,)
+    x = rng.normal(size=(*lead, rows.cells.size, cin)).astype(dtype)
+    w, b = rng.normal(size=(3, 3, cin, cout)).astype(dtype), rng.normal(size=cout).astype(dtype)
+    gy = rng.normal(size=(*lead, D, T, cout)).astype(dtype)
+    y, grads = ad._conv_grid(x, w, b, (1, 1), out_ext, grad_ext, rows)
+    y_old, grads_old = grid_then_gather(x, w, b, out_ext, grad_ext, rows)
+    assert np.array_equal(y, y_old)
+    new, old = grads(gy.copy()), grads_old(gy.copy())
+    assert new[0].shape == x.shape
+    for a, c in zip(new, old, strict=True):
+        assert a.dtype == c.dtype == dtype and np.array_equal(a, c)
+
+
+def two_readers(y):
+    """A loss that reads `y` twice, so its gradient is the sum of two."""
+    c = np.linspace(-1.0, 1.0, y.data.size).reshape(y.shape).astype(y.dtype)
+    return ad.add(ad.tsum(ad.square(y)), ad.tsum(ad.mul(y, c)))
+
+
+_VALID_CF = _VALID.astype(float)
+EPILOGUE_OPS = {
+    "conv1d_relu": (lambda x, w, b: ad.conv1d(x, w, b, 1, ("relu", None)),
+                    [(2, 8, 3), (3, 3, 4), (4,)]),
+    "conv1d_sigmoid_mask": (lambda x, w, b: ad.conv1d(x, w, b, 1, ("sigmoid", SEQ_MASK)),
+                            [(8, 3), (3, 3, 4), (4,)]),
+    "conv2d_rows_relu": (lambda x, w, b: ad.conv2d(x, w, b, 1, *HALO_EXTENTS, VALID_ROWS,
+                                                   ("relu", None)),
+                         [(2, 20, 3), (3, 3, 3, 3), (3,)]),
+    "conv2d_sigmoid_mask_channels_first": (lambda x, w, b: ad.conv2d(
+        x, w, b, 1, *HALO_EXTENTS[::-1], epilogue=("sigmoid", _VALID_CF),
+        channels_first=True), [(2, 5, 6, 3), (3, 3, 3, 2), (2,)]),
+    "sparse_sample_relu": (lambda x, w, b: ad.sparse_sample(x, SAMPLE_S, w, b, ("relu", None)),
+                           [(2, 6, 4), (3,), (4,)]),
+    "sparse_sample_mask": (lambda x, w, b: ad.sparse_sample(x, SAMPLE_S, w, b,
+                                                            (None, ROWS_MASK)),
+                           [(6, 4), (3,), (4,)]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(EPILOGUE_OPS))
+def test_in_place_epilogue_gradient_of_a_twice_read_output(name, dtype, monkeypatch):
+    """The gradient of an epilogue's output that two consumers read is
+    accumulated in its node's own array, and the epilogue gradient taken in
+    place there gives every gradient bit-equal to an out-of-place copy
+    (`old_epilogue_grad` for the convolutions, a fresh output array for
+    the sampler)."""
+    op, shapes = EPILOGUE_OPS[name]
+    rng = np.random.default_rng(len(name))
+    arrs = [rng.normal(size=s).astype(dtype) for s in shapes]
+
+    def grads():
+        ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrs]
+        two_readers(op(*ts)).backward()
+        return [t.grad for t in ts]
+
+    in_place = grads()
+    monkeypatch.setattr(ad, "_epilogue_grad", old_epilogue_grad)
+    monkeypatch.setattr(ad, "_activate_grad", lambda gy, y, act, mask, out: ACTIVATE_GRAD(
+        gy, y, act, mask, np.empty_like(out) if out is gy else out))
+    for a, c in zip(in_place, grads(), strict=True):
+        assert a.dtype == c.dtype and np.array_equal(a, c)
+
+
+def test_conv2a_backward_peaks_a_grid_below_grid_then_gather(monkeypatch):
+    """pem.conv2a's backward (B = 4, T = D = 100, Hp = 16, float32, its ReLU
+    epilogue) peaks at least one (B, D, T, Hp) grid, 2.56 MB, below the
+    earlier path's, which copied the output gradient for the epilogue, built
+    the input gradient on a zeroed grid and gathered the rows from it."""
+    B, T, D, Hp = 4, 100, 100, 16
+    valid = candidate_mask(T, D)
+    rows = ad.CellRows(np.flatnonzero(valid), valid.shape)
+    extents = staircase(halo(valid)), staircase(valid)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(B, rows.cells.size, Hp)).astype(np.float32)
+    w = (rng.normal(size=(3, 3, Hp, Hp)) * 0.1).astype(np.float32)
+    b = np.zeros(Hp, dtype=np.float32)
+    gy = rng.normal(size=(B, D, T, Hp)).astype(np.float32)
+
+    def backward_peak(conv):
+        peaks = []
+        for _ in range(2):  # the first pass finds the blocks' runs
+            y, grads = conv()
+            g = gy.copy()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                result = grads(g)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            del y, grads, result
+        return peaks[-1]
+
+    grid = B * D * T * Hp * 4
+    new = backward_peak(lambda: ad._conv_grid(x, w, b, (1, 1), *extents, rows, ("relu", None)))
+    monkeypatch.setattr(ad, "_epilogue_grad", old_epilogue_grad)
+    old = backward_peak(lambda: grid_then_gather(x, w, b, *extents, rows, ("relu", None)))
+    assert old - new >= grid, (old, new)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semiprop import metrics as metrics_mod
 from semiprop.data import AnnotationSet, iou_1d
 from semiprop.metrics import (ANET_THRESHOLDS, THUMOS_THRESHOLDS, ar_at_an,
                               auc, evaluate_dataset, recall_matrix,
@@ -202,6 +203,16 @@ class TestEvaluateDataset:
             assert result[f"AR@{an}"] == ar_at_an(mats, an - 1)
         assert result["AUC"] == auc(mats, an_values)
         assert result["AUC"] == 100.0 * float(np.mean(result["ar_curve"][:100]))
+
+    def test_each_ar_point_is_computed_once(self, monkeypatch):
+        """The AUC reads the AR curve that the summary already holds: one
+        `ar_at_an` call per AN column, 100 in all."""
+        calls = []
+        monkeypatch.setattr(metrics_mod, "ar_at_an",
+                            lambda recalls, j: calls.append(j) or ar_at_an(recalls, j))
+        per_video = {"a": ([Proposal(0.0, 10.0, 0.9)], AnnotationSet([(0.0, 10.0)]))}
+        result = evaluate_dataset(per_video, ANET_THRESHOLDS)
+        assert calls == list(range(100)) and result["AUC"] == pytest.approx(100.0)
 
     def test_all_empty_gt(self):
         result = evaluate_dataset({"a": ([], AnnotationSet([]))}, [0.5])

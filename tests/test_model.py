@@ -504,29 +504,43 @@ class TestStaircaseExtents:
     @pytest.mark.parametrize("hyper", STAIRCASE_HYPERS, ids=lambda h: f"T{h.T}D{h.D}")
     def test_gradients_outside_extents_are_never_read(self, hyper, monkeypatch):
         """NaN in every 2-D convolution's output gradient outside its output
-        extent and in its input gradient outside its input-gradient extent
-        changes neither the loss nor any gradient. (Its output outside the
-        extent stays zero: conv2b's epilogue applies the candidate mask, and
-        conv2b's blocks reach past conv2a's halo.) The input gradient is
-        poisoned on the grid, before conv2a's goes back to the candidate
-        rows, and conv2b's output gradient in its channel-first layout."""
+        extent, in conv2b's input gradient outside its input-gradient
+        extent, and in the cells of each block of conv2a's input gradient
+        that are not written to the candidate rows changes neither the loss
+        nor any gradient. (Its output outside the extent stays zero: conv2b's
+        epilogue applies the candidate mask, and conv2b's blocks reach past
+        conv2a's halo.) conv2b's output gradient is poisoned in its
+        channel-first layout, and conv2a's input gradient in each block
+        before `CellRows.put` writes its candidate cells: every cell it
+        drops, inside the input-gradient extent or not, is NaN."""
         net = ProposalNetwork(hyper)
         loss, grads = composite_value_and_grads(net)
-        conv_grid = ad._conv_grid
+        conv_grid, put, puts = ad._conv_grid, ad.CellRows.put, []
 
         def poisoned(x, w, b, pad, out_extent=None, grad_extent=None, *rest):
             y, conv_grads = conv_grid(x, w, b, pad, out_extent, grad_extent, *rest)
             if out_extent is None:  # conv1d
                 return y, conv_grads
-            channels_first = rest[-1]
+            rows, _, channels_first = rest
 
             def poisoned_grads(gy):
                 gx, gw, gb = conv_grads(nan_outside(gy, out_extent, channels_first))
-                return nan_outside(gx, grad_extent), gw, gb
+                return (gx if rows is not None else nan_outside(gx, grad_extent)), gw, gb
             return y, poisoned_grads
 
+        def poisoned_put(rows, out, block, r, c):
+            (r0, r1), (c0, c1) = r, c
+            d, i = np.divmod(rows.cells, rows.shape[1])
+            kept = (d >= r0) & (d < r1) & (i >= c0) & (i < c1)
+            written = np.zeros(block.shape[-3:-1], dtype=bool)
+            written[d[kept] - r0, i[kept] - c0] = True
+            puts.append(written.size - written.sum())
+            put(rows, out, np.where(written[:, :, None], block, np.nan), r, c)
+
         monkeypatch.setattr(ad, "_conv_grid", poisoned)
+        monkeypatch.setattr(ad.CellRows, "put", poisoned_put)
         poisoned_loss, poisoned_grads = composite_value_and_grads(net)
+        assert puts and sum(puts) > 0  # conv2a's blocks were written, and dropped cells
         assert poisoned_loss == loss
         for name, g in grads.items():
             assert np.isfinite(poisoned_grads[name]).all(), name
