@@ -106,6 +106,10 @@ class AnnotationSet:
                 raise ValueError(f"annotation [{ts}, {te}] outside [0, {T}]")
 
 
+# the fewest snippets a video may have, on write and on read
+MIN_T = 4
+
+
 @dataclass
 class FeatureSequence:
     video_id: str
@@ -123,10 +127,10 @@ class FeatureSequence:
     def validate(self) -> None:
         if self.values.ndim != 2:
             raise ValueError("feature values must be a T x C matrix")
-        if self.T < 4 or self.C < 1:
-            raise ValueError(f"need T >= 4 and C >= 1, got T={self.T}, C={self.C}")
+        if self.T < MIN_T or self.C < 1:
+            raise ValueError(f"need T >= {MIN_T} and C >= 1, got T={self.T}, C={self.C}")
         if not np.isfinite(self.values).all():
-            raise ValueError("feature values must be finite")
+            raise ValueError("non-finite feature value")
         if self.annotations is not None:
             self.annotations.validate(self.T)
 
@@ -217,15 +221,21 @@ def write_features(seq: FeatureSequence, path: str | os.PathLike) -> None:
 
 
 def read_features(path: str | os.PathLike) -> FeatureSequence:
+    """Read a file written by `write_features`. A sequence that
+    `FeatureSequence.validate` refuses (fewer than `MIN_T` snippets, a
+    non-finite value) raises `FormatError` naming the path."""
     meta, payload = read_framed(path, MAGIC, FEATURE_PREFIX, "feature",
                                 lambda m: (int(m["T"]) * int(m["C"]), np.dtype("<f4")))
     if "video_id" not in meta:
         raise FormatError(f"{path}: bad header block: no video_id")
     T, C = int(meta["T"]), int(meta["C"])
-    values = np.frombuffer(payload, dtype="<f4").reshape(T, C).copy()
-    if not np.isfinite(values).all():
-        raise FormatError(f"{path}: non-finite payload value")
-    return FeatureSequence(video_id=str(meta["video_id"]), values=values)
+    try:  # a negative T and C whose product is the payload size fail the reshape
+        seq = FeatureSequence(video_id=str(meta["video_id"]),
+                              values=np.frombuffer(payload, dtype="<f4").reshape(T, C).copy())
+        seq.validate()
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return seq
 
 
 def _plant_instances(rng: np.random.Generator, T: int) -> list[tuple[float, float]]:
@@ -319,9 +329,9 @@ def _video_entry(v) -> VideoEntry:
     for key in ("video_id", "feature_file"):
         if not isinstance(v[key], str):
             raise TypeError(f"{key} must be a string, got {v[key]!r}")
-    for key in ("T", "C"):
-        if type(v[key]) is not int or v[key] < 1:
-            raise ValueError(f"{key} must be a positive integer, got {v[key]!r}")
+    for key, least in (("T", MIN_T), ("C", 1)):
+        if type(v[key]) is not int or v[key] < least:
+            raise ValueError(f"{key} must be an integer >= {least}, got {v[key]!r}")
     if type(v["labeled"]) is not bool:
         raise TypeError(f"labeled must be true or false, got {v['labeled']!r}")
     annotations = []

@@ -79,10 +79,10 @@ def decode_candidates(out: Predictions, max_duration: int | None = None) -> Prop
 
     A start index s opens the segment at coordinate s; an end index t closes
     it at coordinate t + 1, so the pair decodes to segment [s, t+1] matching
-    the (d, i) -> [i, i+d+1] map convention. Sorted by descending score, ties
-    by (start, end): `nonzero` yields the pairs in (start, end) order and one
-    stable sort on the score keeps it among ties. Scores are computed in the
-    predictions' dtype, in that factor order, then widened to float64.
+    the (d, i) -> [i, i+d+1] map convention. The pool is in (start, end)
+    order, as `nonzero` yields the pairs, and is not ranked: ranking is
+    `soft_nms`'s job. Scores are computed in the predictions' dtype, in that
+    factor order, then widened to float64.
     """
     D = out.m_cc.shape[0] if max_duration is None else min(max_duration, out.m_cc.shape[0])
     starts = _boundary_set(out.p_s)
@@ -91,9 +91,7 @@ def decode_candidates(out: Predictions, max_duration: int | None = None) -> Prop
     si, ti = np.nonzero((d >= 0) & (d < D))
     s, t, d = starts[si], end_snippets[ti], d[si, ti]
     score = (out.p_s[s] * out.p_e[t] * out.m_cc[d, s] * out.m_cr[d, s]).astype(np.float64)
-    order = np.argsort(-score, kind="stable")
-    return Proposals(s[order].astype(np.float64), (t[order] + 1).astype(np.float64),
-                     score[order])
+    return Proposals(s.astype(np.float64), (t + 1).astype(np.float64), score)
 
 
 def check_nms_params(sigma: float, score_floor: float) -> None:
@@ -110,15 +108,20 @@ def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
     """Gaussian Soft-NMS: keep the best proposal, decay the rest by
     exp(-iou^2 / sigma), repeat. Ties break on (start, end).
 
-    `props` is a `Proposals` or a sequence of `Proposal` rows; it is not
-    modified. The IoU is `iou_1d`'s, operation for operation.
+    `props` is a `Proposals` or a sequence of `Proposal` rows, in any order;
+    it is not modified. A pool already in (start, end) order, as
+    `decode_candidates` returns it, is not re-sorted. The IoU is `iou_1d`'s,
+    operation for operation.
     """
     check_nms_params(sigma, score_floor)
     props = Proposals.of(props)
     # in (start, end) order, argmax's first maximum is the tie-break winner,
     # and the candidates that start before a pick's end are a prefix
-    order = np.lexsort((props.end, props.start))
-    start, end, score = props.start[order], props.end[order], props.score[order]
+    start, end, score = props.start, props.end, props.score.copy()
+    s0, s1 = start[:-1], start[1:]
+    if not ((s0 <= s1).all() and ((s0 < s1) | (end[:-1] <= end[1:])).all()):
+        order = np.lexsort((end, start))  # stable: equal pairs keep their order
+        start, end, score = start[order], end[order], score[order]
     length = end - start
     # a picked entry's end reads -inf, so it overlaps nothing and its -inf
     # score is multiplied by exactly 1 (never by an exp that underflowed to 0)
@@ -126,14 +129,15 @@ def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
     ov, union = np.empty_like(score), np.empty_like(score)
     picks, kept = [], []
     for _ in range(min(max_out, len(score))):
-        best = int(np.argmax(score))
-        if score[best] < score_floor:
+        best = int(score.argmax())
+        top = score.item(best)
+        if top < score_floor:
             break
         picks.append(best)
-        kept.append(score[best])
+        kept.append(top)
         score[best] = reach[best] = -np.inf
-        a, b = start[best], end[best]
-        k = int(np.searchsorted(start, b))
+        a, b = start.item(best), end.item(best)
+        k = int(start.searchsorted(b))
         o, u = ov[:k], union[:k]
         np.minimum(reach[:k], b, out=o)
         o -= np.maximum(start[:k], a, out=u)

@@ -9,8 +9,8 @@ import pytest
 
 from semiprop import cli
 from semiprop.cli import apply_mode, config_hash, main
-from semiprop.data import (FEATURE_PREFIX, MAGIC, DatasetManifest, VideoEntry,
-                           write_framed, write_manifest)
+from semiprop.data import (FEATURE_PREFIX, MAGIC, DatasetManifest, FeatureSequence,
+                           VideoEntry, write_features, write_framed, write_manifest)
 from semiprop.model import (CHECKPOINT_MAGIC, HyperShape, init_params,
                             load_checkpoint, save_checkpoint)
 from semiprop.trainer import LOSS_WEIGHTS, TrainConfig
@@ -207,7 +207,7 @@ class TestExitCodes:
 
     @pytest.fixture
     def short_videos(self, tmp_path):
-        """Two T = 3, C = 4 videos, one labeled: shorter than `gen-data` makes
+        """Two T = 4, C = 4 videos, one labeled: shorter than `gen-data` makes
         them, so the files are written here."""
         root = tmp_path / "short"
         root.mkdir()
@@ -215,13 +215,12 @@ class TestExitCodes:
         videos = []
         for i in range(2):
             vid = f"v{i}"
-            write_framed(root / f"{vid}.feat", MAGIC, FEATURE_PREFIX,
-                         {"video_id": vid, "T": 3, "C": 4},
-                         [rng.normal(size=(3, 4)).astype("<f4")])
-            videos.append(VideoEntry(vid, 3, 4, i == 0, f"{vid}.feat", [[0.5, 2.0]]))
+            write_features(FeatureSequence(vid, rng.normal(size=(4, 4)).astype(np.float32)),
+                           root / f"{vid}.feat")
+            videos.append(VideoEntry(vid, 4, 4, i == 0, f"{vid}.feat", [[0.5, 2.0]]))
         write_manifest(DatasetManifest(videos, 0, {}), root / "manifest.json")
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"K": 4, "mu": 0.5, "epochs": 1}))
+        config.write_text(json.dumps({"K": 5, "mu": 0.5, "epochs": 1}))
         return str(root / "manifest.json"), str(config)
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -233,7 +232,7 @@ class TestExitCodes:
                 ["ablate", "--seeds", "1", "--train-manifest", manifest,
                  "--test-manifest", manifest])
         assert run_cli(argv + ["--config", config, "--out", str(out_dir)]) == 1
-        assert "need 2 <= K <= T, got K=4, T=3" in capsys.readouterr().err
+        assert "need 2 <= K <= T, got K=5, T=4" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_more_clips_than_snippets_trains_without_the_order_loss(
@@ -278,6 +277,21 @@ class TestExitCodes:
         rc = run_cli(["train", "--manifest", str(path), "--out", str(tmp_path / "run")]
                      + TRAIN_FLAGS)
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_feature_file_below_the_smallest_T_is_data_error(self, dataset, checkpoint,
+                                                             tmp_path, capsys, command):
+        """`read_features` refuses a T = 3 file by the rule `write_features`
+        keeps, before the manifest's T = 16 is compared with it."""
+        write_framed(dataset / "v00000.feat", MAGIC, FEATURE_PREFIX,
+                     {"video_id": "v00000", "T": 3, "C": 4}, [np.zeros((3, 4), "<f4")])
+        manifest = str(dataset / "manifest.json")
+        argv = (["infer", "--checkpoint", str(checkpoint), "--manifest", manifest]
+                if command == "infer" else ["train", "--manifest", manifest] + TRAIN_FLAGS)
+        assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "v00000.feat: need T >= 4 and C >= 1, got T=3, C=4" in err
+        assert "Traceback" not in err
 
     def test_manifest_length_mismatch_is_data_error(self, dataset, checkpoint,
                                                     tmp_path, capsys):

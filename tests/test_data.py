@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from semiprop import data
-from semiprop.data import (AnnotationSet, DatasetManifest, FeatureSequence,
+from semiprop.data import (MIN_T, AnnotationSet, DatasetManifest, FeatureSequence,
                            FormatError, build_label_maps, candidate_mask,
                            gen_synthetic_dataset, iou_1d, load_video,
                            read_features, read_manifest, write_features,
@@ -225,6 +225,14 @@ class TestFeatureIO:
         with pytest.raises(FormatError, match="non-finite"):
             read_features(path)
 
+    @pytest.mark.parametrize("T,C", [(3, 4), (0, 4), (-2, -8)])
+    def test_header_below_the_smallest_T_rejected(self, tmp_path, T, C):
+        path = tmp_path / "a.feat"
+        write_framed(path, data.MAGIC, data.FEATURE_PREFIX, {"video_id": "vid", "T": T, "C": C},
+                     [np.zeros(T * C, "<f4")])
+        with pytest.raises(FormatError, match="a.feat: "):
+            read_features(path)
+
     def test_header_without_video_id_rejected(self, tmp_path):
         path = tmp_path / "a.feat"
         write_features(FeatureSequence("vid", np.ones((4, 2), dtype=np.float32)), path)
@@ -400,6 +408,20 @@ class TestManifest:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="seed"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("T", [3, 4])
+    def test_manifest_T_has_the_feature_files_minimum(self, tmp_path, T):
+        gen_synthetic_dataset(tmp_path, n_videos=1, T=16, C=4,
+                              label_fraction=1.0, seed=2)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["videos"][0].update(T=T, annotations=[[0.5, 2.0]])
+        path.write_text(json.dumps(doc))
+        if T < MIN_T:
+            with pytest.raises(FormatError, match=f"T must be an integer >= {MIN_T}, got {T}"):
+                read_manifest(path)
+        else:
+            assert read_manifest(path).videos[0].T == T
 
     @pytest.mark.parametrize("field", ["T", "C"])
     def test_load_video_checks_header_against_manifest(self, tmp_path, field):

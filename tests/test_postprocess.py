@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semiprop.data import iou_1d
+from semiprop import cli, postprocess
+from semiprop.data import gen_synthetic_dataset, iou_1d, read_manifest
+from semiprop.model import HyperShape, ProposalNetwork, init_params
 from semiprop.perturb import Predictions
 from semiprop.postprocess import (Proposal, Proposals, decode_candidates,
                                   read_proposals, soft_nms, write_proposals)
@@ -38,7 +40,7 @@ def list_decode_candidates(out, max_duration=None):
                 continue
             score = float(out.p_s[s] * out.p_e[t] * out.m_cc[d, s] * out.m_cr[d, s])
             props.append(Proposal(start=float(s), end=float(e), score=score))
-    props.sort(key=lambda p: (-p.score, p.start, p.end))
+    props.sort(key=lambda p: (p.start, p.end))
     return props
 
 
@@ -156,8 +158,8 @@ class TestDecodeCandidates:
                     assert got[(float(s), float(e))] == pytest.approx(expect)
                 else:
                     assert (float(s), float(e)) not in got
-        scores = [p.score for p in props]
-        assert scores == sorted(scores, reverse=True)
+        pairs = [(p.start, p.end) for p in props]
+        assert pairs == sorted(pairs)
 
     @settings(max_examples=300, deadline=None)
     @given(dense_predictions(), st.data())
@@ -254,6 +256,20 @@ class TestSoftNms:
             assert [(p.start, p.end, p.score) for p in got] == \
                    [(p.start, p.end, p.score) for p in ref]
 
+    @settings(max_examples=300, deadline=None)
+    @given(proposal_pools(), st.randoms(use_true_random=False),
+           st.sampled_from([1e-6, 0.4]), st.sampled_from([0.0, 0.001]))
+    def test_ordered_and_shuffled_pools_pick_the_same_rows(self, pool, random, sigma,
+                                                           score_floor):
+        """A pool in (start, end) order skips the re-sort; the same pool
+        shuffled is re-sorted, and the rows agree to the bit, exact ties and
+        duplicate segments included."""
+        ordered = sorted(pool, key=lambda p: (p.start, p.end))
+        shuffled = list(pool)
+        random.shuffle(shuffled)
+        want = soft_nms(ordered, sigma=sigma, score_floor=score_floor)
+        assert rows(soft_nms(shuffled, sigma=sigma, score_floor=score_floor)) == rows(want)
+
     def test_max_out_and_floor(self):
         props = [Proposal(10 * j, 10 * j + 5, 0.5) for j in range(10)]
         assert len(soft_nms(props, max_out=3)) == 3
@@ -320,6 +336,80 @@ class TestSoftNms:
     def test_non_finite_or_negative_parameters(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             soft_nms([Proposal(0, 1, 0.5)], **kwargs)
+
+
+def ranked_decode_candidates(out, max_duration=None):
+    """The candidate pool stably sorted by descending score."""
+    props = decode_candidates(out, max_duration)
+    order = np.argsort(-props.score, kind="stable")
+    return Proposals(props.start[order], props.end[order], props.score[order])
+
+
+def lexsort_soft_nms(props, sigma=0.4, score_floor=0.001, max_out=100):
+    """`soft_nms` with its order check replaced by an unconditional
+    (start, end) `lexsort`."""
+    props = Proposals.of(props)
+    order = np.lexsort((props.end, props.start))
+    start, end, score = props.start[order], props.end[order], props.score[order]
+    length = end - start
+    reach = end.copy()
+    ov, union = np.empty_like(score), np.empty_like(score)
+    picks, kept = [], []
+    for _ in range(min(max_out, len(score))):
+        best = int(np.argmax(score))
+        if score[best] < score_floor:
+            break
+        picks.append(best)
+        kept.append(score[best])
+        score[best] = reach[best] = -np.inf
+        a, b = start[best], end[best]
+        k = int(np.searchsorted(start, b))
+        o, u = ov[:k], union[:k]
+        np.minimum(reach[:k], b, out=o)
+        o -= np.maximum(start[:k], a, out=u)
+        np.maximum(o, 0.0, out=o)
+        np.add(b - a, length[:k], out=u)
+        u -= o
+        o /= u
+        o *= o
+        np.divide(o, -sigma, out=o)
+        score[:k] *= np.exp(o, out=o)
+    picks = np.array(picks, dtype=np.intp)
+    return Proposals(start[picks], end[picks], np.array(kept, dtype=np.float64))
+
+
+class TestInferenceDoesNotSort:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_sort_and_same_bytes_as_the_ranked_path(self, tmp_path, monkeypatch, dtype):
+        """Decoding hands Soft-NMS a pool already in (start, end) order, so
+        inference calls no sort; its files match the score-ranked decode
+        followed by the always-sorting Soft-NMS, byte for byte."""
+        mpath = tmp_path / "data" / "manifest.json"
+        gen_synthetic_dataset(mpath.parent, n_videos=2, T=16, C=4, label_fraction=0.5, seed=3)
+        manifest = read_manifest(mpath)
+        hyper = HyperShape(T=16, C=4, H=4, Hp=4, D=16, N=4)
+        net, params = ProposalNetwork(hyper), init_params(hyper, 0, dtype=dtype)
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(postprocess.np, "lexsort", counting(np.lexsort))
+        monkeypatch.setattr(postprocess.np, "argsort", counting(np.argsort))
+        with monkeypatch.context() as old:
+            old.setattr(postprocess, "decode_candidates", ranked_decode_candidates)
+            old.setattr(postprocess, "soft_nms", lexsort_soft_nms)
+            cli.run_inference(net, params, manifest, mpath, tmp_path / "old")
+        assert sorted(calls) == ["argsort", "argsort", "lexsort", "lexsort"]
+        calls.clear()
+        cli.run_inference(net, params, manifest, mpath, tmp_path / "new")
+        assert calls == []
+        for entry in manifest.videos:
+            name = f"{entry.video_id}.props.tsv"
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
 
 class TestProposalIO:
