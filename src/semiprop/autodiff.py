@@ -6,8 +6,11 @@ reverse topological order. Constants (requires_grad=False with no grad
 parents) carry no closure, so e.g. a teacher forward pass builds no graph.
 Ops take optional leading axes, numpy style: a (B, T, C) stack is one call.
 Activations are no ops of their own: conv1d, conv2d and sparse_sample run a
-ReLU or a sigmoid, then a 0/1 mask, on their output in place as an
-`epilogue` (act, mask), and their backward reads its derivative off it.
+ReLU or a sigmoid, then a 0/1 mask, on their output as an `epilogue`
+(act, mask), and their backward reads its derivative off it. conv1d, a tap
+loop over its input padded once along T, and sparse_sample run it on their
+output in place; conv2d's block kernels (`_conv_grid`) run it as `_write`
+stores each block.
 
 A closure refers to the tensor it belongs to, so every op node is a
 reference cycle until `backward()` breaks it: the walk is one-shot and frees
@@ -174,15 +177,20 @@ def _sigmoid(x, out):
     return np.divide(1.0, out, out=out)
 
 
-def _activate(y, act, mask):
-    """Run an epilogue (act, mask) on `y` in place: act None, "relu" or
-    "sigmoid", then the product with the 0/1 `mask` (None, or y's shape)."""
+def _activate(y, act, mask, out=None):
+    """Run an epilogue (act, mask) on `y`, into `out` (y's shape; by default
+    y itself, in place): act None, "relu" or "sigmoid", then the product
+    with the 0/1 `mask` (None, or y's shape)."""
+    if out is None:
+        out = y
     if act == "relu":
-        np.maximum(y, 0.0, out=y)
+        np.maximum(y, 0.0, out=out)
     elif act == "sigmoid":
-        _sigmoid(y, y)
+        _sigmoid(y, out)
+    elif out is not y:
+        out[...] = y
     if mask is not None:
-        y *= mask
+        out *= mask
 
 
 def _activate_grad(gy, y, act, mask, out):
@@ -345,13 +353,13 @@ def _cells(a, block, channels_first):
 
 def _write(out, block, acc, epilogue, channels_first):
     """Store a block's computed cells, the first t1 columns of `acc`, in
-    `out`, then run the epilogue (act, mask) on them there (`_activate`,
-    the mask given in the output's layout)."""
-    view = _cells(out, block, channels_first)
-    view[...] = _cells(acc, (0, block[1] - block[0], block[2]), channels_first)
-    if epilogue is not None:
-        act, mask = epilogue
-        _activate(view, act, None if mask is None else _cells(mask, block, channels_first))
+    `out`, running the epilogue (act, mask) as it stores them: one pass
+    reads the accumulator and writes the activated cells (`_activate`, the
+    mask given in the output's layout)."""
+    act, mask = epilogue or (None, None)
+    _activate(_cells(acc, (0, block[1] - block[0], block[2]), channels_first), act,
+              None if mask is None else _cells(mask, block, channels_first),
+              _cells(out, block, channels_first))
 
 
 def _epilogue_grad(gy, y, extent, epilogue, channels_first):
@@ -491,12 +499,13 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
     to the gradients of x, w and b. Two evaluation orders, picked from the
     shapes alone:
     - the tap loop (`_conv2d_taps`), for Cout >= Cin and for every 1-row
-      kernel (conv1d). The input gradient is the same tap loop over the
-      output gradient, padded by k-1-pad on each axis, with the kernel
-      flipped in both spatial axes and its in/out axes swapped; the weight
-      gradient is one (cells, Cin)^T (cells, Cout) product per tap and
-      block, with the output gradient zero on the dropped cells of
-      `_block_taps`. Padding exists only in the per-block strips.
+      kernel (a sequence has a kernel of its own, `conv1d`). The input
+      gradient is the same tap loop over the output gradient, padded by
+      k-1-pad on each axis, with the kernel flipped in both spatial axes
+      and its in/out axes swapped; the weight gradient is one
+      (cells, Cin)^T (cells, Cout) product per tap and block, with the
+      output gradient zero on the dropped cells of `_block_taps`. Padding
+      exists only in the per-block strips.
     - the output-side order (`_conv2d_planes`, `_narrow_grads`), for
       Cout < Cin and kd > 1. Per output cell the tap loop reads the Cin
       input channels kd * kt times; this order reads them once and writes
@@ -511,9 +520,9 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
     With `rows` (a `CellRows`), x is the (..., J, Cin) rows of the grid's
     cells, which the strips are copied from and, in either order, each
     block of the input gradient is written straight into. An `epilogue`
-    (act, mask) runs on each block's computed cells as `_write` says; its
-    gradient is taken in place in the output gradient, inside `out_extent`
-    only. `channels_first` writes the output, and reads its gradient, as
+    (act, mask) runs on each block's computed cells as `_write` stores
+    them; its gradient is taken in place in the output gradient, inside
+    `out_extent` only. `channels_first` writes the output, and reads its gradient, as
     (..., Cout, d_out, t_out).
     """
     *lead, D, T, cin = _grid_shape(x, rows)
@@ -555,25 +564,73 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
     return y, grads
 
 
+def _pad_rows(a, n):
+    """`a` zero-padded by `n` rows at both ends of its axis -2, as a new
+    C-contiguous array (`a` itself when n = 0 and it is one already)."""
+    if n == 0:
+        return np.ascontiguousarray(a)
+    p = np.zeros((*a.shape[:-2], a.shape[-2] + 2 * n, a.shape[-1]), dtype=a.dtype)
+    p[..., n:-n, :] = a
+    return p
+
+
+def _tap_loop(xp, w, n):
+    """The sum over taps j of xp[..., j:j + n, :] @ w[j], added in tap order
+    into the product of tap 0."""
+    y = xp[..., :n, :] @ w[0]
+    for j in range(1, len(w)):
+        y += xp[..., j:j + n, :] @ w[j]
+    return y
+
+
 def conv1d(x, w, b, pad, epilogue=None):
-    """1-D convolution over a (T, Cin) sequence.
+    """1-D convolution over a (..., T, Cin) sequence.
 
     w has shape (k, Cin, Cout), b shape (Cout,). Stride 1 and
-    0 <= pad <= k-1; output length T + 2*pad - k + 1. Runs the 2-D kernel
-    on a (..., 1, T, Cin) grid. `epilogue` (act, mask) is `conv2d`'s, its
-    mask in the output's (..., T_out, Cout) layout.
+    0 <= pad <= k-1; output length T_out = T + 2*pad - k + 1. The input is
+    padded once along T; the k tap products xp[..., j:j + T_out, :] @ w[j]
+    are added in tap order straight into the output, then the bias, and
+    then `epilogue` (act, mask) runs on it in place (`_activate`, the mask
+    in the output's (..., T_out, Cout) layout).
+
+    The backward takes the epilogue's gradient in place in the output
+    gradient, the weight gradient as one product per tap summed over the
+    leading axes, and the input gradient, only when x needs one, as the
+    same tap loop over the output gradient padded by k-1-pad, with the
+    kernel flipped and its in/out axes swapped.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if epilogue is not None and epilogue[1] is not None:  # the mask, on the 1-row grid
-        epilogue = (epilogue[0], epilogue[1][..., None, :, :])
-    y, grads = _conv_grid(x.data[..., None, :, :], w.data[None], b.data, (0, pad), None, None,
-                          None, epilogue)
+    k, cin, cout = w.data.shape
+    if not 0 <= pad <= k - 1:
+        raise ValueError(f"convolution needs 0 <= pad <= k-1, got pad={pad}, k={k}")
+    xp = _pad_rows(x.data, pad)
+    *lead, t_padded, _ = xp.shape
+    t_out = t_padded - k + 1
+    y = _tap_loop(xp, w.data, t_out)
+    y += b.data
+    if epilogue is not None:
+        _activate(y, *epilogue)
 
     def bwd():
-        for t, g in zip((x, w, b), grads(out.grad[..., None, :, :])):
-            _accum(t, g.reshape(t.data.shape))
+        gy = out.grad
+        if epilogue is not None:
+            gy = _activate_grad(gy, y, *epilogue, gy)
+        # C order, so that the bias gradient adds the rows one after another
+        gy = np.ascontiguousarray(gy)
+        gb = np.zeros(cout, dtype=gy.dtype)
+        gb += np.einsum("ij->j", gy.reshape(-1, cout))
+        # tap j's (Cin, T_out) slice of xp, transposed, for every tap: a strided view
+        *ls, row, ch = xp.strides
+        taps = np.ndarray((*lead, k, cin, t_out), xp.dtype, xp, 0, (*ls, row, ch, row))
+        gw = np.zeros_like(w.data)
+        gw += (taps @ gy[..., None, :, :]).reshape(-1, k, cin, cout).sum(0)
+        if x.requires_grad:
+            w_flip = np.ascontiguousarray(w.data[::-1].swapaxes(1, 2))
+            _accum(x, _tap_loop(_pad_rows(gy, k - 1 - pad), w_flip, x.data.shape[-2]))
+        _accum(w, gw)
+        _accum(b, gb)
 
-    out = Tensor(y[..., 0, :, :], _parents=(x, w, b), _backward=bwd)
+    out = Tensor(y, _parents=(x, w, b), _backward=bwd)
     return out
 
 

@@ -128,13 +128,16 @@ def soft_nms(props, sigma: float = 0.4, score_floor: float = 0.001,
     reach = end.copy()
     ov, union = np.empty_like(score), np.empty_like(score)
     picks, kept = [], []
-    for _ in range(min(max_out, len(score))):
+    n_out = min(max_out, len(score))
+    for _ in range(n_out):
         best = int(score.argmax())
         top = score.item(best)
         if top < score_floor:
             break
         picks.append(best)
         kept.append(top)
+        if len(picks) == n_out:
+            break  # the last pick: no later argmax reads a decay
         score[best] = reach[best] = -np.inf
         a, b = start.item(best), end.item(best)
         k = int(start.searchsorted(b))

@@ -9,7 +9,7 @@ from scipy import sparse
 
 from semiprop import autodiff as ad
 from semiprop.data import candidate_mask
-from semiprop.model import CONV_BLOCKS, build_bm_mask, halo, staircase
+from semiprop.model import CONV_BLOCKS, GateTape, build_bm_mask, halo, staircase
 
 # a random sampling matrix for N=3 sample points of J=5 candidates over T=6,
 # in the sampler's point-stacked (N*T, J) form
@@ -605,6 +605,65 @@ def test_conv1d_matches_old_kernel(k, pad, dtype):
     new = outputs_and_grads(lambda x, w, b: ad.conv1d(x, w, b, pad), shapes, dtype, 4)
     old = outputs_and_grads(lambda x, w, b: old_conv1d(x, w, b, pad), shapes, dtype, 4)
     assert_close(new, old, PARITY_RTOL[dtype])
+
+
+def one_row_grid_conv1d(x, w, b, pad, epilogue, gy):
+    """conv1d's output and its x, w and b gradients for the output gradient
+    `gy`, run as `_conv_grid` on a (..., 1, T, C) grid."""
+    if epilogue is not None and epilogue[1] is not None:
+        epilogue = (epilogue[0], epilogue[1][..., None, :, :])
+    y, grads = ad._conv_grid(x[..., None, :, :], w[None], b, (0, pad), epilogue=epilogue)
+    gx, gw, gb = grads(gy[..., None, :, :].copy())
+    return y[..., 0, :, :], gx[..., 0, :, :], gw[0], gb
+
+
+def assert_bits_equal(got, want, dtype):
+    for a, c in zip(got, want, strict=True):
+        assert a.shape == c.shape and a.dtype == c.dtype == dtype
+        assert a.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("epilogue", [None, "relu", "sigmoid", "gate"])
+@pytest.mark.parametrize("B", [None, 1, 2, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin,cout,k,pad", [(16, 32, 3, 1), (32, 32, 3, 1), (32, 16, 3, 1),
+                                            (32, 2, 1, 0)], ids=lambda v: str(v))
+def test_conv1d_is_bit_equal_to_the_one_row_grid(cin, cout, k, pad, dtype, B, epilogue,
+                                                 monkeypatch):
+    """conv1d's own kernel against `_conv_grid` on a one-row grid, at the
+    network's layer shapes: the output and the x, w and b gradients are
+    equal bit for bit, for an output gradient in C order and in the
+    T-innermost layout that the backward of a mean over T hands back. An x
+    that needs no gradient keeps `grad` None, leaves the w and b gradients
+    as they were, and gets no input-gradient tap loop."""
+    rng = np.random.default_rng([cin, cout, k, B or 0])
+    lead = () if B is None else (B,)
+    x = rng.normal(size=(*lead, 100, cin)).astype(dtype)
+    w = (rng.normal(size=(k, cin, cout)) / 4).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype)
+    if epilogue == "gate":  # a replayed ReLU gate: the mask alone
+        tape = GateTape()
+        tape.relu(lambda ep: ad.conv1d(x, w, b, pad, ep))
+        epilogue = (None, tape.masks[0])
+    elif epilogue is not None:
+        epilogue = (epilogue, None)
+    gy = rng.normal(size=(*lead, 100 + 2 * pad - k + 1, cout)).astype(dtype)
+    want = one_row_grid_conv1d(x, w, b, pad, epilogue, gy)
+    for g in (gy, np.ascontiguousarray(gy.swapaxes(-1, -2)).swapaxes(-1, -2)):
+        ts = [ad.Tensor(a, requires_grad=True) for a in (x, w, b)]
+        out = ad.conv1d(*ts, pad, epilogue)
+        out.grad = g.copy(order="K")
+        out._backward()
+        assert_bits_equal([out.data] + [t.grad for t in ts], want, dtype)
+
+    loops = []
+    monkeypatch.setattr(ad, "_tap_loop", lambda *a, _f=ad._tap_loop: loops.append(1) or _f(*a))
+    xc, wt, bt = ad.Tensor(x), ad.Tensor(w, requires_grad=True), ad.Tensor(b, requires_grad=True)
+    out = ad.conv1d(xc, wt, bt, pad, epilogue)
+    out.grad = gy.copy()
+    out._backward()
+    assert xc.grad is None and len(loops) == 1  # the forward's
+    assert_bits_equal([out.data, wt.grad, bt.grad], [want[0], *want[2:]], dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

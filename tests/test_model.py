@@ -519,8 +519,6 @@ class TestStaircaseExtents:
 
         def poisoned(x, w, b, pad, out_extent=None, grad_extent=None, *rest):
             y, conv_grads = conv_grid(x, w, b, pad, out_extent, grad_extent, *rest)
-            if out_extent is None:  # conv1d
-                return y, conv_grads
             rows, _, channels_first = rest
 
             def poisoned_grads(gy):

@@ -282,6 +282,20 @@ class TestSoftNms:
         got = soft_nms(pool, sigma=sigma, score_floor=score_floor, max_out=max_out)
         assert rows(got) == rows(list_soft_nms(pool, sigma, score_floor, max_out))
 
+    @pytest.mark.parametrize("max_out", [1, 3, 9])
+    def test_no_decay_after_the_last_pick(self, max_out, monkeypatch):
+        """The decay runs between picks only: `np.exp` is called once per
+        pick but the last, whether `max_out` or the pool's size ends it."""
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda *a, **kw: calls.append(1) or exp(*a, **kw))
+        pool = [Proposal(j, j + 4, 1.0 - 0.01 * j) for j in range(6)]
+        got = soft_nms(pool, score_floor=0.0, max_out=max_out)
+        assert len(got) == min(max_out, len(pool))
+        assert len(calls) == len(got) - 1
+        monkeypatch.undo()
+        assert rows(got) == rows(list_soft_nms(pool, 0.4, 0.0, max_out))
+
     def test_input_not_modified(self):
         props = Proposals.of([Proposal(0, 9, 1.0), Proposal(1, 10, 0.9)])
         before = props.score.copy()
