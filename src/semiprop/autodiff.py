@@ -230,7 +230,8 @@ def tsum(a, axis=None):
         g = out.grad
         if axis is not None:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+        # a C-order copy: the broadcast's own order would put axis innermost
+        _accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype, order="C"))
 
     out = Tensor(np.sum(a.data, axis=axis), _parents=(a,), _backward=bwd)
     return out
@@ -615,7 +616,9 @@ def conv1d(x, w, b, pad, epilogue=None):
         gy = out.grad
         if epilogue is not None:
             gy = _activate_grad(gy, y, *epilogue, gy)
-        # C order, so that the bias gradient adds the rows one after another
+        # C order (a copy only for the strided gradient that sparse_sample
+        # gives a stack), so that the bias gradient adds the rows one after
+        # another
         gy = np.ascontiguousarray(gy)
         gb = np.zeros(cout, dtype=gy.dtype)
         gb += np.einsum("ij->j", gy.reshape(-1, cout))
@@ -675,39 +678,114 @@ def plane(a, k, axis=-3):
     return out
 
 
+class Sampler:
+    """A point-stacked (N*T, J) sampling matrix S, built from its (row,
+    column, value) entries (duplicates added): row n*T + t, column j holds
+    the weight of snippet t in sample point n of candidate j
+    (`model.build_bm_mask`).
+
+    S is held as the U distinct (j, t) cells that any point of a candidate
+    reads, as flat indices j*T + t of a (J, T) array in ascending order, so
+    that the cells of a run of candidates are one run of cells, and an
+    (N, U) `table` of each cell's weight in each point. For weights w over
+    the points, A = sum_n w[n] * S_n is the dense (T, J) matrix holding
+    `w @ table` at the cells and zero elsewhere. `nnz` counts S's nonzero
+    entries."""
+
+    # candidate blocks of the weight gradient, each of which forms one
+    # (J/8, T) block of the dense gradient of A^T and no more
+    BLOCKS = 8
+
+    def __init__(self, rows, cols, vals, shape, n_points):
+        (nt, J), N = shape, n_points
+        T = nt // N
+        n, t = np.divmod(np.asarray(rows), T)
+        key = np.asarray(cols) * T + t
+        seen = np.zeros(J * T, dtype=bool)
+        seen[key] = True
+        self.cells = np.flatnonzero(seen)
+        self.table = np.bincount(n * self.cells.size + np.searchsorted(self.cells, key),
+                                 np.asarray(vals), minlength=N * self.cells.size).reshape(N, -1)
+        self.shape, self.n_points = (nt, J), N
+        self.nnz = int(np.count_nonzero(self.table))
+        # each block's candidates [j0, j1) and their cells [u0, u1), and each
+        # cell's index j*T + t - j0*T in its block's (j1 - j0, T) gradient
+        starts = [int(c[0]) for c in np.array_split(np.arange(J), self.BLOCKS) if c.size]
+        runs = np.searchsorted(self.cells, np.array(starts + [J]) * T).tolist()
+        self._blocks = list(zip(starts, starts[1:] + [J], runs, runs[1:]))
+        self._in_block = self.cells - np.repeat(np.array(starts) * T, np.diff(runs))
+        self._fold = None
+
+    def astype(self, dtype, copy=True):
+        """The sampler with its table in `dtype` (itself when it is in that
+        dtype already and `copy` is false), sharing the cells."""
+        if not copy and self.table.dtype == dtype:
+            return self
+        cast = Sampler.__new__(Sampler)
+        cast.__dict__ = {**vars(self), "table": self.table.astype(dtype), "_fold": None}
+        return cast
+
+    def fold(self, w):
+        """A^T, the (J, T) C-order matrix sum_n w[n] * S_n transposed, kept
+        while w's dtype and bytes stay the same. Each build makes a new
+        array and never writes the one it replaces: a pending backward may
+        hold it."""
+        key = (w.dtype, w.tobytes())
+        if self._fold is None or self._fold[0] != key:
+            J, T = self.shape[1], self.shape[0] // self.n_points
+            at = np.zeros(J * T, dtype=np.result_type(self.table, w))
+            at[self.cells] = w @ self.table
+            self._fold = key, at.reshape(J, T)
+        return self._fold[1]
+
+    def weight_grad(self, gy, xs):
+        """The gradient of the weights w, `table` times M at the cells, for
+        the (J, K) output gradient `gy` of y = fold(w) @ xs and the (T, K)
+        input `xs`: M = gy @ xs^T, the (J, T) gradient of fold(w), is
+        formed a block of candidates at a time and never held whole."""
+        g = np.zeros(self.n_points, dtype=np.result_type(self.table, gy))
+        for j0, j1, u0, u1 in self._blocks:
+            m = (gy[j0:j1] @ xs.T).reshape(-1)
+            g += self.table[:, u0:u1] @ m.take(self._in_block[u0:u1])
+        return g
+
+
 def sparse_sample(x, S, w, b, epilogue=None):
     """Boundary-matching sampling fused with its weighted N-reduction.
 
-    `S` is a point-stacked scipy sparse matrix of shape (N*T, J): row
-    n*T + t, column j holds the weight of snippet t in sample point n of
-    candidate j (`model.build_bm_mask`). For a (T, C) sequence x the result,
-    shape (J, C), is
+    `S` is a `Sampler` of shape (N*T, J): row n*T + t, column j holds the
+    weight of snippet t in sample point n of candidate j. For a (T, C)
+    sequence x the result, shape (J, C), is
 
-        y = S.T @ (w ⊗ x) + b,  with w ⊗ x the N copies w[n] * x as (N*T, C),
+        y = S.T @ (w ⊗ x) + b = A.T @ x + b,  A = sum_n w[n] * S_n,
 
-    so the (C, N*J) samples are never formed; the backward's one product
-    Z = S @ gy gives gx = sum_n w[n] * Z_n and g_w[n] = <Z_n, x>. Leading
-    axes ride along the columns: each product runs once, on x as (T, ...*C).
-    `epilogue` (act, mask) runs on y in place, as on a convolution's
-    output (`_activate`), its mask of y's shape.
+    with w ⊗ x the N copies w[n] * x as (N*T, C) and A the dense (T, J)
+    matrix that `S.fold(w)` builds, inside this call, and keeps while w is
+    unchanged. So the forward is one product, and the backward gives
+    gx = A @ gy, g_w = table @ (gy x^T at the cells), a block of candidates
+    at a time (`Sampler.weight_grad`), and the bias gradient as a sum over
+    the rows of gy. Leading axes ride along the columns: each product
+    runs once, on x as (T, ...*C). `epilogue` (act, mask) runs on y in
+    place, as on a convolution's output (`_activate`), its mask of y's
+    shape.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     N, T = w.data.shape[0], x.data.shape[-2]
-    if S.shape[0] != N * T:
+    if (S.n_points, S.shape[0]) != (N, N * T):
         raise ValueError(f"sampling matrix of shape {S.shape} does not fit x of shape "
                          f"{x.data.shape} with N={N} sample points: need ({N * T}, J)")
     columns = lambda a: np.moveaxis(a, -2, 0).reshape(a.shape[-2], -1)  # (T or J, ...*C)
     stacked = lambda a: np.moveaxis(a.reshape(a.shape[0], *x.data.shape[:-2], -1), 0, -2)
     xs = columns(x.data)
+    at = S.fold(w.data)
 
     def bwd():
         gy = columns(_activate_grad(out.grad, y, *epilogue, out.grad) if epilogue else out.grad)
-        z = (S @ gy).reshape(N, -1)
-        _accum(x, stacked((w.data @ z).reshape(T, -1)))
-        _accum(w, z @ xs.ravel())
-        _accum(b, gy.reshape(-1, b.data.shape[0]).sum(axis=0))
+        _accum(x, stacked(at.T @ gy))
+        _accum(w, S.weight_grad(gy, xs))
+        _accum(b, np.einsum("ij->j", gy.reshape(-1, b.data.shape[0])))
 
-    y = stacked(S.T @ (w.data[:, None, None] * xs).reshape(N * T, -1))
+    y = stacked(at @ xs)
     y += b.data
     if epilogue is not None:
         _activate(y, *epilogue)

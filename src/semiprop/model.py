@@ -4,12 +4,13 @@ Three heads share a two-layer temporal-conv base:
   * boundary head: per-snippet start/end probabilities, the two columns of
     one convolution's output,
   * confidence head: dense D x T candidate maps produced through a
-    precomputed sparse boundary-matching sampler (one fixed point-stacked
-    matrix; the learned weights over sample points scale the input rows,
-    so one sparse product each way), then two 3 x 3 convolutions: the
-    first reads the sampler's candidate rows, the second applies the
-    candidate mask and writes both maps as the planes of one
-    channel-first array,
+    precomputed boundary-matching sampler (one fixed point-stacked matrix,
+    `autodiff.Sampler`, folded with the learned weights over its sample
+    points into one dense (T, J) matrix that is rebuilt only when those
+    weights change: one dense product forward, two backward), then two
+    3 x 3 convolutions: the first reads the sampler's candidate rows, the
+    second applies the candidate mask and writes both maps as the planes
+    of one channel-first array,
   * auxiliary heads: feature reconstruction and clip-order logits.
 
 Every ReLU and sigmoid runs in the epilogue of the op before it.
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import autodiff as ad
 from .data import FormatError, candidate_mask, read_framed, write_framed
@@ -86,12 +86,13 @@ class ParamStore(dict):
         return ParamStore(self.flat.copy(), self.shapes)
 
 
-def build_bm_mask(T: int, D: int, N: int) -> sparse.csc_matrix:
-    """The boundary-matching sampling matrix S, (N*T, J) CSC over the J
-    candidates of `candidate_mask(T, D)`: candidate (d, i) covers [i, i+d+1],
-    expanded by 0.25*(d+1) on each side, with N uniform sample locations
-    interpolated linearly between neighboring snippets. Row n*T + t, column
-    j holds the weight of snippet t in sample point n of candidate j."""
+def build_bm_mask(T: int, D: int, N: int) -> ad.Sampler:
+    """The boundary-matching sampling matrix S, (N*T, J) over the J
+    candidates of `candidate_mask(T, D)`, as an `autodiff.Sampler`:
+    candidate (d, i) covers [i, i+d+1], expanded by 0.25*(d+1) on each side,
+    with N uniform sample locations interpolated linearly between
+    neighboring snippets. Row n*T + t, column j holds the weight of snippet
+    t in sample point n of candidate j."""
     if D > T or N < 2:
         raise ValueError(f"need D <= T and N >= 2, got T={T}, D={D}, N={N}")
     d_idx, i_idx = np.nonzero(candidate_mask(T, D))
@@ -106,18 +107,12 @@ def build_bm_mask(T: int, D: int, N: int) -> sparse.csc_matrix:
     base = np.floor(locs).astype(np.int64)
     frac = (locs - base).ravel()  # entry j*N + n
     rows = (base + T * np.arange(N)).ravel()
+    cols = np.repeat(np.arange(d_idx.size), N)
     # point n of column j holds row n*T + base and, when frac > 0, row
-    # n*T + base + 1: taken point by point the rows ascend, so the entries
-    # are written in CSC order and nothing is sorted
+    # n*T + base + 1
     up = frac > 0
-    starts = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(1 + up, out=starts[1:])
-    indices = np.empty(starts[-1], dtype=np.int64)
-    data = np.empty(starts[-1])
-    first, second = starts[:-1], starts[:-1][up] + 1
-    indices[first], data[first] = rows, 1.0 - frac
-    indices[second], data[second] = rows[up] + 1, frac[up]
-    return sparse.csc_matrix((data, indices, starts[::N]), shape=(N * T, d_idx.size))
+    return ad.Sampler(np.concatenate([rows, rows[up] + 1]), np.concatenate([cols, cols[up]]),
+                      np.concatenate([1.0 - frac, frac[up]]), (N * T, d_idx.size), N)
 
 
 def halo(mask: np.ndarray) -> np.ndarray:
@@ -244,7 +239,7 @@ class ProposalNetwork:
         # needed on the candidates only
         valid, grown = staircase(self.valid_mask), staircase(halo(self.valid_mask))
         self.extents = {"pem.conv2a": (grown, valid), "pem.conv2b": (valid, grown)}
-        self._W_cache: dict[str, sparse.csc_matrix] = {}
+        self._W_cache: dict[str, ad.Sampler] = {}
         # the candidate rows as conv2a reads them and writes their gradient;
         # it finds each block's runs on first use (in the first pass), not here
         self._rows = ad.CellRows(self.cells, self.valid_mask.shape)
@@ -252,9 +247,9 @@ class ProposalNetwork:
     def init_params(self, seed: int, dtype=np.float64) -> ParamStore:
         return init_params(self.hyper, seed, dtype=dtype)
 
-    def _W(self, dtype) -> sparse.csc_matrix:
-        """The sampling matrix S in `dtype`, built on first use (not at
-        construction, which sits on the set-up path)."""
+    def _W(self, dtype) -> ad.Sampler:
+        """The sampling matrix S with its table in `dtype`, built on first
+        use (not at construction, which sits on the set-up path)."""
         key, h = np.dtype(dtype).name, self.hyper
         if key not in self._W_cache:
             self._W_cache[key] = build_bm_mask(h.T, h.D, h.N).astype(dtype, copy=False)

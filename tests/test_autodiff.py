@@ -10,10 +10,14 @@ from scipy import sparse
 from semiprop import autodiff as ad
 from semiprop.data import candidate_mask
 from semiprop.model import CONV_BLOCKS, GateTape, build_bm_mask, halo, staircase
+from sampler_reference import (assert_same_entries, csc_bm_mask, csc_of, point_stacked_sample,
+                               sampler_of)
 
 # a random sampling matrix for N=3 sample points of J=5 candidates over T=6,
-# in the sampler's point-stacked (N*T, J) form
-SAMPLE_S = sparse.random(3 * 6, 5, density=0.4, random_state=1, format="csc")
+# in the sampler's point-stacked (N*T, J) form: scipy's, and the sampler
+# holding its entries
+SAMPLE_CSC = sparse.random(3 * 6, 5, density=0.4, random_state=1, format="csc")
+SAMPLE_S = sampler_of(SAMPLE_CSC, 3)
 # constant targets and 0/1 weights for the mean square error: a (D, T) map
 # and a (T, C) sequence with a per-row (T, 1) weight
 _mse_rng = np.random.default_rng(2)
@@ -344,7 +348,7 @@ def test_sparse_sample_matches_dense():
     x = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     w, b = rng.normal(size=3), rng.normal(size=3)
     out = ad.sparse_sample(x, SAMPLE_S, w, b)
-    samples = np.einsum("tc,ntj->cnj", x.data, SAMPLE_S.toarray().reshape(3, 6, 5))
+    samples = np.einsum("tc,ntj->cnj", x.data, SAMPLE_CSC.toarray().reshape(3, 6, 5))
     assert np.allclose(out.data, np.einsum("cnj,n->jc", samples, w) + b)
     ad.tsum(ad.square(out)).backward()
     fd = numeric_grad(lambda t: ad.tsum(ad.square(
@@ -539,9 +543,10 @@ def old_conv2d(x, w, b, pad):
 
 
 def wide_matrix(S, N):
-    """The (T, N*J) CSR layout of an (N*T, J) sampling matrix, which the
-    earlier kernels read: S[r, j] moves to row r % T, column (r // T)*J + j."""
-    (T, J), C = (S.shape[0] // N, S.shape[1]), S.tocoo()
+    """The (T, N*J) CSR layout of an (N*T, J) sampling matrix (a `Sampler`),
+    which the earlier kernels read: S[r, j] moves to row r % T, column
+    (r // T)*J + j."""
+    (T, J), C = (S.shape[0] // N, S.shape[1]), csc_of(S).tocoo()
     return sparse.csr_matrix((C.data, (C.row % T, C.row // T * J + C.col)), shape=(T, N * J))
 
 
@@ -776,6 +781,134 @@ def test_sampler_backward_allocates_under_a_megabyte():
 
     assert backward_peak(ad.sparse_sample, S) < 1e6
     assert backward_peak(parent_sparse_sample, wide_matrix(S, N)) >= 2.0e6
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("B", [None, 1, 2, 4])
+@pytest.mark.parametrize("T,D,N,C", [(12, 8, 4, 5), (100, 100, 8, 16)])
+def test_folded_sampler_matches_point_stacked_op(T, D, N, C, B, dtype):
+    """The output and the gradients of x, w and b of the op on its folded
+    matrix match the sparse point-stacked op's on the scipy matrix,
+    unbatched and on a batch axis, at a small and the network's shape."""
+    shapes = [(T, C) if B is None else (B, T, C), (N,), (C,)]
+    new = outputs_and_grads(lambda x, w, b, S: ad.sparse_sample(x, S, w, b),
+                            shapes, dtype, 10, build_bm_mask(T, D, N).astype(dtype))
+    old = outputs_and_grads(lambda x, w, b, S: point_stacked_sample(x, S, w, b),
+                            shapes, dtype, 10, csc_bm_mask(T, D, N).astype(dtype))
+    assert_close(new, old, PARITY_RTOL[dtype])
+
+
+def folded(T, D, N, w):
+    """A^T = (sum_n w[n] * S_n)^T from the dense scipy reference matrix."""
+    return np.einsum("ntj,n->jt", csc_bm_mask(T, D, N).toarray().reshape(N, T, -1), w)
+
+
+def test_sampler_fold_is_kept_while_the_bytes_of_w_are():
+    """A w of equal bytes reuses the folded matrix; an in-place change to w
+    builds a new one and leaves the old one as it was."""
+    S = build_bm_mask(12, 8, 4)
+    w = np.array([0.5, -1.0, 2.0, 0.25])
+    at = S.fold(w)
+    assert at.shape == (S.shape[1], 12) and at.flags.c_contiguous
+    assert np.allclose(at, folded(12, 8, 4, w), rtol=0, atol=1e-15)
+    assert S.fold(w.copy()) is at
+    kept = at.copy()
+    w[1] = 3.0
+    rebuilt = S.fold(w)
+    assert rebuilt is not at and not np.shares_memory(rebuilt, at)
+    assert np.array_equal(at, kept)
+    assert np.allclose(rebuilt, folded(12, 8, 4, w), rtol=0, atol=1e-15)
+    assert S.fold(w) is rebuilt
+
+
+def test_sampler_folds_of_two_dtypes_are_never_shared():
+    """A sampler and its float32 cast fold the same weights into two
+    matrices, each in its own dtype; one sampler given w in either dtype
+    keys its matrix by the dtype too, so it never hands one to the other."""
+    S = build_bm_mask(12, 8, 4)
+    S32 = S.astype(np.float32)
+    assert (S.table.dtype, S32.table.dtype) == (np.float64, np.float32)
+    w64 = np.array([0.5, -1.0, 2.0, 0.25])
+    w32 = w64.astype(np.float32)
+    a64, a32 = S.fold(w64), S32.fold(w32)
+    assert (a64.dtype, a32.dtype) == (np.float64, np.float32)
+    assert not np.shares_memory(a64, a32)
+    assert S32.fold(w32) is a32 and S.fold(w64) is a64
+    from_w32 = S.fold(w32)
+    assert from_w32 is not a64 and np.array_equal(from_w32, a64)
+    assert S.fold(w64) is not from_w32
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pending_backward_uses_its_own_fold(dtype):
+    """A backward still pending when a forward with other weights rebuilds
+    the cached matrix runs on the matrix of its own forward: its gradients
+    equal, bit for bit, those of a backward run before the rebuild."""
+    T, D, N, C = 12, 8, 4, 5
+    S = build_bm_mask(T, D, N).astype(dtype)
+    rng = np.random.default_rng(11)
+    x, w, b, other = (rng.normal(size=s).astype(dtype) for s in ((2, T, C), (N,), (C,), (N,)))
+    up = rng.normal(size=(2, S.shape[1], C)).astype(dtype)
+
+    def grads(rebuild):
+        ts = [ad.Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        loss = ad.tsum(ad.mul(ad.sparse_sample(*ts[:1], S, *ts[1:]), up))
+        if rebuild:
+            ad.sparse_sample(x, S, other, b)
+            assert S._fold[0] == (other.dtype, other.tobytes())
+        loss.backward()
+        return [t.grad for t in ts]
+
+    for a, c in zip(grads(False), grads(True), strict=True):
+        assert a.dtype == c.dtype == dtype and np.array_equal(a, c)
+
+
+def test_sampler_entries_are_the_scipy_matrix_entries():
+    """The random test matrix and the network's round-trip through the
+    sampler entry for entry, values bit for bit."""
+    assert_same_entries(SAMPLE_S, SAMPLE_CSC)
+    S = build_bm_mask(100, 100, 8)
+    assert S.shape == (800, 5050) and S.nnz == 75348 and S.cells.size == 69183
+    assert_same_entries(sampler_of(csc_of(S), 8), csc_bm_mask(100, 100, 8))
+
+
+def old_tsum(a, axis=None):
+    """tsum before its gradient was made C order: the broadcast's order."""
+    a = ad.as_tensor(a)
+
+    def bwd():
+        g = out.grad
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        ad._accum(a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+
+    out = ad.Tensor(np.sum(a.data, axis=axis), _parents=(a,), _backward=bwd)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mean_over_T_gives_a_C_order_gradient_and_the_same_conv_gradients(dtype, monkeypatch):
+    """order.conv's chain, a conv1d with a ReLU epilogue pooled by a mean
+    over T: the mean's gradient comes back C-contiguous (the broadcast's
+    order put T innermost), and the convolution's gradients, its bias
+    gradient among them, keep their bytes."""
+    rng = np.random.default_rng(12)
+    arrs = [rng.normal(size=s).astype(dtype) for s in ((3, 9, 4), (3, 4, 6), (6,))]
+    up = rng.normal(size=(3, 6)).astype(dtype)
+
+    def run():
+        ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrs]
+        y = ad.conv1d(*ts, 1, ("relu", None))
+        ad.tsum(ad.mul(ad.tmean(y, axis=-2), up)).backward()
+        return y.grad, [t.grad for t in ts]
+
+    gy, new = run()
+    assert gy.flags.c_contiguous
+    monkeypatch.setattr(ad, "tsum", old_tsum)
+    gy_old, old = run()
+    assert not gy_old.flags.c_contiguous
+    for a, c in zip(new, old, strict=True):
+        assert a.dtype == c.dtype and a.tobytes() == c.tobytes()
 
 
 def test_mse_weighted_mean_and_empty_weight():

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -864,3 +866,16 @@ class TestAblate:
         assert rc == 2
         assert "the training manifest expects T=16, C=4" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only: a fresh process that imports the CLI,
+    and with it every module of the package, has not loaded it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c",
+                          "import semiprop.cli, sys; print('scipy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

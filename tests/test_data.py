@@ -18,6 +18,7 @@ from semiprop.model import HyperShape, ProposalNetwork, build_bm_mask
 from semiprop.perturb import Predictions, align_flip_outputs
 from semiprop.postprocess import Proposals, write_proposals
 from semiprop.trainer import LOSS_TERMS, TrainConfig, _truncate_metrics
+from sampler_reference import assert_same_entries, csc_bm_mask
 
 
 class TestIou:
@@ -170,11 +171,12 @@ def test_candidate_grid_matches_loops(T):
     for D in range(1, T + 1):
         N = 2 + (T + D) % 4
         want, d_idx, i_idx = loop_bm_mask(T, D, N)
-        S = build_bm_mask(T, D, N)
+        S = csc_bm_mask(T, D, N)
         assert S.format == "csc" and S.shape == want.shape
         for attr in ("data", "indices", "indptr"):
             got, ref = getattr(S, attr), getattr(want, attr)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), attr
+        assert_same_entries(build_bm_mask(T, D, N), want)
         vm = np.zeros((D, T))
         vm[d_idx, i_idx] = 1.0
         assert np.array_equal(candidate_mask(T, D), vm)

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from semiprop import autodiff as ad
 from semiprop import model
@@ -15,6 +14,7 @@ from semiprop.model import (GRAD_CHECK_TOLERANCE, GateTape, HyperShape, ParamSto
 from semiprop.perturb import temporal_flip
 from semiprop.pretext import recon_loss
 from test_autodiff import old_relu, old_scatter_grid, old_sigmoid, old_take_last
+from sampler_reference import assert_same_entries, csc_bm_mask, csc_of
 from test_data import loop_bm_mask
 
 TINY = HyperShape(T=12, C=3, H=4, Hp=4, D=6, N=4, K=2)
@@ -94,81 +94,95 @@ class TestHyperShape:
         assert not hasattr(HyperShape, "validate")
 
 
+def no_sort(monkeypatch):
+    """Make every numpy sort raise while the test runs."""
+    def boom(*args, **kwargs):
+        raise AssertionError("sorted")
+    for name in ("sort", "argsort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, boom)
+
+
+def sampling_matrix(T, D, N):
+    """`build_bm_mask`'s sampler, after checking that its entries are the
+    CSC reference's exactly, as a scipy matrix."""
+    S = build_bm_mask(T, D, N)
+    assert_same_entries(S, csc_bm_mask(T, D, N))
+    return csc_of(S)
+
+
 class TestBMSamplingMask:
     def test_valid_columns_sum_to_one(self):
-        S = build_bm_mask(T=10, D=5, N=4)
+        S = sampling_matrix(T=10, D=5, N=4)
         sums = S.toarray().reshape(4, 10, -1).sum(axis=1)  # (N, J)
         assert np.allclose(sums, 1.0)
 
     def test_at_most_two_nonzeros_per_column(self):
-        S = build_bm_mask(T=10, D=5, N=4)
+        S = sampling_matrix(T=10, D=5, N=4)
         counts = (S.toarray().reshape(4, 10, -1) != 0).sum(axis=1)  # (N, J)
         assert counts.max() <= 2
 
     def test_integer_location_single_weight(self):
         # candidate (d=3, i=0): region [-1, 5] clips to start at 0, an
         # exact integer, so sample 0 is a single unit weight on snippet 0
-        S = build_bm_mask(T=8, D=4, N=4)
+        S = sampling_matrix(T=8, D=4, N=4)
         col = column_weights(S, 8, 4, n=0, d=3, i=0)
         assert col[0] == 1.0 and col[1:].sum() == 0.0
 
     def test_fractional_location_splits_weights(self):
         # candidate (d=0, i=1): region [0.75, 2.25], N=4 -> second sample
         # at 1.25, interpolating 0.75/0.25 between snippets 1 and 2
-        S = build_bm_mask(T=8, D=4, N=4)
+        S = sampling_matrix(T=8, D=4, N=4)
         col = column_weights(S, 8, 4, n=1, d=0, i=1)
         assert col[1] == pytest.approx(0.75)
         assert col[2] == pytest.approx(0.25)
         assert col.sum() == pytest.approx(1.0)
 
     def test_constant_feature_reproduced_at_every_sample(self):
-        S = build_bm_mask(T=12, D=6, N=4)
+        S = sampling_matrix(T=12, D=6, N=4)
         sampled = np.full(12, 3.5) @ S.toarray().reshape(4, 12, -1)  # (N, J)
         assert np.allclose(sampled, 3.5)
 
     def test_candidate_count(self):
-        S = build_bm_mask(T=10, D=5, N=4)
+        S = sampling_matrix(T=10, D=5, N=4)
         assert S.shape == (4 * 10, sum(10 - d for d in range(5)))
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            build_bm_mask(T=4, D=5, N=4)
-        with pytest.raises(ValueError):
-            build_bm_mask(T=4, D=4, N=1)
+        for build in (build_bm_mask, csc_bm_mask):
+            with pytest.raises(ValueError):
+                build(T=4, D=5, N=4)
+            with pytest.raises(ValueError):
+                build(T=4, D=4, N=1)
 
     @pytest.mark.parametrize("T,D,N", [(100, 100, 8), (100, 60, 8), (100, 100, 32),
                                        (100, 60, 32)])
     def test_matches_coo_build_at_benchmark_shapes(self, T, D, N):
-        """The matrix written in CSC order is the COO build's, byte for byte
-        and dtype for dtype, in canonical format."""
+        """The reference matrix written in CSC order is the COO build's, byte
+        for byte and dtype for dtype, in canonical format, and the sampler
+        holds its entries."""
         want, _, _ = loop_bm_mask(T, D, N)
-        S = build_bm_mask(T, D, N)
+        S = csc_bm_mask(T, D, N)
         assert S.format == "csc" and S.shape == want.shape and S.has_canonical_format
         for attr in ("data", "indices", "indptr"):
             got, ref = getattr(S, attr), getattr(want, attr)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), attr
+        assert_same_entries(build_bm_mask(T, D, N), want)
 
     def test_network_build_sorts_nothing(self, monkeypatch):
-        """The network's sampling matrix is canonical, built once per dtype,
-        and never sorted."""
-        def no_sort(self):
-            raise AssertionError("sort_indices called")
-        monkeypatch.setattr(sparse._compressed._cs_matrix, "sort_indices", no_sort)
+        """The network's sampler is built once per dtype, without a sort, and
+        its float32 table is the float64 one's cast."""
+        no_sort(monkeypatch)
         net = ProposalNetwork(HyperShape())
         S64, S32 = net._W(np.float64), net._W(np.float32)
         for S, dtype in ((S64, np.float64), (S32, np.float32)):
-            assert S.dtype == dtype and S.has_canonical_format
+            assert S.table.dtype == dtype and S.shape == (800, 5050) and S.nnz == 75348
             assert net._W(dtype) is S
-        assert np.array_equal(S32.data, S64.data.astype(np.float32))
+        assert np.array_equal(S32.table, S64.table.astype(np.float32))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_point_stacked_matrix_is_W_reordered_with_no_sort(self, dtype, monkeypatch):
         """The sampler's (N*T, J) matrix holds W[t, n*J + j] of the (T, N*J)
-        layout at row n*T + t, column j, in canonical order, built once per
-        dtype without a sort."""
-        def no_sort(self):
-            raise AssertionError("sort_indices called")
-        monkeypatch.setattr(sparse._compressed._cs_matrix, "sort_indices", no_sort)
+        layout at row n*T + t, column j, built once per dtype without a
+        sort."""
         h = HyperShape()
         d_idx, i_idx = np.nonzero(candidate_mask(h.T, h.D))
         J = d_idx.size
@@ -184,12 +198,14 @@ class TestBMSamplingMask:
         up = frac > 0
         np.add.at(W, (base[up] + 1, cols[up]), frac[up])
 
+        no_sort(monkeypatch)
         net = ProposalNetwork(h)
         S = net._W(dtype)
+        monkeypatch.undo()
         want = W.reshape(h.T, h.N, J).swapaxes(0, 1).reshape(h.N * h.T, J)
-        assert S.dtype == dtype and S.has_canonical_format
+        assert S.table.dtype == dtype
         assert S.nnz == np.count_nonzero(W)
-        assert np.array_equal(S.toarray(), want.astype(dtype))
+        assert np.array_equal(csc_of(S).toarray(), want.astype(dtype))
         assert net._W(dtype) is S
 
     def test_network_construction_builds_no_sampling_matrix(self, monkeypatch):
