@@ -271,12 +271,16 @@ def dot_vm(x, w):
 class CellRows:
     """A (D, T) grid held as the rows of some of its cells: row j of a
     (..., J, C) array is the cell with flat index `cells[j]` = d * T + i
-    (ascending), and every other cell is zero. A convolution reads it, and
-    writes its input gradient back, a block at a time as runs of rows found
-    on the block's first use and kept."""
+    (ascending), and every other cell is zero. As a convolution's input
+    extent it yields `blocks`, a staircase covering the cells, and is read,
+    and the input gradient written back, a block at a time as runs of rows
+    found on the block's first use and kept."""
 
-    def __init__(self, cells, shape):
-        self.cells, self.shape, self._runs = cells, tuple(shape), {}
+    def __init__(self, cells, shape, blocks):
+        self.cells, self.shape, self.blocks, self._runs = cells, tuple(shape), tuple(blocks), {}
+
+    def __iter__(self):
+        return iter(self.blocks)
 
     def _find(self, rows, cols, width):
         """The runs (p, j, n) of the cells in rows [r0, r1) and columns [c0, c1): rows
@@ -352,11 +356,14 @@ def _cells(a, block, channels_first):
     return a[..., d0:d1, :t1] if channels_first else a[..., d0:d1, :t1, :]
 
 
-def _write(out, block, acc, epilogue, channels_first):
-    """Store a block's computed cells, the first t1 columns of `acc`, in
-    `out`, running the epilogue (act, mask) as it stores them: one pass
+def _write(out, extent, block, acc, epilogue=None, channels_first=False):
+    """Store block (d0, d1, t1)'s computed cells, the first t1 columns of
+    `acc`, in `out`: the rows of a `CellRows` extent (`CellRows.put`), or a
+    grid, running the epilogue (act, mask) as it stores them: one pass
     reads the accumulator and writes the activated cells (`_activate`, the
     mask given in the output's layout)."""
+    if isinstance(extent, CellRows):
+        return extent.put(out, acc, block[:2], (0, block[2]))
     act, mask = epilogue or (None, None)
     _activate(_cells(acc, (0, block[1] - block[0], block[2]), channels_first), act,
               None if mask is None else _cells(mask, block, channels_first),
@@ -375,15 +382,15 @@ def _epilogue_grad(gy, y, extent, epilogue, channels_first):
 
 
 def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None, epilogue=None,
-                 channels_first=False, into=None):
+                 channels_first=False):
     """Stride-1 convolution of a (D, T, Cin) grid `src`, read inside
     `extent` and zero-padded by `pad`, with a (kd, kt, Cin, Cout) kernel:
     the sum over taps of shifted slices times the tap's (Cin, Cout) matrix,
     plus `bias`, giving an output of the full `shape` that is computed
     inside the row blocks of `out_extent` (where `epilogue` runs) and zero
-    elsewhere. Each block adds its kd * kt tap products into one
-    accumulator, in tap order, and is written `into` a `CellRows`' rows
-    of that `shape` when one is given."""
+    elsewhere, or the rows of a `CellRows` `out_extent`. Each block adds
+    its kd * kt tap products into one accumulator, in tap order, which
+    `_write` stores."""
     kd, kt, _, cout = w.shape
     out = np.zeros(shape, dtype=src.dtype)
     for d0, d1, t1 in out_extent:
@@ -395,11 +402,8 @@ def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None, epilogue=Non
         if bias is not None:
             acc += bias
         acc = acc.reshape(*acc.shape[:-2], d1 - d0, -1, cout)
-        if into is not None:
-            into.put(out, acc, (d0, d1), (0, t1))
-        else:
-            _write(out, (d0, d1, t1), np.moveaxis(acc, -1, -3) if channels_first else acc,
-                   epilogue, channels_first)
+        _write(out, out_extent, (d0, d1, t1), np.moveaxis(acc, -1, -3) if channels_first else acc,
+               epilogue, channels_first)
     return out
 
 
@@ -427,27 +431,30 @@ def _conv2d_planes(src, extent, w, pad, shape, out_extent, bias=None, epilogue=N
         if bias is not None:
             acc += bias[:, None]
         acc = acc.reshape(*acc.shape[:-1], d1 - d0, width)
-        _write(out, (d0, d1, t1), acc if channels_first else np.moveaxis(acc, -3, -1),
+        _write(out, out_extent, (d0, d1, t1), acc if channels_first else np.moveaxis(acc, -3, -1),
                epilogue, channels_first)
     return out
 
 
 def _grid_shape(x, extent):
     """The (..., D, T, C) shape of the grid that `x` is, or whose cells it
-    holds when `extent` is a `CellRows`."""
-    return (*x.shape[:-2], *extent.shape, x.shape[-1]) if isinstance(extent, CellRows) \
-        else x.shape
+    holds, one row each, when `extent` is a `CellRows`."""
+    if not isinstance(extent, CellRows):
+        return x.shape
+    if x.shape[-2] != extent.cells.size:
+        raise ValueError(f"x has {x.shape[-2]} rows for the {extent.cells.size} cells it holds")
+    return (*x.shape[:-2], *extent.shape, x.shape[-1])
 
 
-def _narrow_grads(x, extent, w, pad, out_extent, grad_extent, gy, channels_first):
+def _narrow_grads(x, extent, w, pad, out_extent, in_extent, gy, channels_first):
     """The gradients of x, w and b for `_conv2d_planes`, as the adjoint of
     its order. The output gradient is copied once, channel first and
     zero-padded by k-1-pad, from inside `out_extent`. The input rows that
     extent reads are cut into bands, one per output block; each band's
     im2col G holds the kd * kt * Cout gradient planes that meet its input
     cells, and gives the input gradient as G^T times the flipped kernel
-    (kept inside `grad_extent`, in x's layout) and the weight gradient as G
-    times the band's input, one product each."""
+    (its cells inside `in_extent` stored by `_write`, in x's layout) and
+    the weight gradient as G times the band's input, one product each."""
     *lead, D, T, cin = _grid_shape(x, extent)
     kd, kt, _, cout = w.shape
     pd, pt = pad
@@ -479,18 +486,16 @@ def _narrow_grads(x, extent, w, pad, out_extent, grad_extent, gy, channels_first
                           r0 * sr, (sr, st, sc, *ls, sr, st))
         g = view.reshape(kd * kt * cout, -1)
         band = (g.T @ w_flip).reshape(*lead, r1 - r0, width, cin)
-        for e0, e1, u1 in grad_extent:
+        for e0, e1, u1 in in_extent:
             a0, a1, c1 = max(e0, r0), min(e1, r1), min(u1, width)
-            if a0 < a1 and c1 > 0 and isinstance(extent, CellRows):
-                extent.put(gx, band[..., a0 - r0:a1 - r0, :, :], (a0, a1), (0, c1))
-            elif a0 < a1 and c1 > 0:
-                gx[..., a0:a1, :c1, :] = band[..., a0 - r0:a1 - r0, :c1, :]
+            if a0 < a1 and c1 > 0:
+                _write(gx, in_extent, (a0, a1, c1), band[..., a0 - r0:a1 - r0, :, :])
         gw += g @ _strip(x, extent, (r0, r1), (0, width)).reshape(-1, cin)
     gw = gw.reshape(kd, kt, cout, cin)[::-1, ::-1].transpose(0, 1, 3, 2)
     return gx, np.ascontiguousarray(gw), gb
 
 
-def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilogue=None,
+def _conv_grid(x, w, b, pad, out_extent=None, in_extent=None, epilogue=None,
                channels_first=False):
     """Stride-1 convolution of a (D, T, Cin) array with a (kd, kt, Cin, Cout)
     kernel, zero-padded by pad = (pd, pt) with 0 <= pd <= kd-1 and
@@ -512,21 +517,19 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
       input channels kd * kt times; this order reads them once and writes
       kd * kt * Cout values, which is less when the output is narrow.
 
-    An extent is a staircase of row blocks (d0, d1, t1), each covering rows
-    [d0, d1) and columns [0, t1). The output is computed only inside
-    `out_extent` and the input gradient only inside `grad_extent`; cells
-    outside them are zero, and the output gradient is read only inside
-    `out_extent`. Both default to one block over the whole grid.
-
-    With `rows` (a `CellRows`), x is the (..., J, Cin) rows of the grid's
-    cells, which the strips are copied from and, in either order, each
-    block of the input gradient is written straight into. An `epilogue`
-    (act, mask) runs on each block's computed cells as `_write` stores
-    them; its gradient is taken in place in the output gradient, inside
-    `out_extent` only. `channels_first` writes the output, and reads its gradient, as
-    (..., Cout, d_out, t_out).
+    Each side has one extent, a staircase of row blocks (d0, d1, t1)
+    covering rows [d0, d1) and columns [0, t1): the output is computed only
+    inside `out_extent` and the input gradient only inside `in_extent`
+    (cells outside them are zero), and the output gradient is read only
+    inside `out_extent`; both default to the whole grid. A dense x is read
+    whole. A `CellRows` `in_extent` holds x as its cells' (..., J, Cin)
+    rows, read through its runs and, in either order, given the input
+    gradient block by block. `_write` stores every block, running an
+    `epilogue` (act, mask) on the output's; its gradient is taken in place
+    in the output gradient, inside `out_extent` only. `channels_first`
+    writes the output, and reads its gradient, as (..., Cout, d_out, t_out).
     """
-    *lead, D, T, cin = _grid_shape(x, rows)
+    *lead, D, T, cin = _grid_shape(x, in_extent)
     kd, kt, _, cout = w.shape
     for p, k in zip(pad, (kd, kt)):
         if not 0 <= p <= k - 1:
@@ -534,9 +537,9 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
     pd, pt = pad
     d_out = D + 2 * pd - kd + 1
     t_out = T + 2 * pt - kt + 1
-    source = rows or ((0, D, T),)
+    source = in_extent if isinstance(in_extent, CellRows) else ((0, D, T),)
     out_extent = out_extent or ((0, d_out, t_out),)
-    grad_extent = grad_extent or ((0, D, T),)
+    in_extent = in_extent or source
     shape = (*lead, cout, d_out, t_out) if channels_first else (*lead, d_out, t_out, cout)
     narrow = cout < cin and kd > 1
     y = (_conv2d_planes if narrow else _conv2d_taps)(
@@ -546,7 +549,7 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
         if epilogue is not None:
             gy = _epilogue_grad(gy, y, out_extent, epilogue, channels_first)
         if narrow:
-            return _narrow_grads(x, source, w, pad, out_extent, grad_extent, gy, channels_first)
+            return _narrow_grads(x, source, w, pad, out_extent, in_extent, gy, channels_first)
         if channels_first:
             gy = np.moveaxis(gy, -3, -1)
         gw = np.zeros_like(w)
@@ -558,8 +561,7 @@ def _conv_grid(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilo
             taps = _block_taps(x, source, (d0, d1, t1), (kd, kt), pad).swapaxes(-2, -1)
             gw += (taps @ g.reshape(*g.shape[:-3], 1, 1, -1, cout)).reshape(-1, *w.shape).sum(0)
         w_flip = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-        gx = _conv2d_taps(gy, out_extent, w_flip, (kd - 1 - pd, kt - 1 - pt), x.shape,
-                          grad_extent, into=rows)
+        gx = _conv2d_taps(gy, out_extent, w_flip, (kd - 1 - pd, kt - 1 - pt), x.shape, in_extent)
         return gx, gw, gb
 
     return y, grads
@@ -637,22 +639,22 @@ def conv1d(x, w, b, pad, epilogue=None):
     return out
 
 
-def conv2d(x, w, b, pad, out_extent=None, grad_extent=None, rows=None, epilogue=None,
-           channels_first=False):
+def conv2d(x, w, b, pad, out_extent=None, in_extent=None, epilogue=None, channels_first=False):
     """2-D convolution over a (D, T, Cin) grid with a (k, k, Cin, Cout) kernel.
 
     Stride 1 and 0 <= pad <= k-1 on both axes. `out_extent` and
-    `grad_extent` are staircases of row blocks (d0, d1, t1) that bound the
-    cells computed in the output and in the input gradient (`_conv_grid`);
-    the default is the whole grid. With `rows` (a `CellRows`), x is the
-    (..., J, Cin) rows of the grid's cells, and its gradient is written
-    block by block straight into rows of that shape. `epilogue` (act, mask)
-    and `channels_first` are `_conv_grid`'s: an activation (None, "relu" or
-    "sigmoid") and a 0/1 mask run on the output in place, and its layout.
+    `in_extent`, one per side, are staircases of row blocks (d0, d1, t1)
+    bounding the cells computed in the output and in the input gradient
+    (`_conv_grid`), by default the whole grid. A `CellRows` `in_extent`
+    holds x as the (..., J, Cin) rows of its cells (ValueError for another
+    row count) and takes its gradient in rows of that shape. `epilogue`
+    (act, mask) and `channels_first` are `_conv_grid`'s: an activation
+    (None, "relu" or "sigmoid") and a 0/1 mask run on the output in place,
+    and its layout.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    y, grads = _conv_grid(x.data, w.data, b.data, (pad, pad), out_extent, grad_extent, rows,
-                          epilogue, channels_first)
+    y, grads = _conv_grid(x.data, w.data, b.data, (pad, pad), out_extent, in_extent, epilogue,
+                          channels_first)
 
     def bwd():
         for t, g in zip((x, w, b), grads(out.grad)):
@@ -716,10 +718,10 @@ class Sampler:
         self._in_block = self.cells - np.repeat(np.array(starts) * T, np.diff(runs))
         self._fold = None
 
-    def astype(self, dtype, copy=True):
+    def astype(self, dtype):
         """The sampler with its table in `dtype` (itself when it is in that
-        dtype already and `copy` is false), sharing the cells."""
-        if not copy and self.table.dtype == dtype:
+        dtype already), sharing the cells."""
+        if self.table.dtype == dtype:
             return self
         cast = Sampler.__new__(Sampler)
         cast.__dict__ = {**vars(self), "table": self.table.astype(dtype), "_fold": None}

@@ -8,9 +8,9 @@ Three heads share a two-layer temporal-conv base:
     `autodiff.Sampler`, folded with the learned weights over its sample
     points into one dense (T, J) matrix that is rebuilt only when those
     weights change: one dense product forward, two backward), then two
-    3 x 3 convolutions: the first reads the sampler's candidate rows, the
-    second applies the candidate mask and writes both maps as the planes
-    of one channel-first array,
+    3 x 3 convolutions with one extent per side: the first's input extent
+    is the sampler's candidate rows, the second applies the candidate mask
+    and writes both maps as the planes of one channel-first array,
   * auxiliary heads: feature reconstruction and clip-order logits.
 
 Every ReLU and sigmoid runs in the epilogue of the op before it.
@@ -233,16 +233,14 @@ class ProposalNetwork:
         self.hyper = hyper
         self.valid_mask = candidate_mask(hyper.T, hyper.D)
         self.cells = np.flatnonzero(self.valid_mask)  # candidate j's cell d*T + i
-        # conv2b's output is masked to the candidates, so it is needed there
-        # only; those cells read conv2a's output on the one-cell halo, and
-        # conv2a's input gradient goes back to the candidate rows, so it is
-        # needed on the candidates only
+        # each 2-D convolution's (output, input) extents: conv2b's output is
+        # masked to the candidates, which read conv2a's output on the one-cell
+        # halo; conv2a's input is the candidate rows, whose runs it finds on
+        # first use (in the first pass), not here
         valid, grown = staircase(self.valid_mask), staircase(halo(self.valid_mask))
-        self.extents = {"pem.conv2a": (grown, valid), "pem.conv2b": (valid, grown)}
+        rows = ad.CellRows(self.cells, self.valid_mask.shape, valid)
+        self.extents = {"pem.conv2a": (grown, rows), "pem.conv2b": (valid, grown)}
         self._W_cache: dict[str, ad.Sampler] = {}
-        # the candidate rows as conv2a reads them and writes their gradient;
-        # it finds each block's runs on first use (in the first pass), not here
-        self._rows = ad.CellRows(self.cells, self.valid_mask.shape)
 
     def init_params(self, seed: int, dtype=np.float64) -> ParamStore:
         return init_params(self.hyper, seed, dtype=dtype)
@@ -252,7 +250,7 @@ class ProposalNetwork:
         use (not at construction, which sits on the set-up path)."""
         key, h = np.dtype(dtype).name, self.hyper
         if key not in self._W_cache:
-            self._W_cache[key] = build_bm_mask(h.T, h.D, h.N).astype(dtype, copy=False)
+            self._W_cache[key] = build_bm_mask(h.T, h.D, h.N).astype(dtype)
         return self._W_cache[key]
 
     def _maps(self, red: ad.Tensor, P, relu) -> ad.Tensor:
@@ -261,8 +259,7 @@ class ProposalNetwork:
         run by `relu`, and `pem.conv2b`'s epilogue applies the sigmoid and
         then the candidate mask, writing channel first."""
         ext_a, ext_b = self.extents["pem.conv2a"], self.extents["pem.conv2b"]
-        g = relu(lambda ep: ad.conv2d(red, P("pem.conv2a.w"), P("pem.conv2a.b"), 1,
-                                      *ext_a, self._rows, ep))
+        g = relu(lambda ep: ad.conv2d(red, P("pem.conv2a.w"), P("pem.conv2a.b"), 1, *ext_a, ep))
         return ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), 1, *ext_b,
                          epilogue=("sigmoid", self.valid_mask.astype(red.dtype)),
                          channels_first=True)

@@ -43,7 +43,7 @@ def csc_bm_mask(T: int, D: int, N: int) -> sparse.csc_matrix:
 def sampler_of(S, N: int) -> ad.Sampler:
     """The package sampler holding the entries of a scipy matrix S, in S's dtype."""
     coo = S.tocoo()
-    return ad.Sampler(coo.row, coo.col, coo.data, S.shape, N).astype(S.dtype, copy=False)
+    return ad.Sampler(coo.row, coo.col, coo.data, S.shape, N).astype(S.dtype)
 
 
 def sampler_entries(sampler: ad.Sampler):

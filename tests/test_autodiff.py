@@ -30,9 +30,9 @@ MSE_ROW_W = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0]])
 # conv2b's, the reverse
 _VALID = candidate_mask(6, 5)
 HALO_EXTENTS = (staircase(halo(_VALID)), staircase(_VALID))
-VALID_ROWS = ad.CellRows(np.flatnonzero(_VALID), _VALID.shape)
-# cells (0, 0), (0, 2) and (1, 1) of a (2, 4) grid
-SCATTER_ROWS = ad.CellRows(np.array([0, 2, 5]), (2, 4))
+VALID_ROWS = ad.CellRows(np.flatnonzero(_VALID), _VALID.shape, HALO_EXTENTS[1])
+# cells (0, 0), (0, 2) and (1, 1) of a (2, 4) grid, in one block
+SCATTER_ROWS = ad.CellRows(np.array([0, 2, 5]), (2, 4), ((0, 2, 3),))
 # 0/1 masks in the layout of a (8, 4) conv1d output and of the sampler's
 # (J, C) = (5, 4) output: replayed ReLU gates
 _mask_rng = np.random.default_rng(4)
@@ -148,9 +148,9 @@ CASES = {
     "scatter_batched": (lambda x: ad.tsum(ad.square(rows_to_grid(x, SCATTER_ROWS))),
                         [(3, 3, 2)]),
     "conv2d_rows_batched": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(
-        x, w, b, 1, *HALO_EXTENTS, VALID_ROWS))), [(3, 20, 2), (3, 3, 2, 2), (2,)]),
+        x, w, b, 1, HALO_EXTENTS[0], VALID_ROWS))), [(3, 20, 2), (3, 3, 2, 2), (2,)]),
     "conv2d_rows_narrow": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(
-        x, w, b, 1, *HALO_EXTENTS, VALID_ROWS))), [(20, 3), (3, 3, 3, 2), (2,)]),
+        x, w, b, 1, HALO_EXTENTS[0], VALID_ROWS))), [(20, 3), (3, 3, 3, 2), (2,)]),
     # epilogues: the masked sigmoid in the output-side order, and a mask
     # alone (a replayed ReLU gate) in the tap loop, both channel first
     "conv2d_sigmoid_mask_channels_first": (lambda x, w, b: ad.tsum(ad.square(ad.conv2d(
@@ -334,6 +334,17 @@ def test_conv2d_rejects_pad_beyond_kernel():
     x, w, b = np.zeros((4, 4, 2)), np.zeros((3, 3, 2, 2)), np.zeros(2)
     with pytest.raises(ValueError, match="pad=3"):
         ad.conv2d(x, w, b, pad=3)
+
+
+@pytest.mark.parametrize("n_rows", [19, 21, 6])
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_conv2d_rejects_rows_other_than_the_cells(n_rows, lead):
+    """A `CellRows` input extent holds one row of x per cell: more rows or
+    fewer (a dense (D, T) grid's T = 6 among them) stop before any product,
+    naming both sizes."""
+    x, w, b = np.zeros((*lead, n_rows, 2)), np.zeros((3, 3, 2, 2)), np.zeros(2)
+    with pytest.raises(ValueError, match=f"{n_rows} rows for the 20 cells"):
+        ad.conv2d(x, w, b, 1, HALO_EXTENTS[0], VALID_ROWS)
 
 
 @pytest.mark.parametrize("k,pad", [(3, 3), (1, 1), (2, -1)])
@@ -1192,13 +1203,13 @@ def old_epilogue_grad(gy, y, extent, epilogue, channels_first):
     return gz
 
 
-def grid_then_gather(x, w, b, out_ext, grad_ext, rows, epilogue=None):
+def grid_then_gather(x, w, b, out_ext, rows, epilogue=None):
     """`_conv_grid` on the candidate rows `x` the earlier way: the kernel
-    runs on the zero-filled grid, and its input gradient, a grid, is
-    gathered back to the rows."""
+    runs on the zero-filled grid, with the rows' blocks as its input
+    extent, and its input gradient, a grid, is gathered back to the rows."""
     D, T = rows.shape
-    y, grads = ad._conv_grid(rows.strip(x, (0, D), (0, T)), w, b, (1, 1), out_ext, grad_ext,
-                             None, epilogue)
+    y, grads = ad._conv_grid(rows.strip(x, (0, D), (0, T)), w, b, (1, 1), out_ext, rows.blocks,
+                             epilogue)
 
     def gathered(gy):
         gx, gw, gb = grads(gy)
@@ -1215,15 +1226,15 @@ def test_rows_input_gradient_is_bit_equal_to_grid_then_gather(T, D, cin, cout, B
     gradient of a `CellRows` source are the grid-then-gather path's bit for
     bit, and the input gradient has the rows' shape and dtype."""
     valid = candidate_mask(T, D)
-    rows = ad.CellRows(np.flatnonzero(valid), valid.shape)
-    out_ext, grad_ext = staircase(halo(valid)), staircase(valid)
+    rows = ad.CellRows(np.flatnonzero(valid), valid.shape, staircase(valid))
+    out_ext = staircase(halo(valid))
     rng = np.random.default_rng([T, D, cin, B or 0])
     lead = () if B is None else (B,)
     x = rng.normal(size=(*lead, rows.cells.size, cin)).astype(dtype)
     w, b = rng.normal(size=(3, 3, cin, cout)).astype(dtype), rng.normal(size=cout).astype(dtype)
     gy = rng.normal(size=(*lead, D, T, cout)).astype(dtype)
-    y, grads = ad._conv_grid(x, w, b, (1, 1), out_ext, grad_ext, rows)
-    y_old, grads_old = grid_then_gather(x, w, b, out_ext, grad_ext, rows)
+    y, grads = ad._conv_grid(x, w, b, (1, 1), out_ext, rows)
+    y_old, grads_old = grid_then_gather(x, w, b, out_ext, rows)
     assert np.array_equal(y, y_old)
     new, old = grads(gy.copy()), grads_old(gy.copy())
     assert new[0].shape == x.shape
@@ -1243,7 +1254,7 @@ EPILOGUE_OPS = {
                     [(2, 8, 3), (3, 3, 4), (4,)]),
     "conv1d_sigmoid_mask": (lambda x, w, b: ad.conv1d(x, w, b, 1, ("sigmoid", SEQ_MASK)),
                             [(8, 3), (3, 3, 4), (4,)]),
-    "conv2d_rows_relu": (lambda x, w, b: ad.conv2d(x, w, b, 1, *HALO_EXTENTS, VALID_ROWS,
+    "conv2d_rows_relu": (lambda x, w, b: ad.conv2d(x, w, b, 1, HALO_EXTENTS[0], VALID_ROWS,
                                                    ("relu", None)),
                          [(2, 20, 3), (3, 3, 3, 3), (3,)]),
     "conv2d_sigmoid_mask_channels_first": (lambda x, w, b: ad.conv2d(
@@ -1289,8 +1300,8 @@ def test_conv2a_backward_peaks_a_grid_below_grid_then_gather(monkeypatch):
     the input gradient on a zeroed grid and gathered the rows from it."""
     B, T, D, Hp = 4, 100, 100, 16
     valid = candidate_mask(T, D)
-    rows = ad.CellRows(np.flatnonzero(valid), valid.shape)
-    extents = staircase(halo(valid)), staircase(valid)
+    rows = ad.CellRows(np.flatnonzero(valid), valid.shape, staircase(valid))
+    extents = staircase(halo(valid)), rows
     rng = np.random.default_rng(5)
     x = rng.normal(size=(B, rows.cells.size, Hp)).astype(np.float32)
     w = (rng.normal(size=(3, 3, Hp, Hp)) * 0.1).astype(np.float32)
@@ -1314,7 +1325,7 @@ def test_conv2a_backward_peaks_a_grid_below_grid_then_gather(monkeypatch):
         return peaks[-1]
 
     grid = B * D * T * Hp * 4
-    new = backward_peak(lambda: ad._conv_grid(x, w, b, (1, 1), *extents, rows, ("relu", None)))
+    new = backward_peak(lambda: ad._conv_grid(x, w, b, (1, 1), *extents, ("relu", None)))
     monkeypatch.setattr(ad, "_epilogue_grad", old_epilogue_grad)
-    old = backward_peak(lambda: grid_then_gather(x, w, b, *extents, rows, ("relu", None)))
+    old = backward_peak(lambda: grid_then_gather(x, w, b, *extents, ("relu", None)))
     assert old - new >= grid, (old, new)

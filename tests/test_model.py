@@ -511,7 +511,8 @@ class TestStaircaseExtents:
     def test_matches_full_grid_in_float64(self, hyper):
         net = ProposalNetwork(hyper)
         loss, grads = composite_value_and_grads(net)
-        net.extents = {name: (None, None) for name in net.extents}
+        rows = net.extents["pem.conv2a"][1]
+        net.extents = {"pem.conv2a": (None, rows), "pem.conv2b": (None, None)}
         full_loss, full_grads = composite_value_and_grads(net)
         assert loss == full_loss
         for name, g in full_grads.items():
@@ -533,13 +534,14 @@ class TestStaircaseExtents:
         loss, grads = composite_value_and_grads(net)
         conv_grid, put, puts = ad._conv_grid, ad.CellRows.put, []
 
-        def poisoned(x, w, b, pad, out_extent=None, grad_extent=None, *rest):
-            y, conv_grads = conv_grid(x, w, b, pad, out_extent, grad_extent, *rest)
-            rows, _, channels_first = rest
+        def poisoned(x, w, b, pad, out_extent=None, in_extent=None, *rest):
+            y, conv_grads = conv_grid(x, w, b, pad, out_extent, in_extent, *rest)
+            _, channels_first = rest
+            rows = isinstance(in_extent, ad.CellRows)
 
             def poisoned_grads(gy):
                 gx, gw, gb = conv_grads(nan_outside(gy, out_extent, channels_first))
-                return (gx if rows is not None else nan_outside(gx, grad_extent)), gw, gb
+                return (gx if rows else nan_outside(gx, in_extent)), gw, gb
             return y, poisoned_grads
 
         def poisoned_put(rows, out, block, r, c):
@@ -565,18 +567,19 @@ class TestStaircaseExtents:
         output block of conv2a and the next pass reuses them. After the
         extents are swapped for the whole grid, one more set is found."""
         net = ProposalNetwork(HyperShape())
-        assert net._rows._runs == {}
+        rows = net.extents["pem.conv2a"][1]
+        assert rows._runs == {}
         params = net.init_params(0, dtype=np.float32)
         f = np.zeros((2, 100, 16), dtype=np.float32)
         net.forward(params, f, requires_grad=False)
-        runs = dict(net._rows._runs)
+        runs = dict(rows._runs)
         assert len(runs) == len(net.extents["pem.conv2a"][0])
         net.forward(params, f, requires_grad=False)
-        assert net._rows._runs.keys() == runs.keys()
-        assert all(net._rows._runs[k] is v for k, v in runs.items())
-        net.extents = {name: (None, None) for name in net.extents}
+        assert rows._runs.keys() == runs.keys()
+        assert all(rows._runs[k] is v for k, v in runs.items())
+        net.extents = {"pem.conv2a": (None, rows), "pem.conv2b": (None, None)}
         net.forward(params, f, requires_grad=False)
-        assert len(net._rows._runs) == len(runs) + 1
+        assert len(rows._runs) == len(runs) + 1
 
 
 def old_head(net, red, P):
@@ -584,7 +587,8 @@ def old_head(net, red, P):
     relu -> conv2d -> sigmoid -> mask -> take_last x 2."""
     h = net.hyper
     g = old_scatter_grid(red, net.cells, (h.D, h.T))
-    g = old_relu(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), 1, *net.extents["pem.conv2a"]))
+    out_a, rows = net.extents["pem.conv2a"]
+    g = old_relu(ad.conv2d(g, P("pem.conv2a.w"), P("pem.conv2a.b"), 1, out_a, rows.blocks))
     g = old_sigmoid(ad.conv2d(g, P("pem.conv2b.w"), P("pem.conv2b.b"), 1,
                               *net.extents["pem.conv2b"]))
     g = ad.mul(g, net.valid_mask.astype(g.dtype)[:, :, None])
