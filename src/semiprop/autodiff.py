@@ -7,10 +7,11 @@ parents) carry no closure, so e.g. a teacher forward pass builds no graph.
 Ops take optional leading axes, numpy style: a (B, T, C) stack is one call.
 Activations are no ops of their own: conv1d, conv2d and sparse_sample run a
 ReLU or a sigmoid, then a 0/1 mask, on their output as an `epilogue`
-(act, mask), and their backward reads its derivative off it. conv1d, a tap
-loop over its input padded once along T, and sparse_sample run it on their
-output in place; conv2d's block kernels (`_conv_grid`) run it as `_write`
-stores each block.
+(act, mask). conv1d, a tap loop over its input padded once along T, and
+sparse_sample run it on their output in place; conv2d's block kernels
+(`_conv_grid`) run it as `_write` stores each block. Each of the three
+backwards takes its derivative, read off the output, with one
+`_activate_grad` call in place over the whole output gradient it owns.
 
 A closure refers to the tensor it belongs to, so every op node is a
 reference cycle until `backward()` breaks it: the walk is one-shot and frees
@@ -193,18 +194,19 @@ def _activate(y, act, mask, out=None):
         out *= mask
 
 
-def _activate_grad(gy, y, act, mask, out):
-    """Into `out`, the gradient before `_activate` from the gradient `gy`
-    of its output `y`. With a 0/1 mask the derivative of either act reads
-    off y alone: y > 0 for the ReLU, y * (1 - y) for the sigmoid, both zero
-    where the mask is; with no act it is the mask."""
+def _activate_grad(gy, y, act, mask):
+    """The gradient before `_activate` from the gradient `gy` of its
+    output `y`, written into `gy` (the node's own, `_accum`) and returned.
+    With a 0/1 mask the derivative of either act reads off y alone: y > 0
+    for the ReLU, y * (1 - y) for the sigmoid, both zero where the mask is;
+    with no act it is the mask."""
     if act == "relu":
-        np.multiply(gy, y > 0.0, out=out)
+        gy *= y > 0.0
     elif act == "sigmoid":
-        np.multiply(gy * y, 1.0 - y, out=out)
+        np.multiply(gy * y, 1.0 - y, out=gy)
     else:
-        np.multiply(gy, mask, out=out)
-    return out
+        gy *= mask
+    return gy
 
 
 def log(a, eps=0.0):
@@ -370,17 +372,6 @@ def _write(out, extent, block, acc, epilogue=None, channels_first=False):
               _cells(out, block, channels_first))
 
 
-def _epilogue_grad(gy, y, extent, epilogue, channels_first):
-    """The gradient before the epilogue, from the gradient `gy` of the
-    output `y` after it (`_activate_grad`), taken in place in `gy` (the
-    node's own, `_accum`) inside `extent`; the kernels read no other cell."""
-    act, mask = epilogue
-    for block in extent:
-        g, o, m = (None if a is None else _cells(a, block, channels_first) for a in (gy, y, mask))
-        _activate_grad(g, o, act, m, g)
-    return gy
-
-
 def _conv2d_taps(src, extent, w, pad, shape, out_extent, bias=None, epilogue=None,
                  channels_first=False):
     """Stride-1 convolution of a (D, T, Cin) grid `src`, read inside
@@ -520,13 +511,14 @@ def _conv_grid(x, w, b, pad, out_extent=None, in_extent=None, epilogue=None,
     Each side has one extent, a staircase of row blocks (d0, d1, t1)
     covering rows [d0, d1) and columns [0, t1): the output is computed only
     inside `out_extent` and the input gradient only inside `in_extent`
-    (cells outside them are zero), and the output gradient is read only
-    inside `out_extent`; both default to the whole grid. A dense x is read
-    whole. A `CellRows` `in_extent` holds x as its cells' (..., J, Cin)
-    rows, read through its runs and, in either order, given the input
-    gradient block by block. `_write` stores every block, running an
-    `epilogue` (act, mask) on the output's; its gradient is taken in place
-    in the output gradient, inside `out_extent` only. `channels_first`
+    (cells outside them are zero); both default to the whole grid. A dense
+    x is read whole. A `CellRows` `in_extent` holds x as its cells'
+    (..., J, Cin) rows, read through its runs and, in either order, given
+    the input gradient block by block. `_write` stores every block, running
+    an `epilogue` (act, mask) on the output's. Its derivative is taken by
+    one `_activate_grad` call in place over the whole output gradient; the
+    kernels then read that gradient only inside `out_extent`, so what the
+    call leaves in the cells outside it reaches nothing. `channels_first`
     writes the output, and reads its gradient, as (..., Cout, d_out, t_out).
     """
     *lead, D, T, cin = _grid_shape(x, in_extent)
@@ -547,7 +539,7 @@ def _conv_grid(x, w, b, pad, out_extent=None, in_extent=None, epilogue=None,
 
     def grads(gy):
         if epilogue is not None:
-            gy = _epilogue_grad(gy, y, out_extent, epilogue, channels_first)
+            gy = _activate_grad(gy, y, *epilogue)
         if narrow:
             return _narrow_grads(x, source, w, pad, out_extent, in_extent, gy, channels_first)
         if channels_first:
@@ -617,7 +609,7 @@ def conv1d(x, w, b, pad, epilogue=None):
     def bwd():
         gy = out.grad
         if epilogue is not None:
-            gy = _activate_grad(gy, y, *epilogue, gy)
+            gy = _activate_grad(gy, y, *epilogue)
         # C order (a copy only for the strided gradient that sparse_sample
         # gives a stack), so that the bias gradient adds the rows one after
         # another
@@ -782,7 +774,7 @@ def sparse_sample(x, S, w, b, epilogue=None):
     at = S.fold(w.data)
 
     def bwd():
-        gy = columns(_activate_grad(out.grad, y, *epilogue, out.grad) if epilogue else out.grad)
+        gy = columns(_activate_grad(out.grad, y, *epilogue) if epilogue else out.grad)
         _accum(x, stacked(at.T @ gy))
         _accum(w, S.weight_grad(gy, xs))
         _accum(b, np.einsum("ij->j", gy.reshape(-1, b.data.shape[0])))

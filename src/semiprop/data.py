@@ -114,7 +114,6 @@ MIN_T = 4
 class FeatureSequence:
     video_id: str
     values: np.ndarray  # (T, C) float32
-    annotations: AnnotationSet | None = None
 
     @property
     def T(self) -> int:
@@ -131,8 +130,6 @@ class FeatureSequence:
             raise ValueError(f"need T >= {MIN_T} and C >= 1, got T={self.T}, C={self.C}")
         if not np.isfinite(self.values).all():
             raise ValueError("non-finite feature value")
-        if self.annotations is not None:
-            self.annotations.validate(self.T)
 
 
 @dataclass
@@ -301,8 +298,7 @@ def gen_synthetic_dataset(
         values, instances = _synthesize_video(rng, T, C)
         vid = f"v{idx:05d}"
         fname = f"{vid}.feat"
-        seq = FeatureSequence(video_id=vid, values=values, annotations=AnnotationSet(instances))
-        write_features(seq, os.path.join(out_dir, fname))
+        write_features(FeatureSequence(video_id=vid, values=values), os.path.join(out_dir, fname))
         entries.append(VideoEntry(video_id=vid, T=T, C=C, labeled=idx < n_labeled,
                                   feature_file=fname, annotations=[list(p) for p in instances]))
     manifest = DatasetManifest(
@@ -372,5 +368,4 @@ def load_video(manifest_path: str | os.PathLike, entry: VideoEntry) -> FeatureSe
     if (seq.T, seq.C) != (entry.T, entry.C):
         raise FormatError(f"{path}: holds T={seq.T}, C={seq.C}; "
                           f"the manifest says T={entry.T}, C={entry.C}")
-    seq.annotations = AnnotationSet([tuple(a) for a in entry.annotations])
     return seq

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import pretext
-from .data import (DatasetManifest, FormatError, LabelMaps, build_label_maps,
+from .data import (AnnotationSet, DatasetManifest, FormatError, LabelMaps, build_label_maps,
                    load_video, read_text_lines, replacing)
 from .model import (CHECKPOINT_STORES, HyperShape, ModelOutputs, ParamStore,
                     ProposalNetwork, leaf_grads, load_stores, prefixed,
@@ -116,18 +116,24 @@ class TrainConfig:
     @classmethod
     def from_file(cls, path, **overrides) -> "TrainConfig":
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return cls.from_dict(json.load(fh), path, **overrides)
+
+    @classmethod
+    def from_dict(cls, doc, where, **overrides) -> "TrainConfig":
+        """The config a JSON document `doc` (read from `where`) holds, with
+        the `overrides` that are not None on top: a `ValueError` unless it
+        is an object whose keys are fields and whose values have their
+        field's JSON type."""
         if not isinstance(doc, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
+            raise ValueError(f"{where}: config must be a JSON object")
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         unknown = set(doc) - set(defaults)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{where}: unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
             if type(value) not in _JSON_TYPES[type(defaults[key])]:
-                raise ValueError(f"{path}: config field {key} has the wrong type: {value!r}")
-        doc.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**doc)
+                raise ValueError(f"{where}: config field {key} has the wrong type: {value!r}")
+        return cls(**{**doc, **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def ema_update(teacher: np.ndarray, student: np.ndarray, alpha: float) -> np.ndarray:
@@ -451,7 +457,7 @@ class Trainer:
                 raise FormatError(f"{path}: bad {name} {value!r}; expected an integer >= 0")
         if cfg is None:
             try:
-                cfg = TrainConfig(**extra["config"])
+                cfg = TrainConfig.from_dict(extra["config"], path)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}: bad config: {exc!r}") from exc
         elif cfg.precision != header["precision"]:
@@ -531,7 +537,7 @@ def load_training_set(manifest: DatasetManifest, manifest_path, cfg: TrainConfig
         seq = load_video(manifest_path, entry)
         feats = seq.values.astype(cfg.dtype)
         if entry.labeled:
-            lm = build_label_maps(seq.annotations, hyper.T, hyper.D)
+            lm = build_label_maps(AnnotationSet(entry.annotations), hyper.T, hyper.D)
             labeled.append(BatchVideo(entry.video_id, feats, True, lm))
         else:
             unlabeled.append(BatchVideo(entry.video_id, feats, False))

@@ -84,8 +84,7 @@ def point_stacked_sample(x, S, w, b, epilogue=None):
     xs = columns(x.data)
 
     def bwd():
-        gy = columns(ad._activate_grad(out.grad, y, *epilogue, out.grad) if epilogue
-                     else out.grad)
+        gy = columns(ad._activate_grad(out.grad, y, *epilogue) if epilogue else out.grad)
         z = (S @ gy).reshape(N, -1)
         ad._accum(x, stacked((w.data @ z).reshape(T, -1)))
         ad._accum(w, z @ xs.ravel())

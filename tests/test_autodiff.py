@@ -1192,15 +1192,9 @@ def test_evaluation_order_is_picked_from_the_shapes(w_shape, narrow, monkeypatch
 ACTIVATE_GRAD = ad._activate_grad  # the program's own, which a test below patches
 
 
-def old_epilogue_grad(gy, y, extent, epilogue, channels_first):
+def copied_activate_grad(gy, y, act, mask):
     """The epilogue gradient written into a fresh copy of `gy`."""
-    act, mask = epilogue
-    gz = np.empty_like(gy)
-    for block in extent:
-        g, o, out = (ad._cells(a, block, channels_first) for a in (gy, y, gz))
-        m = None if mask is None else ad._cells(mask, block, channels_first)
-        ACTIVATE_GRAD(g, o, act, m, out)
-    return gz
+    return ACTIVATE_GRAD(gy.copy(), y, act, mask)
 
 
 def grid_then_gather(x, w, b, out_ext, rows, epilogue=None):
@@ -1274,8 +1268,7 @@ def test_in_place_epilogue_gradient_of_a_twice_read_output(name, dtype, monkeypa
     """The gradient of an epilogue's output that two consumers read is
     accumulated in its node's own array, and the epilogue gradient taken in
     place there gives every gradient bit-equal to an out-of-place copy
-    (`old_epilogue_grad` for the convolutions, a fresh output array for
-    the sampler)."""
+    (`copied_activate_grad`)."""
     op, shapes = EPILOGUE_OPS[name]
     rng = np.random.default_rng(len(name))
     arrs = [rng.normal(size=s).astype(dtype) for s in shapes]
@@ -1286,11 +1279,38 @@ def test_in_place_epilogue_gradient_of_a_twice_read_output(name, dtype, monkeypa
         return [t.grad for t in ts]
 
     in_place = grads()
-    monkeypatch.setattr(ad, "_epilogue_grad", old_epilogue_grad)
-    monkeypatch.setattr(ad, "_activate_grad", lambda gy, y, act, mask, out: ACTIVATE_GRAD(
-        gy, y, act, mask, np.empty_like(out) if out is gy else out))
+    monkeypatch.setattr(ad, "_activate_grad", copied_activate_grad)
     for a, c in zip(in_place, grads(), strict=True):
         assert a.dtype == c.dtype and np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("name,act,narrow", [("conv2d_rows_relu", "relu", False),
+                                             ("conv2d_sigmoid_mask_channels_first", "sigmoid",
+                                              True)])
+def test_conv2d_backward_takes_its_epilogue_gradient_in_one_call(name, act, narrow, monkeypatch):
+    """In either evaluation order (conv2a's extents over a `CellRows`
+    input in the tap loop, conv2b's channel first with its mask in the
+    output-side order), one backward calls `_activate_grad` once, on the
+    node's own gradient of the output's full shape."""
+    op, shapes = EPILOGUE_OPS[name]
+    rng = np.random.default_rng(len(name))
+    x, w, b = (ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes)
+    out = op(x, w, b)
+    calls, orders = [], []
+
+    def spy(gy, y, act, mask):
+        calls.append((gy is out.grad, gy.shape, act))
+        return ACTIVATE_GRAD(gy, y, act, mask)
+
+    def narrow_spy(*args, _f=ad._narrow_grads):
+        orders.append("_narrow_grads")
+        return _f(*args)
+
+    monkeypatch.setattr(ad, "_activate_grad", spy)
+    monkeypatch.setattr(ad, "_narrow_grads", narrow_spy)
+    two_readers(out).backward()
+    assert calls == [(True, out.shape, act)]
+    assert orders == (["_narrow_grads"] if narrow else [])
 
 
 def test_conv2a_backward_peaks_a_grid_below_grid_then_gather(monkeypatch):
@@ -1326,6 +1346,6 @@ def test_conv2a_backward_peaks_a_grid_below_grid_then_gather(monkeypatch):
 
     grid = B * D * T * Hp * 4
     new = backward_peak(lambda: ad._conv_grid(x, w, b, (1, 1), *extents, ("relu", None)))
-    monkeypatch.setattr(ad, "_epilogue_grad", old_epilogue_grad)
+    monkeypatch.setattr(ad, "_activate_grad", copied_activate_grad)
     old = backward_peak(lambda: grid_then_gather(x, w, b, *extents, ("relu", None)))
     assert old - new >= grid, (old, new)

@@ -410,14 +410,15 @@ class TestGradCheck:
     def test_broken_relu_backward_is_detected(self, monkeypatch):
         """The check differentiates the network's own ReLUs: halving the one
         ReLU derivative that every epilogue takes fails the 1e-4 bound, on a
-        conv1d layer and on the sampler."""
+        conv1d layer, on the sampler and on pem.conv2a, and conv2b's
+        weights, behind a sigmoid, stay within it."""
         activate_grad = ad._activate_grad
 
-        def half_relu_grad(gy, y, act, mask, out):  # same value, half the gradient
-            activate_grad(gy, y, act, mask, out)
+        def half_relu_grad(gy, y, act, mask):  # same value, half the gradient
+            activate_grad(gy, y, act, mask)
             if act == "relu":
-                out *= 0.5
-            return out
+                gy *= 0.5
+            return gy
 
         monkeypatch.setattr(ad, "_activate_grad", half_relu_grad)
         report = grad_check(TINY, seed=0)
@@ -425,20 +426,6 @@ class TestGradCheck:
         assert report["max_rel_error"] > 1e-2
         for name in ("base.conv1.w", "pem.reduce.w"):
             assert report["tensors"][name] > GRAD_CHECK_TOLERANCE, name
-
-    def test_broken_fused_relu_backward_is_detected(self, monkeypatch):
-        """The ReLU in pem.conv2a's epilogue is differentiated too: a
-        convolution epilogue that passes back half its ReLU gradient fails
-        the bound on conv2a's weights, and conv2b's stay within it."""
-        epilogue_grad = ad._epilogue_grad
-
-        def half_relu_grad(gy, y, extent, epilogue, channels_first):
-            gz = epilogue_grad(gy, y, extent, epilogue, channels_first)
-            return gz * 0.5 if epilogue[0] == "relu" else gz
-
-        monkeypatch.setattr(ad, "_epilogue_grad", half_relu_grad)
-        report = grad_check(TINY, seed=0)
-        assert not report["passed"]
         assert report["tensors"]["pem.conv2a.w"] > 1e-2
         assert report["tensors"]["pem.conv2b.w"] <= GRAD_CHECK_TOLERANCE
 

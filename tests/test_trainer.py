@@ -609,11 +609,14 @@ class TestTrainerRun:
         assert Trainer.load(ckpt).opt.t == 5
 
     @pytest.mark.parametrize("config", [None, [1], {"alpha": 2.0}, {"lr": "x"},
-                                        {"recon_support": "all"}])
+                                        {"recon_support": "all"}, {"epochs": 2.5},
+                                        {"seed": 1.5}, {"batch_labeled": 2.0},
+                                        {"hidden": True}])
     def test_load_with_bad_stored_config_is_format_error(self, tmp_path, config):
         """With no config passed, the checkpoint's own must build a
-        `TrainConfig`; a stale field name (one written before the field was
-        removed) is rejected too."""
+        `TrainConfig`, read as a `--config` file is: a stale field name (one
+        written before the field was removed) is rejected too, and so is a
+        value of the wrong JSON type (a float or a bool for an integer)."""
         mpath, manifest = self._dataset(tmp_path)
         ckpt, _ = train_run(manifest, mpath, tiny_cfg(epochs=1), tmp_path / "run")
         stored = self._rewrite(ckpt)["extra"]["config"]
