@@ -674,23 +674,24 @@ def plane(a, k, axis=-3):
 
 class Sampler:
     """A point-stacked (N*T, J) sampling matrix S, built from its (row,
-    column, value) entries (duplicates added): row n*T + t, column j holds
-    the weight of snippet t in sample point n of candidate j
+    column, value) entries, each (row, column) at most once: row n*T + t,
+    column j holds the weight of snippet t in sample point n of candidate j
     (`model.build_bm_mask`).
 
     S is held as the U distinct (j, t) cells that any point of a candidate
     reads, as flat indices j*T + t of a (J, T) array in ascending order, so
     that the cells of a run of candidates are one run of cells, and an
-    (N, U) `table` of each cell's weight in each point. For weights w over
-    the points, A = sum_n w[n] * S_n is the dense (T, J) matrix holding
-    `w @ table` at the cells and zero elsewhere. `nnz` counts S's nonzero
-    entries."""
+    (N, U) `table` of each cell's weight in each point, allocated in
+    `dtype` and filled by assignment, so a float32 table is never a cast of
+    a float64 one. For weights w over the points, A = sum_n w[n] * S_n is
+    the dense (T, J) matrix holding `w @ table` at the cells and zero
+    elsewhere. `nnz` counts S's nonzero entries."""
 
     # candidate blocks of the weight gradient, each of which forms one
     # (J/8, T) block of the dense gradient of A^T and no more
     BLOCKS = 8
 
-    def __init__(self, rows, cols, vals, shape, n_points):
+    def __init__(self, rows, cols, vals, shape, n_points, dtype=np.float64):
         (nt, J), N = shape, n_points
         T = nt // N
         n, t = np.divmod(np.asarray(rows), T)
@@ -698,8 +699,8 @@ class Sampler:
         seen = np.zeros(J * T, dtype=bool)
         seen[key] = True
         self.cells = np.flatnonzero(seen)
-        self.table = np.bincount(n * self.cells.size + np.searchsorted(self.cells, key),
-                                 np.asarray(vals), minlength=N * self.cells.size).reshape(N, -1)
+        self.table = np.zeros((N, self.cells.size), dtype=dtype)
+        self.table[n, np.searchsorted(self.cells, key)] = vals
         self.shape, self.n_points = (nt, J), N
         self.nnz = int(np.count_nonzero(self.table))
         # each block's candidates [j0, j1) and their cells [u0, u1), and each
@@ -709,15 +710,6 @@ class Sampler:
         self._blocks = list(zip(starts, starts[1:] + [J], runs, runs[1:]))
         self._in_block = self.cells - np.repeat(np.array(starts) * T, np.diff(runs))
         self._fold = None
-
-    def astype(self, dtype):
-        """The sampler with its table in `dtype` (itself when it is in that
-        dtype already), sharing the cells."""
-        if self.table.dtype == dtype:
-            return self
-        cast = Sampler.__new__(Sampler)
-        cast.__dict__ = {**vars(self), "table": self.table.astype(dtype), "_fold": None}
-        return cast
 
     def fold(self, w):
         """A^T, the (J, T) C-order matrix sum_n w[n] * S_n transposed, kept

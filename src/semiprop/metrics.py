@@ -68,12 +68,8 @@ def evaluate_dataset(per_video: dict[str, tuple[Proposals, AnnotationSet]],
     if an_max < 1:
         raise ValueError(f"an_max must be at least 1, got {an_max}")
     an_values = list(range(1, an_max + 1))
-    recalls = {}
-    for vid, (props, gt) in per_video.items():
-        if not gt.instances:
-            continue
-        recalls[vid] = recall_matrix(props, gt, thresholds, an_values)
-    mats = list(recalls.values())
+    mats = [recall_matrix(props, gt, thresholds, an_values)
+            for props, gt in per_video.values() if gt.instances]
     if not mats:
         return {"eligible_videos": 0}
     result = {

@@ -86,13 +86,16 @@ class ParamStore(dict):
         return ParamStore(self.flat.copy(), self.shapes)
 
 
-def build_bm_mask(T: int, D: int, N: int) -> ad.Sampler:
+def build_bm_mask(T: int, D: int, N: int, dtype=np.float64) -> ad.Sampler:
     """The boundary-matching sampling matrix S, (N*T, J) over the J
-    candidates of `candidate_mask(T, D)`, as an `autodiff.Sampler`:
-    candidate (d, i) covers [i, i+d+1], expanded by 0.25*(d+1) on each side,
-    with N uniform sample locations interpolated linearly between
-    neighboring snippets. Row n*T + t, column j holds the weight of snippet
-    t in sample point n of candidate j."""
+    candidates of `candidate_mask(T, D)`, as an `autodiff.Sampler` whose
+    table is in `dtype`: candidate (d, i) covers [i, i+d+1], expanded by
+    0.25*(d+1) on each side, with N uniform sample locations interpolated
+    linearly between neighboring snippets. Row n*T + t, column j holds the
+    weight of snippet t in sample point n of candidate j, computed in
+    float64 and rounded once into `dtype`; no (row, column) repeats, since
+    a point's two entries are two snippets and two points differ in n or in
+    the candidate."""
     if D > T or N < 2:
         raise ValueError(f"need D <= T and N >= 2, got T={T}, D={D}, N={N}")
     d_idx, i_idx = np.nonzero(candidate_mask(T, D))
@@ -112,7 +115,7 @@ def build_bm_mask(T: int, D: int, N: int) -> ad.Sampler:
     # n*T + base + 1
     up = frac > 0
     return ad.Sampler(np.concatenate([rows, rows[up] + 1]), np.concatenate([cols, cols[up]]),
-                      np.concatenate([1.0 - frac, frac[up]]), (N * T, d_idx.size), N)
+                      np.concatenate([1.0 - frac, frac[up]]), (N * T, d_idx.size), N, dtype)
 
 
 def halo(mask: np.ndarray) -> np.ndarray:
@@ -152,12 +155,10 @@ def param_shapes(hyper: HyperShape) -> dict[str, tuple[int, ...]]:
     }
 
 
-def _fan_in(name: str, shape: tuple[int, ...]) -> int:
-    if len(shape) == 3:  # conv1d (k, Cin, Cout)
-        return shape[0] * shape[1]
-    if len(shape) == 4:  # conv2d (k, k, Cin, Cout)
-        return shape[0] * shape[1] * shape[2]
-    return shape[0]  # linear (in, out) or the N-reduction weight
+def _fan_in(shape: tuple[int, ...]) -> int:
+    # all but the output axis of a conv1d (k, Cin, Cout), conv2d (k, k, Cin,
+    # Cout) or linear (in, out) kernel; the N-reduction weight's length
+    return math.prod(shape[:-1]) if len(shape) > 1 else shape[0]
 
 
 def init_params(hyper: HyperShape, seed: int, dtype=np.float64) -> ParamStore:
@@ -167,7 +168,7 @@ def init_params(hyper: HyperShape, seed: int, dtype=np.float64) -> ParamStore:
     store = ParamStore(np.zeros(sum(map(math.prod, shapes.values())), dtype=dtype), shapes)
     for name, view in store.items():
         if not name.endswith(".b"):
-            s = math.sqrt(1.0 / _fan_in(name, view.shape))
+            s = math.sqrt(1.0 / _fan_in(view.shape))
             view[...] = rng.uniform(-s, s, size=view.shape)
     return store
 
@@ -246,11 +247,12 @@ class ProposalNetwork:
         return init_params(self.hyper, seed, dtype=dtype)
 
     def _W(self, dtype) -> ad.Sampler:
-        """The sampling matrix S with its table in `dtype`, built on first
-        use (not at construction, which sits on the set-up path)."""
+        """The sampling matrix S with its table built in `dtype`, once per
+        dtype, on first use (not at construction, which sits on the set-up
+        path)."""
         key, h = np.dtype(dtype).name, self.hyper
         if key not in self._W_cache:
-            self._W_cache[key] = build_bm_mask(h.T, h.D, h.N).astype(dtype)
+            self._W_cache[key] = build_bm_mask(h.T, h.D, h.N, dtype)
         return self._W_cache[key]
 
     def _maps(self, red: ad.Tensor, P, relu) -> ad.Tensor:

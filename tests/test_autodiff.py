@@ -698,7 +698,7 @@ def test_conv2d_matches_old_kernel(shapes, pad, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("T,D,N,C", [(12, 8, 4, 5), (16, 16, 8, 3), (5, 1, 2, 2)])
 def test_fused_sampler_matches_old_chain(T, D, N, C, dtype):
-    S = build_bm_mask(T, D, N).astype(dtype)
+    S = build_bm_mask(T, D, N, dtype)
     shapes = [(T, C), (N,), (C,)]
     new = outputs_and_grads(new_sample_chain, shapes, dtype, 6, S, D)
     old = outputs_and_grads(old_sample_chain, shapes, dtype, 6, wide_matrix(S, N), D)
@@ -737,7 +737,7 @@ def parent_sparse_sample(x, W, w, b):
 def test_point_stacked_sampler_matches_parent_op(T, D, N, C, B, dtype):
     """The output and the gradients of x, w and b match the (T, J) W_comb
     op's, unbatched and on a batch axis, at a small and the network's shape."""
-    S = build_bm_mask(T, D, N).astype(dtype)
+    S = build_bm_mask(T, D, N, dtype)
     shapes = [(T, C) if B is None else (B, T, C), (N,), (C,)]
     new = outputs_and_grads(lambda x, w, b, S: ad.sparse_sample(x, S, w, b),
                             shapes, dtype, 8, S)
@@ -750,7 +750,7 @@ def test_point_stacked_sampler_matches_parent_op(T, D, N, C, B, dtype):
 @pytest.mark.parametrize("B", [1, 2, 4])
 def test_point_stacked_sampler_stack_is_bit_equal_to_single_calls(B, dtype):
     T, D, N, C = 100, 100, 8, 16
-    S = build_bm_mask(T, D, N).astype(dtype)
+    S = build_bm_mask(T, D, N, dtype)
     rng = np.random.default_rng(B)
     x, w, b = (rng.normal(size=s).astype(dtype) for s in ((B, T, C), (N,), (C,)))
     y = ad.sparse_sample(x, S, w, b).data
@@ -773,7 +773,7 @@ def test_sampler_backward_allocates_under_a_megabyte():
     float32) the backward's peak allocation stays under 1 MB; the parent
     op's, with its dense (T, J) product, is at least 2.0 MB."""
     T, D, N, C = 100, 100, 8, 16
-    S = build_bm_mask(T, D, N).astype(np.float32)
+    S = build_bm_mask(T, D, N, np.float32)
     rng = np.random.default_rng(9)
     arrs = [rng.normal(size=s).astype(np.float32) for s in ((1, T, C), (N,), (C,))]
 
@@ -803,7 +803,7 @@ def test_folded_sampler_matches_point_stacked_op(T, D, N, C, B, dtype):
     unbatched and on a batch axis, at a small and the network's shape."""
     shapes = [(T, C) if B is None else (B, T, C), (N,), (C,)]
     new = outputs_and_grads(lambda x, w, b, S: ad.sparse_sample(x, S, w, b),
-                            shapes, dtype, 10, build_bm_mask(T, D, N).astype(dtype))
+                            shapes, dtype, 10, build_bm_mask(T, D, N, dtype))
     old = outputs_and_grads(lambda x, w, b, S: point_stacked_sample(x, S, w, b),
                             shapes, dtype, 10, csc_bm_mask(T, D, N).astype(dtype))
     assert_close(new, old, PARITY_RTOL[dtype])
@@ -837,7 +837,7 @@ def test_sampler_folds_of_two_dtypes_are_never_shared():
     matrices, each in its own dtype; one sampler given w in either dtype
     keys its matrix by the dtype too, so it never hands one to the other."""
     S = build_bm_mask(12, 8, 4)
-    S32 = S.astype(np.float32)
+    S32 = build_bm_mask(12, 8, 4, np.float32)
     assert (S.table.dtype, S32.table.dtype) == (np.float64, np.float32)
     w64 = np.array([0.5, -1.0, 2.0, 0.25])
     w32 = w64.astype(np.float32)
@@ -856,7 +856,7 @@ def test_pending_backward_uses_its_own_fold(dtype):
     the cached matrix runs on the matrix of its own forward: its gradients
     equal, bit for bit, those of a backward run before the rebuild."""
     T, D, N, C = 12, 8, 4, 5
-    S = build_bm_mask(T, D, N).astype(dtype)
+    S = build_bm_mask(T, D, N, dtype)
     rng = np.random.default_rng(11)
     x, w, b, other = (rng.normal(size=s).astype(dtype) for s in ((2, T, C), (N,), (C,), (N,)))
     up = rng.normal(size=(2, S.shape[1], C)).astype(dtype)

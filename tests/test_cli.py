@@ -88,6 +88,9 @@ MALFORMED = {
     "manifest_annotation_triple": _video_case(annotations=[[1, 2, 3]]),
     "manifest_annotation_bool": _video_case(annotations=[[False, 2]]),
     "manifest_mixed_lengths": _video_case(T=20),
+    "manifest_int_video_id": _video_case(video_id=7),
+    "manifest_duplicate_video_ids": _manifest_case(
+        lambda doc: doc["videos"][1].update(video_id=doc["videos"][0]["video_id"])),
     "manifest_is_directory": lambda dataset, tmp_path: (
         ["train", "--manifest", str(dataset), "--out", str(tmp_path / "run")], 2),
     "checkpoint_is_directory": lambda dataset, tmp_path: (
@@ -129,6 +132,10 @@ class TestApplyMode:
         assert changed("supervised") == {**dict.fromkeys(LOSS_WEIGHTS.values(), 0.0),
                                          "batch_unlabeled": 0}
         assert apply_mode(base, "sstap") == base
+
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="unknown training mode 'bogus'"):
+            apply_mode(TrainConfig(), "bogus")
 
     def test_mode_and_grid_order(self):
         # the `--mode` choices, and `ablation.csv`'s row order for the components grid
@@ -352,18 +359,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}: not UTF-8" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("old, new, reason", [
+        ('"total"', '"totam"', "KeyError"),
+        ('"shift": 0.0', '"shift": "x"', "non-numeric loss term")],
+        ids=["missing_total", "non_numeric_shift"])
     def test_resume_of_finished_run_with_bad_metrics_line_is_data_error(
-            self, dataset, checkpoint, capsys):
+            self, dataset, checkpoint, capsys, old, new, reason):
         """With no epoch left to train, the kept line is the one reported,
-        so it must hold numeric loss terms."""
+        so it must hold every loss term, each a number."""
         path = checkpoint.parent / "metrics.jsonl"
-        path.write_text(path.read_text().replace('"total"', '"totam"'))
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new))
         rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
                       "--out", str(checkpoint.parent), "--mode", "supervised",
                       "--resume", str(checkpoint)] + TRAIN_FLAGS)
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{path}: bad metrics line" in err and "Traceback" not in err
+        assert reason in err
 
     def test_resume_of_finished_run_into_new_dir_is_usage_error(
             self, dataset, checkpoint, tmp_path, capsys):
@@ -379,6 +392,21 @@ class TestExitCodes:
         assert (f"{checkpoint} is at epoch 1 and the run asks for 1 epochs" in captured.err
                 and "Traceback" not in captured.err)
         assert not out.exists()
+
+    def test_resume_into_new_dir_logs_only_the_epochs_it_trains(
+            self, dataset, checkpoint, tmp_path, capsys):
+        """A run resumed into a fresh directory has no earlier metrics to
+        keep: its log holds the lines of the epochs it trains."""
+        out = tmp_path / "resumed"
+        flags = [f if f != "1" else "2" for f in TRAIN_FLAGS]  # epochs 1 -> 2
+        rc = run_cli(["train", "--manifest", str(dataset / "manifest.json"),
+                      "--out", str(out), "--mode", "supervised",
+                      "--resume", str(checkpoint)] + flags)
+        assert rc == 0
+        ckpt = out / "checkpoint.bin"
+        assert f"trained 2 epochs; checkpoint at {ckpt}" in capsys.readouterr().out
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in lines] == [2]
 
     def test_resume_of_finished_run_into_its_own_dir_reports_it(
             self, dataset, checkpoint, capsys):
@@ -472,6 +500,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite activation in layer 'pem'" in err and "Traceback" not in err
 
+    def test_checkpoint_tensor_of_negative_dimension_is_data_error(
+            self, dataset, checkpoint, tmp_path, capsys):
+        """A header that declares a negative dimension is refused while the
+        header is read, before any payload size is taken from it."""
+        header, tensors = load_checkpoint(checkpoint)
+        header["tensors"][0]["shape"][0] = -3
+        write_framed(checkpoint, CHECKPOINT_MAGIC, b"", header, list(tensors.values()))
+        assert self._infer(checkpoint, dataset, tmp_path) == 2
+        err = capsys.readouterr().err
+        name = header["tensors"][0]["name"]
+        assert f"bad header block: tensor {name} has a negative dimension" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "props").exists()
+
     def test_checkpoint_missing_a_tensor_is_data_error(self, dataset, checkpoint, tmp_path,
                                                        capsys):
         header, tensors = load_checkpoint(checkpoint)
@@ -528,6 +570,24 @@ class TestExitCodes:
         assert run_cli(argv[command] + ["--out="]) == 2
         assert "No such file or directory: ''" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_eval_with_no_ground_truth_reports_no_metrics(self, dataset, tmp_path, capsys):
+        """A manifest whose videos all lack annotations has no video to
+        score: `eval` says so, exits 0 and writes no report."""
+        path = dataset / "manifest.json"
+        doc = json.loads(path.read_text())
+        for video in doc["videos"]:
+            video["annotations"] = []
+        path.write_text(json.dumps(doc))
+        props_dir, out = tmp_path / "props", tmp_path / "report"
+        props_dir.mkdir()
+        (props_dir / "v00000.props.tsv").write_text("# start end score\n1.0 2.0 0.5\n")
+        rc = run_cli(["eval", "--proposals", str(props_dir), "--manifest", str(path),
+                      "--out", str(out)])
+        assert rc == 0
+        assert ("no eligible videos (all ground truth empty); metrics absent"
+                in capsys.readouterr().out)
+        assert not out.exists()
 
     def test_eval_with_zero_an_max_is_usage_error(self, dataset, tmp_path, capsys):
         props_dir = tmp_path / "props"

@@ -235,6 +235,12 @@ class TestFeatureIO:
         with pytest.raises(FormatError, match="a.feat: "):
             read_features(path)
 
+    def test_one_dimensional_values_not_written(self, tmp_path):
+        path = tmp_path / "a.feat"
+        with pytest.raises(ValueError, match="T x C matrix"):
+            write_features(FeatureSequence("vid", np.ones(8, dtype=np.float32)), path)
+        assert not path.exists()
+
     def test_header_without_video_id_rejected(self, tmp_path):
         path = tmp_path / "a.feat"
         write_features(FeatureSequence("vid", np.ones((4, 2), dtype=np.float32)), path)
@@ -409,6 +415,16 @@ class TestManifest:
             doc["seed"] = seed
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="seed"):
+            read_manifest(path)
+
+    def test_duplicate_video_ids_rejected(self, tmp_path):
+        gen_synthetic_dataset(tmp_path, n_videos=2, T=16, C=4,
+                              label_fraction=1.0, seed=2)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["videos"][1]["video_id"] = doc["videos"][0]["video_id"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="manifest.json: duplicate video ids"):
             read_manifest(path)
 
     @pytest.mark.parametrize("T", [3, 4])

@@ -74,6 +74,10 @@ class TestRecallMatrix:
         with pytest.raises(ValueError):
             recall_matrix([], AnnotationSet([]), [0.5], [1])
 
+    def test_degenerate_gt_rejected(self):
+        with pytest.raises(ValueError, match="degenerate ground-truth segment"):
+            recall_matrix([Proposal(0, 5, 0.9)], AnnotationSet([(0, 5), (3, 3)]), [0.5], [1])
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_list_implementation(self, data):

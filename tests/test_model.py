@@ -256,6 +256,12 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(net.init_params(0), np.zeros((TINY.T + 1, TINY.C)))
 
+    def test_dropout_without_rng_rejected(self):
+        net = ProposalNetwork(TINY)
+        with pytest.raises(ValueError, match="dropout needs an rng"):
+            net.forward(net.init_params(0), np.zeros((TINY.T, TINY.C)), train_mode=True,
+                        p_drop=0.5, rng=None)
+
     def test_deterministic_given_frozen_dropout(self):
         net = ProposalNetwork(TINY)
         params = net.init_params(seed=2)

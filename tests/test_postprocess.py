@@ -426,6 +426,17 @@ class TestInferenceDoesNotSort:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
 
+class TestProposals:
+    @pytest.mark.parametrize("rows, message", [
+        (([0.0, 1.0], [1.0], [0.5, 0.4]), "of one length"),
+        (([0.0], [math.nan], [0.5]), "finite"),
+        (([0.0, 2.0], [1.0, 2.0], [0.5, 0.4]), "start >= end"),
+    ], ids=["unequal_lengths", "nan", "start_at_end"])
+    def test_invalid_columns_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Proposals(*rows)
+
+
 class TestProposalIO:
     def test_golden_bytes(self, tmp_path):
         # 1/3 and 2/3 do not terminate; .8g prints a score below 1e-4 with an exponent

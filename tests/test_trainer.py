@@ -241,6 +241,39 @@ class TestSupervisedLoss:
         with pytest.raises(ValueError):
             supervised_loss(const_outputs(9, 4), labels)
 
+    def test_negatives_are_subsampled_one_to_one_from_the_rng(self, monkeypatch):
+        """With more zero-IoU negatives than positives, the regression term
+        is the mean squared error over the positives and as many negatives,
+        drawn without replacement from the generator passed in."""
+        T, D = 16, 8
+        labels = build_label_maps(AnnotationSet([(5.0, 6.5)]), T, D)
+        out = const_outputs(T, D)
+        out.m_cr.data[:] = np.random.default_rng(4).uniform(0.05, 0.95, (D, T)) * out.valid_mask
+        valid = out.valid_mask.astype(bool)
+        pos = valid & (labels.g_iou > 0.0)
+        neg_idx = np.flatnonzero((valid & (labels.g_iou == 0.0)).ravel())
+        n_pos = int(pos.sum())
+        assert 0 < n_pos < neg_idx.size
+
+        rng = np.random.default_rng(9)
+        draw = copy.deepcopy(rng)
+        sel = pos.copy()
+        sel.ravel()[draw.choice(neg_idx, n_pos, replace=False)] = True
+        want = float(np.mean((out.m_cr.data - labels.g_iou)[sel] ** 2))
+
+        terms, mse = [], ad.mse
+
+        def recorded(*args):
+            terms.append((args, mse(*args)))
+            return terms[-1][1]
+        monkeypatch.setattr(ad, "mse", recorded)
+        supervised_loss(out, labels, rng)
+        (args, term), = terms
+        assert np.array_equal(args[2], sel)
+        assert term.item() == pytest.approx(want, rel=1e-12)
+        assert rng.bit_generator.state == draw.bit_generator.state
+        assert rng.bit_generator.state != np.random.default_rng(9).bit_generator.state
+
 
 class TestConsistencyLoss:
     def test_identical_outputs_zero(self):
@@ -652,6 +685,13 @@ class TestTrainerRun:
         mpath, manifest = self._dataset(tmp_path, n=2, frac=0.0)
         with pytest.raises(ValueError):
             train_run(manifest, mpath, tiny_cfg(), tmp_path / "run")
+
+    def test_run_without_labeled_videos_rejected_before_writing(self, tmp_path):
+        trainer = Trainer.create(TINY, tiny_cfg())
+        unlabeled = [BatchVideo("unl0", np.zeros((TINY.T, TINY.C)), False)]
+        with pytest.raises(ValueError, match="at least one labeled video"):
+            trainer.run([], unlabeled, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_positives_warn_once_per_cause_per_epoch(self, tmp_path, caplog):
         cfg = tiny_cfg(epochs=2, lambda1=0, lambda2=0, lambda3=0, lambda4=0)
